@@ -15,10 +15,9 @@ The package splits into:
 - :mod:`subgcn.cli`: the ``subgcn`` command
 """
 
-from .graph import Graph, Subgraph, arc_lookup, build_graph, induced_subgraph
+from .graph import Graph, Subgraph, build_graph, induced_subgraph
 from .samplers import (
-    EdgeWeights,
-    NodeWeights,
+    Categorical,
     SamplerConfig,
     SubgraphProducer,
     edge_weights,
@@ -31,12 +30,7 @@ from .samplers import (
     sample_node,
     sample_rw,
 )
-from .normalization import (
-    NormCoeffs,
-    analytic_coeffs_edge,
-    estimate_coeffs,
-    normalized_arc_value,
-)
+from .normalization import NormCoeffs, analytic_coeffs_edge, estimate_coeffs
 from .engine import (
     Batch,
     Model,
@@ -76,10 +70,8 @@ __all__ = [
     "Subgraph",
     "build_graph",
     "induced_subgraph",
-    "arc_lookup",
     "SamplerConfig",
-    "NodeWeights",
-    "EdgeWeights",
+    "Categorical",
     "SubgraphProducer",
     "make_rng",
     "node_weights",
@@ -93,7 +85,6 @@ __all__ = [
     "NormCoeffs",
     "estimate_coeffs",
     "analytic_coeffs_edge",
-    "normalized_arc_value",
     "Model",
     "Batch",
     "TrainConfig",

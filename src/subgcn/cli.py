@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 from pathlib import Path
@@ -211,20 +212,9 @@ def _cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "metrics.log").write_text("\n".join(result.log) + "\n")
-    best = result.checkpoint
-    data_io.save_checkpoint(out / "final.ckpt", ds.graph, best)
-    best_ckpt = engine.Checkpoint(
-        head=best.head,
-        weights=result.model.weights,
-        adam_m=best.adam_m,
-        adam_v=best.adam_v,
-        adam_t=best.adam_t,
-        epochs_done=best.epochs_done,
-        iteration=best.iteration,
-        best_weights=best.best_weights,
-        best_val_f1=best.best_val_f1,
-    )
-    data_io.save_checkpoint(out / "best.ckpt", ds.graph, best_ckpt)
+    data_io.save_checkpoint(out / "final.ckpt", ds.graph, result.checkpoint)
+    best = dataclasses.replace(result.checkpoint, weights=result.model.weights)
+    data_io.save_checkpoint(out / "best.ckpt", ds.graph, best)
     for line in result.log:
         print(line)
     if result.skipped_batches:

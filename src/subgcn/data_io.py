@@ -13,9 +13,11 @@ inspectability:
 
 Subgraph caches, coefficient caches and model checkpoints use a binary
 container (magic bytes, version, little-endian 64-bit payloads) bound
-to their graph by a 64-bit FNV-1a hash over the CSR arrays. All writers
-are byte-deterministic; loaders reject malformed input with the
-offending file and line.
+to their graph by a 64-bit FNV-1a hash over the CSR arrays. The
+container is at version 2, which stores four arrays per cached
+subgraph; loaders refuse any other version. All writers are
+byte-deterministic; loaders reject malformed input with the offending
+file and line.
 """
 
 from __future__ import annotations
@@ -275,7 +277,7 @@ def save_dataset(ds: Dataset, directory) -> None:
 # Binary container
 # ----------------------------------------------------------------------
 
-_VERSION = 1
+_VERSION = 2
 _MAGIC_SUB = b"SGCNSUBG"
 _MAGIC_COEF = b"SGCNCOEF"
 _MAGIC_CKPT = b"SGCNCKPT"
@@ -338,7 +340,12 @@ def _read_header(f, magic: bytes, path, g: Graph | None) -> dict:
     version, g_hash, meta_len = struct.unpack("<IQI", _read_exact(f, 16, path))
     if version != _VERSION:
         raise DataFormatError(path, None, f"unsupported container version {version}")
-    meta = json.loads(_read_exact(f, meta_len, path))
+    try:
+        meta = json.loads(_read_exact(f, meta_len, path).decode())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataFormatError(path, None, f"malformed container header: {exc}") from None
+    if not isinstance(meta, dict):
+        raise DataFormatError(path, None, "malformed container header: not a JSON object")
     if g is not None and g_hash != graph_hash(g):
         raise CacheMismatchError(f"{path}: cached artifact belongs to a different graph")
     return meta
@@ -353,7 +360,7 @@ def save_subgraphs(path, g: Graph, cfg: SamplerConfig, subgraphs: list[Subgraph]
     with open(path, "wb") as f:
         _write_header(f, _MAGIC_SUB, graph_hash(g), {"sampler": _cfg_meta(cfg), "count": len(subgraphs)})
         for sub in subgraphs:
-            for arr in (sub.nodes, sub.row_offsets, sub.col_indices, sub.arc_origin, sub.sample_multiplicity):
+            for arr in (sub.nodes, sub.row_offsets, sub.col_indices, sub.arc_origin):
                 _write_array(f, arr)
 
 
@@ -363,16 +370,8 @@ def load_subgraphs(path, g: Graph) -> tuple[SamplerConfig, list[Subgraph]]:
         cfg = SamplerConfig(**meta["sampler"])
         subs = []
         for _ in range(meta["count"]):
-            nodes, offsets, cols, origin, mult = (_read_array(f, path) for _ in range(5))
-            subs.append(
-                Subgraph(
-                    nodes=nodes,
-                    row_offsets=offsets,
-                    col_indices=cols,
-                    arc_origin=origin,
-                    sample_multiplicity=mult,
-                )
-            )
+            nodes, offsets, cols, origin = (_read_array(f, path) for _ in range(4))
+            subs.append(Subgraph(nodes=nodes, row_offsets=offsets, col_indices=cols, arc_origin=origin))
     return cfg, subs
 
 

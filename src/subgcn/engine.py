@@ -8,7 +8,8 @@ inference). The final layer is linear; the head (softmax cross-entropy
 for single-label, per-class sigmoid binary cross-entropy for
 multi-label) lives in the loss. The minibatch loss is the sum of
 per-node losses over sampled training nodes, each divided by its loss
-normalization.
+normalization lambda_v = P(v in V_s), which makes it an unbiased
+estimate of the full-graph sum of training-node losses.
 
 Everything runs in double precision by default; gradients are exact
 reverse-mode through the cached forward and are validated against
@@ -112,9 +113,9 @@ def init_model(
 class Batch:
     """One minibatch: a subgraph, its gathered rows, and normalization.
 
-    ``lam`` holds the loss normalization per local node (0 excludes the
-    node from the loss); ``adjacency`` is the local sparse matrix with
-    entries norm_value / alpha.
+    ``lam`` holds the loss normalization lambda_v = P(v in V_s) per
+    local node (0 excludes the node from the loss); ``adjacency`` is the
+    local sparse matrix with entries norm_value / alpha.
     """
 
     subgraph: Subgraph
@@ -253,7 +254,8 @@ def loss_and_grad(
 ) -> tuple[float, list[np.ndarray]]:
     """Normalized minibatch loss and exact weight gradients.
 
-    The loss is sum over sampled training nodes of L_v / lambda_v;
+    The loss is sum over sampled training nodes of L_v / lambda_v, an
+    unbiased estimate of the full-graph sum of training-node losses;
     with ``mean_loss`` it is additionally divided by the number of
     contributing nodes. Raises :class:`EmptyBatchError` when no node
     contributes.

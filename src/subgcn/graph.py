@@ -22,7 +22,6 @@ __all__ = [
     "Subgraph",
     "build_graph",
     "induced_subgraph",
-    "arc_lookup",
     "arc_source_nodes",
     "empty_subgraph",
 ]
@@ -85,16 +84,12 @@ class Subgraph:
         Local CSR over local IDs.
     arc_origin : ndarray of int64
         For each local arc, the arc index in the parent graph.
-    sample_multiplicity : ndarray of int64
-        How many times each node was emitted by the sampler before
-        deduplication.
     """
 
     nodes: np.ndarray
     row_offsets: np.ndarray
     col_indices: np.ndarray
     arc_origin: np.ndarray
-    sample_multiplicity: np.ndarray
 
     @property
     def num_nodes(self) -> int:
@@ -186,7 +181,7 @@ def induced_subgraph(g: Graph, node_ids: Iterable[int] | np.ndarray) -> Subgraph
     """Extract the subgraph induced by a multiset of node IDs.
 
     The local CSR contains exactly the parent arcs with both endpoints
-    in the set. Multiplicities of repeated IDs are recorded.
+    in the set; repeated IDs count once.
 
     Raises
     ------
@@ -199,7 +194,7 @@ def induced_subgraph(g: Graph, node_ids: Iterable[int] | np.ndarray) -> Subgraph
         raise ValueError("cannot induce a subgraph from an empty node set")
     if ids.min() < 0 or ids.max() >= g.num_nodes:
         raise ValueError("node ID out of range")
-    nodes, multiplicity = np.unique(ids, return_counts=True)
+    nodes = np.unique(ids)
 
     starts = g.row_offsets[nodes]
     counts = g.row_offsets[nodes + 1] - starts
@@ -224,14 +219,8 @@ def induced_subgraph(g: Graph, node_ids: Iterable[int] | np.ndarray) -> Subgraph
     row_offsets = np.zeros(nodes.shape[0] + 1, dtype=np.int64)
     np.cumsum(np.bincount(local_rows, minlength=nodes.shape[0]), out=row_offsets[1:])
 
-    _freeze(nodes, row_offsets, local_cols, arc_origin, multiplicity)
-    return Subgraph(
-        nodes=nodes,
-        row_offsets=row_offsets,
-        col_indices=local_cols,
-        arc_origin=arc_origin,
-        sample_multiplicity=multiplicity.astype(np.int64),
-    )
+    _freeze(nodes, row_offsets, local_cols, arc_origin)
+    return Subgraph(nodes=nodes, row_offsets=row_offsets, col_indices=local_cols, arc_origin=arc_origin)
 
 
 def empty_subgraph() -> Subgraph:
@@ -239,18 +228,7 @@ def empty_subgraph() -> Subgraph:
     z = np.zeros(0, dtype=np.int64)
     off = np.zeros(1, dtype=np.int64)
     _freeze(z, off)
-    return Subgraph(nodes=z, row_offsets=off, col_indices=z, arc_origin=z, sample_multiplicity=z)
-
-
-def arc_lookup(g: Graph, u: int, v: int) -> int | None:
-    """Arc index of (u, v), or None if the arc does not exist."""
-    if not (0 <= u < g.num_nodes and 0 <= v < g.num_nodes):
-        raise ValueError("node ID out of range")
-    start, end = int(g.row_offsets[u]), int(g.row_offsets[u + 1])
-    i = start + int(np.searchsorted(g.col_indices[start:end], v))
-    if i < end and g.col_indices[i] == v:
-        return i
-    return None
+    return Subgraph(nodes=z, row_offsets=off, col_indices=z, arc_origin=z)
 
 
 def arc_source_nodes(g: Graph) -> np.ndarray:

@@ -3,8 +3,10 @@
 Aggregation over a sampled subgraph favors frequently sampled edges;
 dividing each adjacency entry by alpha = P(edge sampled) / P(node
 sampled) makes per-node aggregation unbiased, and weighting each node's
-loss by 1 / lambda with lambda = |V| * P(node sampled) makes the
-minibatch loss an unbiased estimate of the mean full-graph loss.
+loss by 1 / lambda with lambda_v = P(v in V_s) makes the minibatch loss
+an unbiased estimate of the full-graph sum of training-node losses.
+Both sources below use this one lambda, so their coefficients are
+interchangeable.
 
 Coefficients come from one of two sources:
 
@@ -31,7 +33,6 @@ __all__ = [
     "NormCoeffs",
     "estimate_coeffs",
     "analytic_coeffs_edge",
-    "normalized_arc_value",
     "normalized_arc_values",
 ]
 
@@ -49,9 +50,11 @@ class NormCoeffs:
         fallback (C_e + 1) / (C_v + 1) for never-sampled edges so the
         division is always defined.
     lam : ndarray of float64, shape (num_nodes,)
-        Loss normalization per node (C_v / N empirically, |V| * p_v
-        analytically). Zero for never-sampled nodes, which are then
-        excluded from minibatch losses.
+        Loss normalization per node: lambda_v = P(v in V_s), estimated
+        as C_v / N empirically and p_v analytically. Weighting node
+        losses by 1 / lambda makes the minibatch loss estimate the
+        full-graph sum of training-node losses. Zero for never-sampled
+        nodes, which are then excluded from minibatch losses.
     node_counts, edge_counts : ndarray of int64
         Appearance counters C_v (per node) and C_e (per undirected
         edge); zeros for the analytic source.
@@ -143,7 +146,7 @@ def analytic_coeffs_edge(g: Graph, m: int) -> NormCoeffs:
 
     With p_e = min(1, m * w_e / sum(w)) the node inclusion probability
     is p_v = 1 - prod_{e incident to v} (1 - p_e); then alpha = p_e /
-    p_v per arc and lambda = |V| * p_v. The node-induction step is not
+    p_v per arc and lambda = p_v. The node-induction step is not
     modeled (the closed form describes the drawn edge set only).
     """
     p_e = inclusion_probabilities(g, m, edge_weights(g))
@@ -161,7 +164,7 @@ def analytic_coeffs_edge(g: Graph, m: int) -> NormCoeffs:
         alpha = p_e[g.arc_to_edge] / p_v[rows]
     return NormCoeffs(
         alpha=alpha,
-        lam=g.num_nodes * p_v,
+        lam=p_v,
         node_counts=np.zeros(g.num_nodes, dtype=np.int64),
         edge_counts=np.zeros(g.num_edges, dtype=np.int64),
         num_subgraphs=0,
@@ -169,24 +172,21 @@ def analytic_coeffs_edge(g: Graph, m: int) -> NormCoeffs:
     )
 
 
-def normalized_arc_value(g: Graph, coeffs: NormCoeffs, arc: int) -> float:
-    """Adjacency entry divided by its aggregator normalization."""
-    a = float(coeffs.alpha[arc])
-    if not a > 0.0:
-        raise ValueError(f"arc {arc} has undefined normalization (alpha={a}); estimation is inconsistent")
-    return float(g.norm_values[arc]) / a
-
-
 def normalized_arc_values(g: Graph, coeffs: NormCoeffs | None, arcs: np.ndarray) -> np.ndarray:
     """Vectorized normalized values for a set of parent arc indices.
 
     ``coeffs`` None means alpha == 1 everywhere (full-graph semantics).
+    Raises ValueError if any selected alpha is not a positive finite
+    number (zero, negative, NaN or infinite).
     """
     vals = g.norm_values[arcs]
     if coeffs is None:
         return vals.copy()
     alpha = coeffs.alpha[arcs]
-    if np.any(alpha <= 0.0):
-        bad = int(arcs[np.argmax(alpha <= 0.0)])
-        raise ValueError(f"arc {bad} has undefined normalization; estimation is inconsistent")
+    undefined = ~((alpha > 0.0) & np.isfinite(alpha))
+    if np.any(undefined):
+        i = int(np.argmax(undefined))
+        raise ValueError(
+            f"arc {int(arcs[i])} has undefined normalization (alpha={alpha[i]}); estimation is inconsistent"
+        )
     return vals / alpha

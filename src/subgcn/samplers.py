@@ -33,8 +33,7 @@ from .graph import Graph, Subgraph, empty_subgraph, induced_subgraph
 
 __all__ = [
     "SamplerConfig",
-    "NodeWeights",
-    "EdgeWeights",
+    "Categorical",
     "make_rng",
     "node_weights",
     "edge_weights",
@@ -95,9 +94,14 @@ class SamplerConfig:
 
 
 @dataclass(frozen=True)
-class NodeWeights:
-    """Node distribution proportional to squared column norms of the
-    normalized adjacency."""
+class Categorical:
+    """Categorical distribution over 0..len(weights)-1 with probabilities
+    proportional to ``weights``, precomputed once per graph.
+
+    ``total`` is ``weights.sum()``, not ``cumulative[-1]``: the pairwise
+    and the running sum differ in the last bits, and every draw scales
+    by ``total``.
+    """
 
     weights: np.ndarray
     cumulative: np.ndarray
@@ -111,23 +115,7 @@ class NodeWeights:
         return np.searchsorted(self.cumulative, u, side="right")
 
 
-@dataclass(frozen=True)
-class EdgeWeights:
-    """Per-undirected-edge weights 1/deg(u) + 1/deg(v)."""
-
-    weights: np.ndarray
-    cumulative: np.ndarray
-    total: float
-
-    def probabilities(self) -> np.ndarray:
-        return self.weights / self.total
-
-    def draw(self, rng: np.random.Generator, k: int) -> np.ndarray:
-        u = rng.random(k) * self.total
-        return np.searchsorted(self.cumulative, u, side="right")
-
-
-def node_weights(g: Graph) -> NodeWeights:
+def node_weights(g: Graph) -> Categorical:
     """Weight of node u is the squared column norm sum_v (1/deg(v))^2
     over arcs (v, u).
 
@@ -137,10 +125,10 @@ def node_weights(g: Graph) -> NodeWeights:
     total = float(w.sum())
     if total <= 0.0:
         raise ValueError("node distribution undefined: all nodes are isolated")
-    return NodeWeights(weights=w, cumulative=np.cumsum(w), total=total)
+    return Categorical(weights=w, cumulative=np.cumsum(w), total=total)
 
 
-def edge_weights(g: Graph) -> EdgeWeights:
+def edge_weights(g: Graph) -> Categorical:
     """Weight of edge (u, v) is 1/deg(u) + 1/deg(v).
 
     A self-loop counts both orientations of its single stored arc.
@@ -150,11 +138,11 @@ def edge_weights(g: Graph) -> EdgeWeights:
     w = np.bincount(g.arc_to_edge, weights=g.norm_values, minlength=g.num_edges)
     loops = g.edge_endpoints[:, 0] == g.edge_endpoints[:, 1]
     w[loops] *= 2.0
-    return EdgeWeights(weights=w, cumulative=np.cumsum(w), total=float(w.sum()))
+    return Categorical(weights=w, cumulative=np.cumsum(w), total=float(w.sum()))
 
 
 def sample_node(
-    g: Graph, n: int, rng: np.random.Generator, weights: NodeWeights | None = None
+    g: Graph, n: int, rng: np.random.Generator, weights: Categorical | None = None
 ) -> Subgraph:
     """Draw n nodes i.i.d. from the node distribution and induce."""
     if n < 1:
@@ -164,7 +152,7 @@ def sample_node(
 
 
 def sample_edge_approx(
-    g: Graph, m: int, rng: np.random.Generator, weights: EdgeWeights | None = None
+    g: Graph, m: int, rng: np.random.Generator, weights: Categorical | None = None
 ) -> Subgraph:
     """Draw m edges with replacement and induce over their endpoints."""
     if m < 1:
@@ -174,14 +162,14 @@ def sample_edge_approx(
     return induced_subgraph(g, g.edge_endpoints[eids].ravel())
 
 
-def inclusion_probabilities(g: Graph, m: int, weights: EdgeWeights | None = None) -> np.ndarray:
+def inclusion_probabilities(g: Graph, m: int, weights: Categorical | None = None) -> np.ndarray:
     """Per-edge Bernoulli probabilities min(1, m * w_e / sum(w))."""
     dist = weights if weights is not None else edge_weights(g)
     return np.minimum(1.0, m * dist.weights / dist.total)
 
 
 def sample_edge_independent(
-    g: Graph, m: int, rng: np.random.Generator, weights: EdgeWeights | None = None
+    g: Graph, m: int, rng: np.random.Generator, weights: Categorical | None = None
 ) -> tuple[Subgraph, np.ndarray]:
     """Independent per-edge Bernoulli sampling with expected count <= m.
 
@@ -251,33 +239,30 @@ def sample_mrw(g: Graph, n: int, r: int, rng: np.random.Generator) -> Subgraph:
     return induced_subgraph(g, visits)
 
 
-@dataclass
-class _Dists:
-    node: NodeWeights | None = None
-    edge: EdgeWeights | None = None
-
-
-def _precompute(g: Graph, cfg: SamplerConfig) -> _Dists:
-    d = _Dists()
+def _precompute(g: Graph, cfg: SamplerConfig) -> Categorical | None:
+    """The configured sampler's distribution, or None if it has none."""
     if cfg.kind == "node":
-        d.node = node_weights(g)
-    elif cfg.kind in ("edge", "edge_independent"):
-        d.edge = edge_weights(g)
-    return d
+        return node_weights(g)
+    if cfg.kind in ("edge", "edge_independent"):
+        return edge_weights(g)
+    return None
 
 
 def sample(
-    g: Graph, cfg: SamplerConfig, rng: np.random.Generator, dists: _Dists | None = None
+    g: Graph, cfg: SamplerConfig, rng: np.random.Generator, dist: Categorical | None = None
 ) -> Subgraph:
-    """Dispatch one draw of the configured sampler."""
-    if dists is None:
-        dists = _precompute(g, cfg)
+    """Dispatch one draw of the configured sampler.
+
+    ``dist`` is the sampler's precomputed distribution; None computes it.
+    """
+    if dist is None:
+        dist = _precompute(g, cfg)
     if cfg.kind == "node":
-        return sample_node(g, cfg.n, rng, dists.node)
+        return sample_node(g, cfg.n, rng, dist)
     if cfg.kind == "edge":
-        return sample_edge_approx(g, cfg.m, rng, dists.edge)
+        return sample_edge_approx(g, cfg.m, rng, dist)
     if cfg.kind == "edge_independent":
-        return sample_edge_independent(g, cfg.m, rng, dists.edge)[0]
+        return sample_edge_independent(g, cfg.m, rng, dist)[0]
     if cfg.kind == "rw":
         return sample_rw(g, cfg.r, cfg.h, rng)
     if cfg.kind == "mrw":
@@ -307,7 +292,7 @@ class SubgraphProducer:
             raise ValueError("queue capacity must be positive")
         self._graph = graph
         self._cfg = cfg
-        self._dists = _precompute(graph, cfg)
+        self._dist = _precompute(graph, cfg)
         self._next_out = start
         self._workers: list[threading.Thread] = []
         self._error: BaseException | None = None
@@ -326,7 +311,7 @@ class SubgraphProducer:
     def subgraph_at(self, index: int) -> Subgraph:
         """Draw stream element ``index`` directly."""
         rng = make_rng(self._cfg.seed, index)
-        return sample(self._graph, self._cfg, rng, self._dists)
+        return sample(self._graph, self._cfg, rng, self._dist)
 
     def _work(self) -> None:
         while True:

@@ -174,6 +174,19 @@ class TestExitCodes:
         assert main(["sample", "--data", str(d), "--sampler", "edge", "--m", "2",
                      "--count", "1", "--out", str(tmp_path / "x")]) == 2
 
+    def test_malformed_checkpoint_header_is_2(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(dataset_dir), "--sampler", "edge", "--m", "30",
+                     "--layers", "1", "--epochs", "1", "--num-norm-subgraphs", "2",
+                     "--out", str(out)]) == 0
+        ckpt = out / "best.ckpt"
+        data = bytearray(ckpt.read_bytes())
+        data[24] = ord("x")  # the opening brace of the JSON header blob
+        ckpt.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert main(["eval", "--data", str(dataset_dir), "--checkpoint", str(ckpt)]) == 2
+        assert "data error" in capsys.readouterr().err
+
     def test_numeric_failure_is_3(self, tmp_path):
         ds = generate_sbm(SbmSpec(blocks=2, block_size=10, p_intra=0.5, p_inter=0.1, noise=0.5, seed=2))
         ds.features[:] = np.nan

@@ -149,7 +149,6 @@ class TestArtifactCaches:
             assert np.array_equal(a.row_offsets, b.row_offsets)
             assert np.array_equal(a.col_indices, b.col_indices)
             assert np.array_equal(a.arc_origin, b.arc_origin)
-            assert np.array_equal(a.sample_multiplicity, b.sample_multiplicity)
 
     def test_coeffs_cache_round_trip(self, tmp_path):
         g = generate_er(20, 0.25, seed=2)
@@ -181,6 +180,30 @@ class TestArtifactCaches:
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
         with pytest.raises(DataFormatError, match="magic"):
             load_coeffs(path, g)
+
+    def _coeffs_file(self, tmp_path):
+        g = generate_er(10, 0.3, seed=4)
+        coeffs, _ = estimate_coeffs(g, SamplerConfig(kind="edge", m=3, seed=1), num_subgraphs=2)
+        path = tmp_path / "coeffs.bin"
+        save_coeffs(path, g, coeffs)
+        return g, path, bytearray(path.read_bytes())
+
+    def test_old_container_version_rejected(self, tmp_path):
+        g, path, data = self._coeffs_file(tmp_path)
+        data[8:12] = (1).to_bytes(4, "little")  # version field after the magic
+        path.write_bytes(bytes(data))
+        with pytest.raises(DataFormatError, match="version"):
+            load_coeffs(path, g)
+
+    def test_malformed_header_rejected(self, tmp_path):
+        g, path, data = self._coeffs_file(tmp_path)
+        meta_len = int.from_bytes(data[20:24], "little")
+        for blob in (b"\xff", b"x", b"[" + b" " * (meta_len - 2) + b"]"):
+            bad = bytearray(data)
+            bad[24 : 24 + len(blob)] = blob  # the JSON header blob starts at byte 24
+            path.write_bytes(bytes(bad))
+            with pytest.raises(DataFormatError, match="header"):
+                load_coeffs(path, g)
 
     def test_checkpoint_round_trip(self, tmp_path):
         ds = generate_sbm(SbmSpec(blocks=2, block_size=15, p_intra=0.4, p_inter=0.05, noise=0.5, seed=1))

@@ -1,9 +1,9 @@
-"""Graph core: CSR construction, normalization, induction, lookups."""
+"""Graph core: CSR construction, normalization, induction."""
 
 import numpy as np
 import pytest
 
-from subgcn import arc_lookup, build_graph, induced_subgraph
+from subgcn import build_graph, induced_subgraph
 from subgcn.graph import arc_source_nodes
 
 from conftest import brute_force_induce, random_graph, subgraph_arcs_original
@@ -50,13 +50,23 @@ class TestBuildGraph:
 
     def test_self_loop_flag(self):
         g = build_graph([(0, 1)], 2, self_loops=True)
-        assert arc_lookup(g, 0, 0) is not None
-        assert arc_lookup(g, 1, 1) is not None
+        assert np.array_equal(g.neighbors(0), [0, 1])
+        assert np.array_equal(g.neighbors(1), [0, 1])
         # loop arcs stored once: 1 undirected edge + 2 loops = 4 arcs
         assert g.num_edges == 3
         assert g.num_arcs == 4
         sums = np.bincount(arc_source_nodes(g), weights=g.norm_values, minlength=2)
         assert np.allclose(sums, 1.0, atol=1e-12)
+
+    def test_arcs_match_edge_list(self):
+        rng = np.random.default_rng(13)
+        edges = rng.integers(0, 40, size=(200, 2))
+        edges = edges[edges[:, 0] != edges[:, 1]]
+        g = build_graph(edges, 40)
+        want = {(int(u), int(v)) for u, v in edges} | {(int(v), int(u)) for u, v in edges}
+        got = set(zip(arc_source_nodes(g).tolist(), g.col_indices.tolist()))
+        assert got == want
+        assert g.num_arcs == len(want)
 
     def test_deterministic_construction(self):
         rng = np.random.default_rng(3)
@@ -102,7 +112,6 @@ class TestInducedSubgraph:
     def test_multiset_multiplicity(self, triangle):
         sub = induced_subgraph(triangle, [0, 0, 1, 2])
         assert np.array_equal(sub.nodes, [0, 1, 2])
-        assert np.array_equal(sub.sample_multiplicity, [2, 1, 1])
         assert sub.num_arcs == 6  # full triangle
 
     def test_empty_set_rejected(self, triangle):
@@ -141,25 +150,3 @@ class TestInducedSubgraph:
                 parent = sub.arc_origin[a]
                 assert rows[parent] == sub.nodes[i]
                 assert g.col_indices[parent] == sub.nodes[sub.col_indices[a]]
-
-
-class TestArcLookup:
-    def test_present(self, triangle):
-        a = arc_lookup(triangle, 0, 1)
-        assert a is not None
-        assert triangle.col_indices[a] == 1
-
-    def test_absent(self, path3):
-        assert arc_lookup(path3, 0, 2) is None
-
-    def test_no_self_loop_without_flag(self, triangle):
-        assert arc_lookup(triangle, 1, 1) is None
-
-    def test_exhaustive_against_edge_list(self):
-        rng = np.random.default_rng(13)
-        g = random_graph(rng, max_nodes=40)
-        present = {(int(u), int(v)) for u, v in g.edge_endpoints}
-        for u in range(g.num_nodes):
-            for v in range(g.num_nodes):
-                expected = (min(u, v), max(u, v)) in present and u != v
-                assert (arc_lookup(g, u, v) is not None) == expected

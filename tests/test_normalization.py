@@ -10,7 +10,6 @@ from subgcn import (
     build_graph,
     estimate_coeffs,
     make_rng,
-    normalized_arc_value,
 )
 from subgcn.graph import arc_source_nodes
 from subgcn.normalization import normalized_arc_values
@@ -116,7 +115,7 @@ class TestAnalyticCoeffs:
     def test_single_edge(self, single_edge):
         coeffs = analytic_coeffs_edge(single_edge, 1)
         assert np.allclose(coeffs.alpha, 1.0)
-        assert np.allclose(coeffs.lam, 2.0)  # |V| * p_v = 2 * 1
+        assert np.allclose(coeffs.lam, 1.0)  # p_v = 1
         assert coeffs.source == "analytic"
 
     def test_square_with_chord_node0(self, square_chord):
@@ -127,13 +126,13 @@ class TestAnalyticCoeffs:
         arc0 = square_chord.row_offsets[0]
         assert square_chord.col_indices[arc0] == 1
         assert coeffs.alpha[arc0] == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(coeffs.lam, [4 * p_v[v] for v in range(4)])
+        assert np.allclose(coeffs.lam, [p_v[v] for v in range(4)])
 
     def test_saturated_budget_on_regular_graph(self):
         g = build_graph([(i, (i + 1) % 6) for i in range(6)], 6)
         coeffs = analytic_coeffs_edge(g, g.num_edges)
         assert np.allclose(coeffs.alpha, 1.0)
-        assert np.allclose(coeffs.lam, 6.0)  # |V| * 1
+        assert np.allclose(coeffs.lam, 1.0)  # p_v = 1
 
     def test_matches_loop_oracle_on_random_graphs(self):
         rng = np.random.default_rng(17)
@@ -147,14 +146,14 @@ class TestAnalyticCoeffs:
                 e = tuple(g.edge_endpoints[g.arc_to_edge[a]])
                 assert coeffs.alpha[a] == pytest.approx(p_e[e] / p_v[int(rows[a])], rel=1e-12)
             for v in range(g.num_nodes):
-                assert coeffs.lam[v] == pytest.approx(g.num_nodes * p_v[v], rel=1e-12)
+                assert coeffs.lam[v] == pytest.approx(p_v[v], rel=1e-12)
 
 
 class TestNormalizedArcValue:
     def test_identity_when_alpha_is_one(self, triangle):
         coeffs, _ = estimate_coeffs(triangle, SamplerConfig(kind="full", seed=0), num_subgraphs=3)
-        for a in range(triangle.num_arcs):
-            assert normalized_arc_value(triangle, coeffs, a) == triangle.norm_values[a]
+        arcs = np.arange(triangle.num_arcs)
+        assert np.array_equal(normalized_arc_values(triangle, coeffs, arcs), triangle.norm_values)
 
     def test_division(self, triangle):
         coeffs = NormCoeffs(
@@ -165,21 +164,22 @@ class TestNormalizedArcValue:
             num_subgraphs=0,
             source="analytic",
         )
-        assert normalized_arc_value(triangle, coeffs, 0) == pytest.approx(2.0)
+        assert normalized_arc_values(triangle, coeffs, np.array([0])) == pytest.approx([2.0])
 
     def test_undefined_alpha_signals(self, triangle):
-        coeffs = NormCoeffs(
-            alpha=np.zeros(triangle.num_arcs),
-            lam=np.ones(3),
-            node_counts=np.zeros(3, dtype=np.int64),
-            edge_counts=np.zeros(3, dtype=np.int64),
-            num_subgraphs=0,
-            source="analytic",
-        )
-        with pytest.raises(ValueError):
-            normalized_arc_value(triangle, coeffs, 0)
-        with pytest.raises(ValueError):
-            normalized_arc_values(triangle, coeffs, np.array([0, 1]))
+        for bad in (0.0, np.nan, np.inf, -np.inf):
+            alpha = np.full(triangle.num_arcs, 0.5)
+            alpha[1] = bad
+            coeffs = NormCoeffs(
+                alpha=alpha,
+                lam=np.ones(3),
+                node_counts=np.zeros(3, dtype=np.int64),
+                edge_counts=np.zeros(3, dtype=np.int64),
+                num_subgraphs=0,
+                source="analytic",
+            )
+            with pytest.raises(ValueError, match="arc 1 "):
+                normalized_arc_values(triangle, coeffs, np.array([0, 1]))
 
 
 class TestUnbiasedness:
@@ -261,7 +261,7 @@ class TestUnbiasedness:
             incidence[e, v] = 1.0
         covered = (masks @ incidence) > 0
         batch_losses = covered @ (losses / coeffs.lam)
-        target = losses.sum() / g.num_nodes
+        target = losses.sum()
         assert abs(batch_losses.mean() - target) <= 0.02 * target
 
 
@@ -275,9 +275,7 @@ class TestEmpiricalMatchesAnalytic:
         emp, _ = estimate_coeffs(g, cfg, num_subgraphs=20_000)
         ana = analytic_coeffs_edge(g, m)
         assert np.all(np.abs(emp.alpha / ana.alpha - 1.0) < 0.05)
-        # lambda scales differ by |V| between the two definitions
-        node_rate = emp.lam
-        assert np.all(np.abs(node_rate / (ana.lam / g.num_nodes) - 1.0) < 0.05)
+        assert np.all(np.abs(emp.lam / ana.lam - 1.0) < 0.05)
 
     def test_induction_inflates_edge_rates_on_a_cycle(self):
         # documented discrepancy: on a cycle the induction step adds

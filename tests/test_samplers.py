@@ -323,7 +323,6 @@ class TestSamplerContracts:
         assert np.array_equal(a.nodes, b.nodes)
         assert np.array_equal(a.col_indices, b.col_indices)
         assert np.array_equal(a.arc_origin, b.arc_origin)
-        assert np.array_equal(a.sample_multiplicity, b.sample_multiplicity)
 
     def test_budget_bounds(self):
         rng = np.random.default_rng(29)
