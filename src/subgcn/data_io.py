@@ -13,16 +13,20 @@ inspectability:
 
 Subgraph caches, coefficient caches and model checkpoints use a binary
 container (magic bytes, version, little-endian 64-bit payloads) bound
-to their graph by a 64-bit FNV-1a hash over the CSR arrays. The
-container is at version 2, which stores four arrays per cached
-subgraph; loaders refuse any other version. All writers are
+to their graph by a BLAKE2b (8-byte digest) hash over the node and arc
+counts and the CSR arrays. The container is at version 3, which stores
+four arrays per cached subgraph; loaders refuse any other version, and
+files of an older version must be regenerated. All writers are
 byte-deterministic; loaders reject malformed input with the offending
 file and line.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
+import os
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -277,7 +281,7 @@ def save_dataset(ds: Dataset, directory) -> None:
 # Binary container
 # ----------------------------------------------------------------------
 
-_VERSION = 2
+_VERSION = 3
 _MAGIC_SUB = b"SGCNSUBG"
 _MAGIC_COEF = b"SGCNCOEF"
 _MAGIC_CKPT = b"SGCNCKPT"
@@ -286,18 +290,18 @@ _DTYPES = {b"i": "<i8", b"f": "<f8"}
 
 
 def graph_hash(g: Graph) -> int:
-    """64-bit FNV-1a over the CSR arrays; binds caches to their graph."""
-    h = 0xCBF29CE484222325
+    """BLAKE2b (8-byte digest) over the node and arc counts and the CSR
+    arrays, read as a little-endian unsigned 64-bit int; binds caches to
+    their graph."""
+    h = hashlib.blake2b(struct.pack("<2Q", g.num_nodes, g.num_arcs), digest_size=8)
     for arr, code in (
         (g.row_offsets, "<i8"),
         (g.col_indices, "<i8"),
         (g.norm_values, "<f8"),
         (g.degrees, "<i8"),
     ):
-        for byte in np.ascontiguousarray(arr, dtype=code).tobytes():
-            h ^= byte
-            h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return h
+        h.update(np.ascontiguousarray(arr, dtype=code))
+    return int.from_bytes(h.digest(), "little")
 
 
 def _write_array(f, arr: np.ndarray) -> None:
@@ -321,8 +325,12 @@ def _read_array(f, path) -> np.ndarray:
     if code not in _DTYPES:
         raise DataFormatError(path, None, f"unknown array tag {code!r}")
     (ndim,) = struct.unpack("<B", _read_exact(f, 1, path))
+    if ndim > 2:
+        raise DataFormatError(path, None, f"array rank {ndim}; containers hold only vectors and matrices")
     shape = struct.unpack(f"<{ndim}Q", _read_exact(f, 8 * ndim, path))
-    count = int(np.prod(shape)) if ndim else 1
+    count = math.prod(shape)
+    if 8 * count > os.fstat(f.fileno()).st_size - f.tell():
+        raise DataFormatError(path, None, f"array shape {shape} exceeds the rest of the file")
     data = np.frombuffer(_read_exact(f, 8 * count, path), dtype=_DTYPES[code])
     return data.reshape(shape).copy()
 
@@ -339,16 +347,37 @@ def _read_header(f, magic: bytes, path, g: Graph | None) -> dict:
         raise DataFormatError(path, None, f"bad magic; expected {magic.decode()} container")
     version, g_hash, meta_len = struct.unpack("<IQI", _read_exact(f, 16, path))
     if version != _VERSION:
-        raise DataFormatError(path, None, f"unsupported container version {version}")
+        raise DataFormatError(
+            path, None, f"unsupported container version {version} (expected {_VERSION}); regenerate the file"
+        )
     try:
         meta = json.loads(_read_exact(f, meta_len, path).decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too many digits, too deep
         raise DataFormatError(path, None, f"malformed container header: {exc}") from None
     if not isinstance(meta, dict):
         raise DataFormatError(path, None, "malformed container header: not a JSON object")
     if g is not None and g_hash != graph_hash(g):
         raise CacheMismatchError(f"{path}: cached artifact belongs to a different graph")
     return meta
+
+
+_META_KINDS = {int: "non-negative integer", float: "number", str: "string", dict: "JSON object"}
+
+
+def _meta_field(meta: dict, key: str, kind: type, path):
+    """``meta[key]`` if it is a ``kind``, else a DataFormatError naming the
+    file and the key. Integer fields are counts, so they must be
+    non-negative; a float field also takes an integer; ``bool`` is never
+    a number."""
+    if key not in meta:
+        raise DataFormatError(path, None, f"container header lacks key {key!r}")
+    value = meta[key]
+    ok = isinstance(value, (int, float) if kind is float else kind) and not isinstance(value, bool)
+    if not ok or (kind is int and value < 0):
+        raise DataFormatError(
+            path, None, f"container header key {key!r} must be a {_META_KINDS[kind]}, found {value!r:.40}"
+        )
+    return value
 
 
 def _cfg_meta(cfg: SamplerConfig | None) -> dict | None:
@@ -367,9 +396,13 @@ def save_subgraphs(path, g: Graph, cfg: SamplerConfig, subgraphs: list[Subgraph]
 def load_subgraphs(path, g: Graph) -> tuple[SamplerConfig, list[Subgraph]]:
     with open(path, "rb") as f:
         meta = _read_header(f, _MAGIC_SUB, path, g)
-        cfg = SamplerConfig(**meta["sampler"])
+        sampler = _meta_field(meta, "sampler", dict, path)
+        try:
+            cfg = SamplerConfig(**sampler)
+        except (TypeError, ValueError) as exc:
+            raise DataFormatError(path, None, f"container header key 'sampler' is invalid: {exc}") from None
         subs = []
-        for _ in range(meta["count"]):
+        for _ in range(_meta_field(meta, "count", int, path)):
             nodes, offsets, cols, origin = (_read_array(f, path) for _ in range(4))
             subs.append(Subgraph(nodes=nodes, row_offsets=offsets, col_indices=cols, arc_origin=origin))
     return cfg, subs
@@ -393,8 +426,8 @@ def load_coeffs(path, g: Graph) -> NormCoeffs:
         lam=lam,
         node_counts=node_counts,
         edge_counts=edge_counts,
-        num_subgraphs=meta["num_subgraphs"],
-        source=meta["source"],
+        num_subgraphs=_meta_field(meta, "num_subgraphs", int, path),
+        source=_meta_field(meta, "source", str, path),
     )
 
 
@@ -417,18 +450,18 @@ def save_checkpoint(path, g: Graph, ckpt: Checkpoint) -> None:
 def load_checkpoint(path, g: Graph) -> Checkpoint:
     with open(path, "rb") as f:
         meta = _read_header(f, _MAGIC_CKPT, path, g)
-        layers = meta["layers"]
+        layers = _meta_field(meta, "layers", int, path)
         groups = [[_read_array(f, path) for _ in range(layers)] for _ in range(4)]
     return Checkpoint(
-        head=meta["head"],
+        head=_meta_field(meta, "head", str, path),
         weights=groups[0],
         adam_m=groups[1],
         adam_v=groups[2],
-        adam_t=meta["adam_t"],
-        epochs_done=meta["epochs_done"],
-        iteration=meta["iteration"],
+        adam_t=_meta_field(meta, "adam_t", int, path),
+        epochs_done=_meta_field(meta, "epochs_done", int, path),
+        iteration=_meta_field(meta, "iteration", int, path),
         best_weights=groups[3],
-        best_val_f1=meta["best_val_f1"],
+        best_val_f1=_meta_field(meta, "best_val_f1", float, path),
     )
 
 

@@ -1,9 +1,15 @@
 """Serialization round trips, grammar errors, synthetic generators."""
 
+import dataclasses
+import hashlib
+import json
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from subgcn import (
     Dataset,
@@ -190,10 +196,11 @@ class TestArtifactCaches:
 
     def test_old_container_version_rejected(self, tmp_path):
         g, path, data = self._coeffs_file(tmp_path)
-        data[8:12] = (1).to_bytes(4, "little")  # version field after the magic
-        path.write_bytes(bytes(data))
-        with pytest.raises(DataFormatError, match="version"):
-            load_coeffs(path, g)
+        for old in (1, 2):
+            data[8:12] = old.to_bytes(4, "little")  # version field after the magic
+            path.write_bytes(bytes(data))
+            with pytest.raises(DataFormatError, match="version.*regenerate"):
+                load_coeffs(path, g)
 
     def test_malformed_header_rejected(self, tmp_path):
         g, path, data = self._coeffs_file(tmp_path)
@@ -241,6 +248,178 @@ class TestArtifactCaches:
         assert part1.log + part2.log == full.log
         for a, b in zip(part2.model.weights, full.model.weights):
             assert np.array_equal(a, b)
+
+
+LOADERS = {"subgraphs": load_subgraphs, "coeffs": load_coeffs, "checkpoint": load_checkpoint}
+
+
+@pytest.fixture(scope="module")
+def containers(tmp_path_factory):
+    """One graph and the bytes of a subgraph cache, a coefficient cache
+    and a checkpoint written for it."""
+    ds = generate_sbm(SbmSpec(blocks=2, block_size=8, p_intra=0.5, p_inter=0.1, noise=0.5, seed=1))
+    g = ds.graph
+    cfg = SamplerConfig(kind="edge", m=6, seed=2)
+    d = tmp_path_factory.mktemp("containers")
+    with SubgraphProducer(g, cfg) as producer:
+        save_subgraphs(d / "subgraphs", g, cfg, [producer.take() for _ in range(3)])
+    coeffs, _ = estimate_coeffs(g, cfg, num_subgraphs=4)
+    save_coeffs(d / "coeffs", g, coeffs, cfg)
+    tcfg = TrainConfig(hidden_dims=(3,), epochs=1, seed=3, num_norm_subgraphs=2)
+    result = train(g, ds.features, ds.labels, ds.split, cfg, tcfg, num_classes=2)
+    save_checkpoint(d / "checkpoint", g, result.checkpoint)
+    return g, {kind: (d / kind).read_bytes() for kind in LOADERS}
+
+
+def header_blob(data: bytes) -> bytes:
+    meta_len = int.from_bytes(data[20:24], "little")
+    return data[24 : 24 + meta_len]
+
+
+def with_header(data: bytes, blob: bytes) -> bytes:
+    """``data`` with its JSON header blob (and the blob's length field) replaced."""
+    return data[:20] + len(blob).to_bytes(4, "little") + blob + data[24 + len(header_blob(data)) :]
+
+
+class TestGraphHash:
+    def test_matches_blake2b_over_counts_and_csr_bytes(self, square_chord):
+        for g in (square_chord, build_graph([(0, 1)], 3, self_loops=True), generate_er(30, 0.2, seed=1)):
+            parts = [struct.pack("<2Q", g.num_nodes, g.num_arcs)]
+            parts += [a.astype(code).tobytes() for a, code in (
+                (g.row_offsets, "<i8"), (g.col_indices, "<i8"), (g.norm_values, "<f8"), (g.degrees, "<i8"))]
+            digest = hashlib.blake2b(b"".join(parts), digest_size=8).digest()
+            assert graph_hash(g) == int.from_bytes(digest, "little")
+
+    def test_is_a_64_bit_unsigned_int(self):
+        for seed in range(5):
+            h = graph_hash(generate_er(20, 0.3, seed=seed))
+            assert type(h) is int
+            assert 0 <= h < 2**64
+
+    def test_one_ulp_in_norm_values_changes_hash(self, square_chord):
+        values = square_chord.norm_values.copy()
+        values[3] = np.nextafter(values[3], np.inf)
+        moved = dataclasses.replace(square_chord, norm_values=values)
+        assert graph_hash(moved) != graph_hash(square_chord)
+
+    def test_same_arc_count_different_row_offsets(self, square_chord):
+        assert square_chord.row_offsets.tolist() == [0, 1, 4, 6, 8]
+        shifted = dataclasses.replace(square_chord, row_offsets=np.array([0, 2, 4, 6, 8], dtype=np.int64))
+        assert shifted.num_arcs == square_chord.num_arcs
+        assert graph_hash(shifted) != graph_hash(square_chord)
+
+
+class TestContainerValidation:
+    @pytest.mark.parametrize("kind", LOADERS)
+    def test_empty_header_rejected(self, containers, kind, tmp_path):
+        g, files = containers
+        path = tmp_path / kind
+        path.write_bytes(with_header(files[kind], b"{}"))
+        with pytest.raises(DataFormatError, match="lacks key") as exc_info:
+            LOADERS[kind](path, g)
+        assert exc_info.value.path == str(path)
+
+    @pytest.mark.parametrize(
+        "kind, key, value",
+        [
+            ("checkpoint", "layers", "2"),
+            ("checkpoint", "layers", -1),
+            ("checkpoint", "layers", True),
+            ("checkpoint", "adam_t", 1.5),
+            ("checkpoint", "head", 3),
+            ("checkpoint", "best_val_f1", "0.5"),
+            ("checkpoint", "best_val_f1", None),
+            ("coeffs", "num_subgraphs", [4]),
+            ("coeffs", "source", None),
+            ("subgraphs", "count", -1),
+            ("subgraphs", "sampler", None),
+            ("subgraphs", "sampler", {"kind": "bogus"}),
+            ("subgraphs", "sampler", {"kind": "edge", "m": "6"}),
+            ("subgraphs", "sampler", {"kind": "edge", "m": 6, "extra": 1}),
+        ],
+    )
+    def test_wrongly_typed_key_rejected(self, containers, kind, key, value, tmp_path):
+        g, files = containers
+        meta = json.loads(header_blob(files[kind]))
+        meta[key] = value
+        path = tmp_path / kind
+        path.write_bytes(with_header(files[kind], json.dumps(meta).encode()))
+        with pytest.raises(DataFormatError, match=repr(key)) as exc_info:
+            LOADERS[kind](path, g)
+        assert exc_info.value.path == str(path)
+
+    def test_unparseable_header_blob_rejected(self, containers, tmp_path):
+        g, files = containers
+        path = tmp_path / "checkpoint"
+        for blob in (b'{"layers": ' + b"1" * 5000 + b"}", b"[" * 100_000 + b"]" * 100_000):
+            path.write_bytes(with_header(files["checkpoint"], blob))
+            with pytest.raises(DataFormatError, match="header"):
+                load_checkpoint(path, g)
+
+    @pytest.mark.parametrize("shape", [(2**36, 1), (2**61, 8)])
+    def test_oversized_array_shape_rejected(self, containers, shape, tmp_path):
+        g, files = containers
+        data = bytearray(files["checkpoint"])
+        at = 24 + len(header_blob(data))  # tag, ndim, then the shape of the first weight matrix
+        assert data[at : at + 2] == b"f\x02"
+        data[at + 2 : at + 18] = struct.pack("<2Q", *shape)
+        path = tmp_path / "checkpoint"
+        path.write_bytes(bytes(data))
+        with pytest.raises(DataFormatError, match="exceeds"):
+            load_checkpoint(path, g)
+
+    def test_array_rank_above_two_rejected(self, containers, tmp_path):
+        g, files = containers
+        data = files["coeffs"]
+        at = 24 + len(header_blob(data))  # tag and ndim of the first array
+        path = tmp_path / "coeffs"
+        path.write_bytes(data[:at] + b"f" + bytes([65]) + bytes(8 * 65))  # 65 zero dims: no elements
+        with pytest.raises(DataFormatError, match="rank"):
+            load_coeffs(path, g)
+
+
+JSON_KEYS = st.sampled_from(
+    ["layers", "head", "adam_t", "epochs_done", "iteration", "best_val_f1", "count", "sampler",
+     "num_subgraphs", "source", "kind", "n", "m", "r", "h", "seed"]
+) | st.text(max_size=4)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["edge", "rw", "softmax", "empirical"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(JSON_KEYS, inner, max_size=4),
+    max_leaves=8,
+)
+
+
+class TestContainerFuzz:
+    """Corrupt containers load or fail with a data error, never anything else."""
+
+    @pytest.mark.parametrize("kind", LOADERS)
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_corruption_is_a_data_error(self, containers, tmp_path_factory, kind, data):
+        g, files = containers
+        raw = files[kind]
+        how = data.draw(st.sampled_from(["truncate", "flip", "header"]))
+        if how == "truncate":
+            corrupt = raw[: data.draw(st.integers(0, len(raw) - 1))]
+        elif how == "flip":
+            buf = bytearray(raw)
+            for bit in data.draw(st.lists(st.integers(0, 8 * len(raw) - 1), min_size=1, max_size=4)):
+                buf[bit // 8] ^= 1 << (bit % 8)
+            corrupt = bytes(buf)
+        else:
+            meta = json.loads(header_blob(raw))
+            for key in data.draw(st.sets(st.sampled_from(sorted(meta)))):
+                del meta[key]
+            meta.update(data.draw(st.dictionaries(JSON_KEYS, JSON_VALUES, max_size=3)))
+            corrupt = with_header(raw, json.dumps(meta).encode())
+        path = tmp_path_factory.getbasetemp() / f"fuzz-{kind}"
+        path.write_bytes(corrupt)
+        try:
+            LOADERS[kind](path, g)
+        except (DataFormatError, CacheMismatchError):
+            pass
 
 
 class TestSbmGenerator:
