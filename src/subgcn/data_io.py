@@ -18,7 +18,9 @@ counts and the CSR arrays. The container is at version 3, which stores
 four arrays per cached subgraph; loaders refuse any other version, and
 files of an older version must be regenerated. All writers are
 byte-deterministic; loaders reject malformed input with the offending
-file and line.
+file and line, and refuse cached subgraphs, coefficients and
+checkpoint weights whose arrays disagree with the graph or with each
+other.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import Checkpoint
+from .engine import HEADS, Checkpoint
 from .graph import Graph, Subgraph, build_graph
 from .normalization import NormCoeffs
 from .samplers import SamplerConfig, make_rng
@@ -402,10 +404,34 @@ def load_subgraphs(path, g: Graph) -> tuple[SamplerConfig, list[Subgraph]]:
         except (TypeError, ValueError) as exc:
             raise DataFormatError(path, None, f"container header key 'sampler' is invalid: {exc}") from None
         subs = []
-        for _ in range(_meta_field(meta, "count", int, path)):
-            nodes, offsets, cols, origin = (_read_array(f, path) for _ in range(4))
-            subs.append(Subgraph(nodes=nodes, row_offsets=offsets, col_indices=cols, arc_origin=origin))
+        for i in range(_meta_field(meta, "count", int, path)):
+            sub = Subgraph(*(_read_array(f, path) for _ in range(4)))
+            _check_subgraph(path, i, g, sub)
+            subs.append(sub)
     return cfg, subs
+
+
+def _check_subgraph(path, i: int, g: Graph, sub: Subgraph) -> None:
+    """DataFormatError unless ``sub`` is a well-formed local CSR over
+    sorted unique nodes of ``g`` with in-range parent arcs."""
+
+    def bad(message: str) -> DataFormatError:
+        return DataFormatError(path, None, f"subgraph {i}: {message}")
+
+    for name in ("nodes", "row_offsets", "col_indices", "arc_origin"):
+        a = getattr(sub, name)
+        if a.ndim != 1 or a.dtype.kind != "i":
+            raise bad(f"{name} must be an integer vector, found {a.dtype} {a.shape}")
+    nodes, offsets, cols, origin = sub.nodes, sub.row_offsets, sub.col_indices, sub.arc_origin
+    k, arcs = nodes.shape[0], cols.shape[0]
+    if k and (nodes[0] < 0 or nodes[-1] >= g.num_nodes or np.any(nodes[1:] <= nodes[:-1])):
+        raise bad(f"nodes must be strictly increasing in [0, {g.num_nodes})")
+    if offsets.shape[0] != k + 1 or offsets[0] != 0 or offsets[-1] != arcs or np.any(offsets[1:] < offsets[:-1]):
+        raise bad(f"row_offsets must be {k + 1} non-decreasing values from 0 to {arcs}")
+    if arcs and (cols.min() < 0 or cols.max() >= k):
+        raise bad(f"col_indices must lie in [0, {k})")
+    if origin.shape[0] != arcs or (arcs and (origin.min() < 0 or origin.max() >= g.num_arcs)):
+        raise bad(f"arc_origin must hold {arcs} parent arcs in [0, {g.num_arcs})")
 
 
 def save_coeffs(path, g: Graph, coeffs: NormCoeffs, cfg: SamplerConfig | None = None) -> None:
@@ -421,6 +447,14 @@ def load_coeffs(path, g: Graph) -> NormCoeffs:
     with open(path, "rb") as f:
         meta = _read_header(f, _MAGIC_COEF, path, g)
         lam, alpha, node_counts, edge_counts = (_read_array(f, path) for _ in range(4))
+    for name, a, n, what in (
+        ("lam", lam, g.num_nodes, "nodes"),
+        ("alpha", alpha, g.num_arcs, "arcs"),
+        ("node_counts", node_counts, g.num_nodes, "nodes"),
+        ("edge_counts", edge_counts, g.num_edges, "edges"),
+    ):
+        if a.shape != (n,):
+            raise DataFormatError(path, None, f"{name} has shape {a.shape}; the graph has {n} {what}")
     return NormCoeffs(
         alpha=alpha,
         lam=lam,
@@ -452,8 +486,12 @@ def load_checkpoint(path, g: Graph) -> Checkpoint:
         meta = _read_header(f, _MAGIC_CKPT, path, g)
         layers = _meta_field(meta, "layers", int, path)
         groups = [[_read_array(f, path) for _ in range(layers)] for _ in range(4)]
+    head = _meta_field(meta, "head", str, path)
+    if head not in HEADS:
+        raise DataFormatError(path, None, f"unknown head {head!r:.40}; expected one of {HEADS}")
+    _check_layer_shapes(path, *groups)
     return Checkpoint(
-        head=_meta_field(meta, "head", str, path),
+        head=head,
         weights=groups[0],
         adam_m=groups[1],
         adam_v=groups[2],
@@ -463,6 +501,25 @@ def load_checkpoint(path, g: Graph) -> Checkpoint:
         best_weights=groups[3],
         best_val_f1=_meta_field(meta, "best_val_f1", float, path),
     )
+
+
+def _check_layer_shapes(path, weights, adam_m, adam_v, best_weights) -> None:
+    """DataFormatError unless there is a layer, every weight is a float
+    matrix whose Adam moments and best copy share its shape, and
+    consecutive layers chain."""
+    if not weights:
+        raise DataFormatError(path, None, "checkpoint holds no layers")
+    for l, w in enumerate(weights):
+        if w.ndim != 2 or w.dtype.kind != "f":
+            raise DataFormatError(path, None, f"layer {l}: weights must be a float matrix, found {w.dtype} {w.shape}")
+        for name, group in (("adam_m", adam_m), ("adam_v", adam_v), ("best_weights", best_weights)):
+            if group[l].shape != w.shape or group[l].dtype.kind != "f":
+                raise DataFormatError(
+                    path, None, f"layer {l}: {name} is {group[l].dtype} {group[l].shape}, weights are {w.shape}"
+                )
+        if l and weights[l - 1].shape[1] != w.shape[0]:
+            prev = weights[l - 1].shape
+            raise DataFormatError(path, None, f"layer {l}: weights {w.shape} do not chain with layer {l - 1}'s {prev}")
 
 
 # ----------------------------------------------------------------------

@@ -442,6 +442,8 @@ def train(
     ``resume`` continues from a checkpoint; ``stop_after_epoch`` ends
     the run early at an epoch boundary (the returned checkpoint resumes
     it). Fixed seeds make the metric log reproducible bit for bit.
+    A non-finite loss or weight gradient raises :class:`NumericError`
+    naming the iteration (and, for a gradient, the layer).
     """
     if not np.any(split == TRAIN):
         raise ValueError("split has no training nodes")
@@ -533,6 +535,12 @@ def train(
                         f"non-finite loss {loss} at iteration {iteration} "
                         f"(epoch {epoch}); check learning rate and normalization"
                     )
+                for l, grad in enumerate(grads):
+                    if not np.isfinite(grad).all():
+                        raise NumericError(
+                            f"non-finite gradient in layer {l} at iteration {iteration} "
+                            f"(epoch {epoch}); check learning rate and normalization"
+                        )
                 adam_step(
                     model,
                     grads,

@@ -183,6 +183,10 @@ def induced_subgraph(g: Graph, node_ids: Iterable[int] | np.ndarray) -> Subgraph
     The local CSR contains exactly the parent arcs with both endpoints
     in the set; repeated IDs count once.
 
+    Each call allocates O(|V|) scratch memory of its own: a boolean
+    membership mask and an uninitialized global-to-local ID map (only
+    the entries of selected nodes are written or read).
+
     Raises
     ------
     ValueError
@@ -194,27 +198,23 @@ def induced_subgraph(g: Graph, node_ids: Iterable[int] | np.ndarray) -> Subgraph
         raise ValueError("cannot induce a subgraph from an empty node set")
     if ids.min() < 0 or ids.max() >= g.num_nodes:
         raise ValueError("node ID out of range")
-    nodes = np.unique(ids)
+    inset = np.zeros(g.num_nodes, dtype=bool)
+    inset[ids] = True
+    nodes = np.flatnonzero(inset)  # sorted and unique, like np.unique(ids)
 
     starts = g.row_offsets[nodes]
     counts = g.row_offsets[nodes + 1] - starts
-    total = int(counts.sum())
-    if total:
-        # Concatenate the parent arc ranges of all selected rows.
-        shift = np.zeros(nodes.shape[0], dtype=np.int64)
-        np.cumsum(counts[:-1], out=shift[1:])
-        arc_idx = np.repeat(starts - shift, counts) + np.arange(total, dtype=np.int64)
-        cols = g.col_indices[arc_idx]
-        pos = np.searchsorted(nodes, cols)
-        pos_c = np.minimum(pos, nodes.shape[0] - 1)
-        keep = nodes[pos_c] == cols
-        local_rows = np.repeat(np.arange(nodes.shape[0], dtype=np.int64), counts)[keep]
-        local_cols = pos[keep].astype(np.int64)
-        arc_origin = arc_idx[keep]
-    else:
-        local_rows = np.zeros(0, dtype=np.int64)
-        local_cols = np.zeros(0, dtype=np.int64)
-        arc_origin = np.zeros(0, dtype=np.int64)
+    # Concatenate the parent arc ranges of all selected rows.
+    shift = np.zeros(nodes.shape[0], dtype=np.int64)
+    np.cumsum(counts[:-1], out=shift[1:])
+    arc_idx = np.repeat(starts - shift, counts) + np.arange(int(counts.sum()), dtype=np.int64)
+    cols = g.col_indices[arc_idx]
+    keep = inset[cols]
+    local = np.empty(g.num_nodes, dtype=np.int64)
+    local[nodes] = np.arange(nodes.shape[0], dtype=np.int64)
+    local_rows = np.repeat(np.arange(nodes.shape[0], dtype=np.int64), counts)[keep]
+    local_cols = local[cols[keep]]
+    arc_origin = arc_idx[keep]
 
     row_offsets = np.zeros(nodes.shape[0] + 1, dtype=np.int64)
     np.cumsum(np.bincount(local_rows, minlength=nodes.shape[0]), out=row_offsets[1:])

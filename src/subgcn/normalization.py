@@ -113,11 +113,15 @@ def estimate_coeffs(
     node_counts = np.zeros(g.num_nodes, dtype=np.int64)
     edge_counts = np.zeros(g.num_edges, dtype=np.int64)
     subgraphs: list[Subgraph] = []
+    # An induced subgraph holds both arcs of each non-loop edge and the
+    # one arc of a self-loop, so counting only arcs with row <= col
+    # counts each present edge exactly once.
+    canonical = arc_source_nodes(g) <= g.col_indices
 
     def absorb(sub: Subgraph) -> None:
         node_counts[sub.nodes] += 1
-        if sub.num_arcs:
-            edge_counts[np.unique(g.arc_to_edge[sub.arc_origin])] += 1
+        arcs = sub.arc_origin
+        edge_counts[g.arc_to_edge[arcs[canonical[arcs]]]] += 1
 
     with SubgraphProducer(g, cfg, workers=workers, capacity=capacity) as producer:
         if num_subgraphs is None:

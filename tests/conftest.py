@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from subgcn import build_graph
 
@@ -86,3 +87,14 @@ def random_graph(rng: np.random.Generator, max_nodes: int = 200):
 @pytest.fixture
 def random_graph_factory():
     return random_graph
+
+
+@st.composite
+def small_graphs(draw, max_nodes: int = 24, min_pairs: int = 0):
+    """Small graphs from arbitrary pair lists: duplicate and reversed
+    pairs, loops in the input, isolated nodes, and optionally a loop on
+    every node."""
+    n = draw(st.integers(1, max_nodes))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), min_size=min_pairs, max_size=3 * n))
+    return build_graph(np.array(pairs, dtype=np.int64).reshape(-1, 2), n, self_loops=draw(st.booleans()))

@@ -201,6 +201,21 @@ class TestExitCodes:
         assert main(["eval", "--data", str(dataset_dir), "--checkpoint", str(ckpt)]) == 2
         assert "lacks key" in capsys.readouterr().err
 
+    def test_inconsistent_checkpoint_shapes_is_2(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(dataset_dir), "--sampler", "edge", "--m", "30",
+                     "--layers", "2", "--hidden", "2", "--epochs", "1", "--num-norm-subgraphs", "2",
+                     "--out", str(out)]) == 0
+        ckpt = out / "best.ckpt"
+        data = bytearray(ckpt.read_bytes())
+        at = 24 + int.from_bytes(data[20:24], "little")  # the first weight array follows the header blob
+        assert data[at : at + 18] == b"f\x02" + (2).to_bytes(8, "little") * 2  # a (2, 2) matrix
+        data[at + 2 : at + 18] = (1).to_bytes(8, "little") + (4).to_bytes(8, "little")  # now (1, 4)
+        ckpt.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert main(["eval", "--data", str(dataset_dir), "--checkpoint", str(ckpt)]) == 2
+        assert "data error" in capsys.readouterr().err
+
     def test_numeric_failure_is_3(self, tmp_path):
         ds = generate_sbm(SbmSpec(blocks=2, block_size=10, p_intra=0.5, p_inter=0.1, noise=0.5, seed=2))
         ds.features[:] = np.nan

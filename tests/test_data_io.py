@@ -23,10 +23,12 @@ from subgcn import (
     generate_er,
     generate_regular,
     generate_sbm,
+    induced_subgraph,
     load_dataset,
     save_dataset,
     train,
 )
+from subgcn.engine import Checkpoint
 from subgcn.data_io import (
     CacheMismatchError,
     DataFormatError,
@@ -376,6 +378,116 @@ class TestContainerValidation:
         path.write_bytes(data[:at] + b"f" + bytes([65]) + bytes(8 * 65))  # 65 zero dims: no elements
         with pytest.raises(DataFormatError, match="rank"):
             load_coeffs(path, g)
+
+
+# Each case edits one array of the induced subgraph of nodes {1, 2, 3} of
+# the square with a chord: nodes [1, 2, 3], row_offsets [0, 2, 4, 6],
+# col_indices [1, 2, 0, 2, 0, 1], arc_origin [2, 3, 4, 5, 6, 7].
+BAD_SUBGRAPHS = {
+    "repeated node": ("nodes", [1, 1, 3], "nodes must be strictly increasing"),
+    "unsorted nodes": ("nodes", [3, 2, 1], "nodes must be strictly increasing"),
+    "node past the graph": ("nodes", [1, 2, 4], r"nodes must be strictly increasing in \[0, 4\)"),
+    "negative node": ("nodes", [-1, 2, 3], "nodes must be strictly increasing"),
+    "float nodes": ("nodes", [1.0, 2.0, 3.0], "nodes must be an integer vector"),
+    "matrix nodes": ("nodes", [[1, 2, 3]], "nodes must be an integer vector"),
+    "short row_offsets": ("row_offsets", [0, 2, 4], "row_offsets must be 4 non-decreasing"),
+    "row_offsets not from 0": ("row_offsets", [1, 2, 4, 6], "row_offsets must be 4 non-decreasing"),
+    "decreasing row_offsets": ("row_offsets", [0, 4, 2, 6], "row_offsets must be 4 non-decreasing"),
+    "row_offsets short of the arcs": ("row_offsets", [0, 2, 4, 5], "row_offsets must be 4 .* from 0 to 6"),
+    "local column k": ("col_indices", [1, 2, 0, 3, 0, 1], r"col_indices must lie in \[0, 3\)"),
+    "negative local column": ("col_indices", [1, 2, 0, -1, 0, 1], "col_indices must lie in"),
+    "short arc_origin": ("arc_origin", [2, 3, 4, 5, 6], "arc_origin must hold 6 parent arcs"),
+    "arc_origin past the graph": ("arc_origin", [2, 3, 4, 5, 6, 8], r"arc_origin must hold 6 parent arcs in \[0, 8\)"),
+    "negative arc_origin": ("arc_origin", [-1, 3, 4, 5, 6, 7], "arc_origin must hold"),
+}
+
+
+def checkpoint_of(weights, **groups) -> Checkpoint:
+    """Checkpoint of a model with ``weights``; Adam moments and the best
+    copy are zeros of the same shapes unless given."""
+    fill = {name: groups.get(name, [np.zeros_like(w) for w in weights])
+            for name in ("adam_m", "adam_v", "best_weights")}
+    return Checkpoint(head=groups.get("head", "softmax"), weights=weights, adam_t=1, epochs_done=1,
+                      iteration=1, best_val_f1=0.5, **fill)
+
+
+class TestCacheValidation:
+    """Well-formed containers whose arrays disagree with the graph or
+    with each other are data errors."""
+
+    @pytest.fixture
+    def square_sub(self, square_chord):
+        sub = induced_subgraph(square_chord, [1, 2, 3])
+        assert sub.row_offsets.tolist() == [0, 2, 4, 6]
+        assert sub.col_indices.tolist() == [1, 2, 0, 2, 0, 1]
+        assert sub.arc_origin.tolist() == [2, 3, 4, 5, 6, 7]
+        return sub
+
+    def test_valid_subgraphs_load(self, square_chord, square_sub, tmp_path):
+        cfg = SamplerConfig(kind="node", n=3)
+        empty = induced_subgraph(square_chord, [0, 2])  # no arcs
+        save_subgraphs(tmp_path / "subs", square_chord, cfg, [square_sub, empty])
+        _, loaded = load_subgraphs(tmp_path / "subs", square_chord)
+        assert loaded[0].arc_origin.tolist() == square_sub.arc_origin.tolist()
+        assert loaded[1].num_arcs == 0
+
+    @pytest.mark.parametrize("case", BAD_SUBGRAPHS)
+    def test_bad_subgraph_rejected(self, square_chord, square_sub, case, tmp_path):
+        field, value, match = BAD_SUBGRAPHS[case]
+        bad = dataclasses.replace(square_sub, **{field: np.array(value)})
+        path = tmp_path / "subs"
+        save_subgraphs(path, square_chord, SamplerConfig(kind="node", n=3), [square_sub, bad])
+        with pytest.raises(DataFormatError, match="subgraph 1: " + match) as exc_info:
+            load_subgraphs(path, square_chord)
+        assert exc_info.value.path == str(path)
+
+    @pytest.mark.parametrize("field", ["lam", "alpha", "node_counts", "edge_counts"])
+    def test_coefficient_length_mismatch_rejected(self, square_chord, field, tmp_path):
+        coeffs, _ = estimate_coeffs(square_chord, SamplerConfig(kind="edge", m=2, seed=1), num_subgraphs=3)
+        path = tmp_path / "coeffs"
+        save_coeffs(path, square_chord, dataclasses.replace(coeffs, **{field: getattr(coeffs, field)[:-1]}))
+        with pytest.raises(DataFormatError, match=f"{field} has shape"):
+            load_coeffs(path, square_chord)
+
+    @pytest.mark.parametrize(
+        "ckpt, match",
+        [
+            pytest.param(checkpoint_of([np.zeros(4), np.zeros((4, 2))]),
+                         "layer 0: weights must be a float matrix", id="vector weights"),
+            pytest.param(checkpoint_of([np.zeros((3, 4), dtype=np.int64)]),
+                         "layer 0: weights must be a float matrix", id="integer weights"),
+            pytest.param(checkpoint_of([np.zeros((3, 4)), np.zeros((4, 2))],
+                                       adam_m=[np.zeros((3, 4)), np.zeros((2, 4))]),
+                         "layer 1: adam_m", id="adam_m shape"),
+            pytest.param(checkpoint_of([np.zeros((3, 4)), np.zeros((4, 2))],
+                                       adam_v=[np.zeros((1, 12)), np.zeros((4, 2))]),
+                         "layer 0: adam_v", id="adam_v shape"),
+            pytest.param(checkpoint_of([np.zeros((3, 4))], best_weights=[np.zeros(12)]),
+                         "layer 0: best_weights", id="best_weights rank"),
+            pytest.param(checkpoint_of([np.zeros((3, 4)), np.zeros((5, 2))]),
+                         "layer 1: weights .* do not chain", id="layers do not chain"),
+            pytest.param(checkpoint_of([]), "no layers", id="no layers"),
+            pytest.param(checkpoint_of([np.zeros((3, 4))], head="bogus"), "unknown head", id="unknown head"),
+        ],
+    )
+    def test_inconsistent_checkpoint_rejected(self, square_chord, ckpt, match, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, square_chord, ckpt)
+        with pytest.raises(DataFormatError, match=match) as exc_info:
+            load_checkpoint(path, square_chord)
+        assert exc_info.value.path == str(path)
+
+    def test_rewritten_weight_shape_rejected(self, containers, tmp_path):
+        g, files = containers
+        data = bytearray(files["checkpoint"])
+        at = 24 + len(header_blob(data))  # tag, ndim, then the shape of the first weight matrix
+        assert data[at : at + 2] == b"f\x02"
+        rows, cols = struct.unpack("<2Q", data[at + 2 : at + 18])
+        data[at + 2 : at + 18] = struct.pack("<2Q", 1, rows * cols)  # same byte count
+        path = tmp_path / "checkpoint"
+        path.write_bytes(bytes(data))
+        with pytest.raises(DataFormatError, match="layer 0"):
+            load_checkpoint(path, g)
 
 
 JSON_KEYS = st.sampled_from(

@@ -328,6 +328,23 @@ class TestTrainLoop:
         with pytest.raises(NumericError):
             train(g, feats, labels, split, scfg, tcfg, num_classes=2)
 
+    def test_non_finite_gradient_aborts_naming_layer(self, monkeypatch):
+        from subgcn import engine
+
+        real = engine.loss_and_grad
+
+        def poisoned(*args, **kwargs):
+            loss, grads = real(*args, **kwargs)
+            assert np.isfinite(loss)
+            grads[1] = np.full_like(grads[1], np.inf)
+            return loss, grads
+
+        monkeypatch.setattr(engine, "loss_and_grad", poisoned)
+        g, feats, labels, split = small_dataset(seed=14)
+        tcfg = TrainConfig(hidden_dims=(4,), epochs=3, seed=1)
+        with pytest.raises(engine.NumericError, match=r"gradient in layer 1 at iteration 1 "):
+            train(g, feats, labels, split, SamplerConfig(kind="full"), tcfg, num_classes=2)
+
     def test_sampled_training_beats_feature_only_baseline(self):
         from subgcn import SbmSpec, generate_sbm
 

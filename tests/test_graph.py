@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subgcn import build_graph, induced_subgraph
 from subgcn.graph import arc_source_nodes
 
-from conftest import brute_force_induce, random_graph, subgraph_arcs_original
+from conftest import brute_force_induce, random_graph, small_graphs, subgraph_arcs_original
 
 
 def dense_norm(g) -> np.ndarray:
@@ -150,3 +152,45 @@ class TestInducedSubgraph:
                 parent = sub.arc_origin[a]
                 assert rows[parent] == sub.nodes[i]
                 assert g.col_indices[parent] == sub.nodes[sub.col_indices[a]]
+
+
+def induce_arrays_oracle(g, ids) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Loop oracle for the four Subgraph arrays: sorted unique nodes, and
+    per node in order every parent arc of its row whose column is in the
+    set, mapped to local IDs."""
+    members = sorted({int(v) for v in ids})
+    local = {v: i for i, v in enumerate(members)}
+    offsets, cols, origin = [0], [], []
+    for v in members:
+        for a in range(int(g.row_offsets[v]), int(g.row_offsets[v + 1])):
+            c = int(g.col_indices[a])
+            if c in local:
+                cols.append(local[c])
+                origin.append(a)
+        offsets.append(len(cols))
+    return members, offsets, cols, origin
+
+
+@st.composite
+def graphs_and_node_ids(draw):
+    g = draw(small_graphs())
+    ids = draw(st.lists(st.integers(0, g.num_nodes - 1), min_size=1, max_size=2 * g.num_nodes + 2))
+    return g, (np.array(ids) if draw(st.booleans()) else ids)
+
+
+class TestInducedSubgraphProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=graphs_and_node_ids())
+    def test_matches_array_oracle(self, case):
+        g, ids = case
+        sub = induced_subgraph(g, ids)
+        want = induce_arrays_oracle(g, ids)
+        for got, expected in zip((sub.nodes, sub.row_offsets, sub.col_indices, sub.arc_origin), want):
+            assert got.dtype == np.int64
+            assert not got.flags.writeable
+            assert got.tolist() == expected
+        assert subgraph_arcs_original(sub) == brute_force_induce(g, ids)[1]
+        for i in range(sub.num_nodes):
+            row = slice(sub.row_offsets[i], sub.row_offsets[i + 1])
+            assert np.all(np.diff(sub.col_indices[row]) > 0)
+            assert np.all(np.diff(sub.arc_origin[row]) > 0)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subgcn import (
     NormCoeffs,
@@ -15,7 +17,7 @@ from subgcn.graph import arc_source_nodes
 from subgcn.normalization import normalized_arc_values
 from subgcn.samplers import inclusion_probabilities
 
-from conftest import random_graph
+from conftest import random_graph, small_graphs
 
 
 def star_graph(leaves: int):
@@ -109,6 +111,41 @@ class TestEstimateCoeffs:
         pooled, _ = estimate_coeffs(g, cfg, num_subgraphs=30, workers=4)
         assert np.array_equal(serial.node_counts, pooled.node_counts)
         assert np.array_equal(serial.edge_counts, pooled.edge_counts)
+
+
+@st.composite
+def sampler_configs(draw):
+    kind = draw(st.sampled_from(["node", "edge", "edge_independent", "rw", "mrw", "full"]))
+    budget = st.integers(1, 8)
+    if kind == "node":
+        fields = {"n": draw(budget)}
+    elif kind in ("edge", "edge_independent"):
+        fields = {"m": draw(budget)}
+    elif kind == "rw":
+        fields = {"r": draw(budget), "h": draw(st.integers(1, 3))}
+    elif kind == "mrw":
+        r = draw(budget)
+        fields = {"r": r, "n": r + draw(budget)}
+    else:
+        fields = {}
+    return SamplerConfig(kind=kind, seed=draw(st.integers(0, 2**16)), **fields)
+
+
+class TestEstimateCoeffsProperties:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(g=small_graphs(max_nodes=16, min_pairs=1), cfg=sampler_configs(), n=st.integers(1, 6))
+    def test_counts_match_brute_force_over_returned_subgraphs(self, g, cfg, n):
+        coeffs, subs = estimate_coeffs(g, cfg, num_subgraphs=n)
+        node_counts = np.zeros(g.num_nodes, dtype=np.int64)
+        edge_counts = np.zeros(g.num_edges, dtype=np.int64)
+        for sub in subs:
+            members = set(sub.nodes.tolist())
+            node_counts[list(members)] += 1
+            for e, (u, v) in enumerate(g.edge_endpoints.tolist()):
+                if u in members and v in members:  # self-loops included
+                    edge_counts[e] += 1
+        assert coeffs.node_counts.tolist() == node_counts.tolist()
+        assert coeffs.edge_counts.tolist() == edge_counts.tolist()
 
 
 class TestAnalyticCoeffs:
