@@ -222,9 +222,25 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _check_checkpoint_fits(path, ckpt: engine.Checkpoint, ds: data_io.Dataset) -> None:
+    """CacheMismatchError unless the checkpoint's input width, class
+    count and head fit the dataset (the graph hash binds only the graph)."""
+    head = "softmax" if ds.label_mode == "single" else "sigmoid"
+    for what, found, expected in (
+        ("input width", ckpt.weights[0].shape[0], ds.features.shape[1]),
+        ("class count", ckpt.weights[-1].shape[1], ds.num_classes),
+        ("head", ckpt.head, head),
+    ):
+        if found != expected:
+            raise CacheMismatchError(
+                f"{path}: checkpoint {what} {found} does not match the dataset's {expected}"
+            )
+
+
 def _cmd_eval(args) -> int:
     ds = data_io.load_dataset(args.data)
     ckpt = data_io.load_checkpoint(args.checkpoint, ds.graph)
+    _check_checkpoint_fits(args.checkpoint, ckpt, ds)
     model = engine.Model(weights=ckpt.weights, head=ckpt.head)
     which = {"train": engine.TRAIN, "val": engine.VAL, "test": engine.TEST}[args.split]
     f1 = engine.evaluate(model, ds.graph, ds.features, ds.labels, ds.split, which)

@@ -166,8 +166,18 @@ def _forward(
     dropout: float = 0.0,
     rng: np.random.Generator | None = None,
     keep_cache: bool = False,
+    keep_inputs: bool = False,
 ):
-    """Shared propagation loop; returns (scores, caches, layer_inputs)."""
+    """Shared propagation loop; returns (scores, caches, layer_inputs).
+
+    ``caches`` holds the per-layer (dropout mask, aggregate, pre-activation)
+    triples for :func:`loss_and_grad` when ``keep_cache`` is set, and
+    ``layer_inputs`` the input of every layer when ``keep_inputs`` is
+    set; otherwise each is empty. Without a cache, a layer's input and
+    aggregate are released as soon as they are used and ReLU runs in
+    place, so an inference pass holds about two activation matrices at
+    its peak. The scores do not depend on either flag.
+    """
     x = features.astype(model.weights[0].dtype, copy=False)
     caches = []
     inputs = []
@@ -177,7 +187,8 @@ def _forward(
             raise ValueError(
                 f"layer {l}: input dimension {x.shape[1]} does not match weight rows {w.shape[0]}"
             )
-        inputs.append(x)
+        if keep_inputs:
+            inputs.append(x)
         if dropout > 0.0:
             if rng is None:
                 raise ValueError("dropout requires an RNG")
@@ -187,11 +198,16 @@ def _forward(
             mask = None
             xd = x
         agg = adjacency @ xd
-        z = agg @ w
-        out = np.maximum(z, 0.0) if l < last else z
+        del x, xd  # dead once aggregated (``inputs`` keeps its own reference)
         if keep_cache:
+            z = agg @ w
             caches.append((mask, agg, z))
-        x = out
+            x = np.maximum(z, 0.0) if l < last else z
+        else:
+            x = agg @ w
+            del agg
+            if l < last:
+                np.maximum(x, 0.0, out=x)
     return x, caches, inputs
 
 
@@ -225,7 +241,7 @@ def layer_inputs_full(model: Model, g: Graph, features: np.ndarray) -> list[np.n
     Element l is the input of layer l (element 0 is the raw feature
     matrix); used by the variance analysis to form per-edge aggregates.
     """
-    _, _, inputs = _forward(graph_adjacency(g), features, model)
+    _, _, inputs = _forward(graph_adjacency(g), features, model, keep_inputs=True)
     return inputs
 
 

@@ -33,6 +33,10 @@ __all__ = [
     "survival_probability",
 ]
 
+# Bytes of one Monte-Carlo block of uniforms (rows x edges, float64): cache-sized,
+# so a block is still cached when it is compared and multiplied.
+_BLOCK_BYTES = 4 << 20
+
 
 @dataclass(frozen=True)
 class EdgeAggregates:
@@ -135,24 +139,45 @@ def variance_monte_carlo(
     """Empirical variance of the edge estimator under independent
     sampling, summed over dimensions.
 
+    Trials are drawn in blocks of at most ``chunk`` rows (a cap, not a
+    block size), and of at most as many rows as fit one ``_BLOCK_BYTES``
+    (4 MiB) block of uniforms, but at least one. One buffer of that size
+    holds a block's uniforms and then, compared in place, its 0/1 edge
+    mask, so the scratch memory is about 4 MiB whatever ``trials`` is
+    (8|E| bytes above 2**19 edges), besides the per-edge arrays.
+    Trial t takes uniforms t*|E| .. (t+1)*|E| - 1 of ``rng``'s stream
+    whatever the block size, so the masks, and the stream position on
+    return, are those of one ``rng.random((trials, |E|))`` draw; only
+    the summation order depends on the block size.
+
     Accumulation is centered on the exact mean (the sum of layer sums),
-    which keeps the two-pass variance stable when streamed in chunks.
+    which keeps the two-pass variance stable when streamed in blocks.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    agg = edge_aggregates(g, features, model)
+    if chunk < 1:
+        raise ValueError("chunk must be positive")
     p = np.asarray(probs, dtype=np.float64)
+    if p.shape != (g.num_edges,):
+        raise ValueError(f"probs must have shape ({g.num_edges},), got {p.shape}")
+    if not np.all((p >= 0.0) & (p <= 1.0)):  # NaN fails both comparisons
+        raise ValueError("probabilities must lie in [0, 1]")
+    layer_sum = edge_aggregates(g, features, model).layer_sum
+    center = layer_sum.sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = np.where(p[:, None] > 0, agg.layer_sum / p[:, None], 0.0)
-    center = agg.layer_sum.sum(axis=0)
+        scaled = np.where(p[:, None] > 0, layer_sum / p[:, None], 0.0)
+    del layer_sum  # the blocks below reuse its memory
 
+    rows = min(max(_BLOCK_BYTES // (8 * max(g.num_edges, 1)), 1), chunk, trials)
+    block = np.empty((rows, g.num_edges))
     s1 = np.zeros(center.shape[0])
     s2 = np.zeros(center.shape[0])
     done = 0
     while done < trials:
-        k = min(chunk, trials - done)
-        masks = rng.random((k, p.shape[0])) < p
-        dev = masks @ scaled - center
+        k = min(rows, trials - done)
+        rng.random(out=block[:k])
+        np.less(block[:k], p, out=block[:k])  # uniforms -> 1.0 where the edge is kept, else 0.0
+        dev = block[:k] @ scaled - center
         s1 += dev.sum(axis=0)
         s2 += (dev**2).sum(axis=0)
         done += k

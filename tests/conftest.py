@@ -84,6 +84,14 @@ def random_graph(rng: np.random.Generator, max_nodes: int = 200):
     return build_graph(np.stack([iu[mask], iv[mask]], axis=1), n)
 
 
+def random_pairs_graph(num_nodes: int, num_pairs: int, seed: int):
+    """Graph from ``num_pairs`` uniform node pairs, loops dropped and
+    duplicates merged: sparse, with about ``num_pairs`` edges."""
+    rng = np.random.default_rng(seed)
+    pairs = rng.integers(0, num_nodes, size=(num_pairs, 2))
+    return build_graph(pairs[pairs[:, 0] != pairs[:, 1]], num_nodes)
+
+
 @pytest.fixture
 def random_graph_factory():
     return random_graph

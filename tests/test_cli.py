@@ -1,5 +1,6 @@
 """CLI contracts: artifacts, formats, determinism, exit codes."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -215,6 +216,29 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(["eval", "--data", str(dataset_dir), "--checkpoint", str(ckpt)]) == 2
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "refit, named",
+        [
+            (lambda ds: dataclasses.replace(ds, features=np.hstack([ds.features, ds.features[:, :1]])),
+             "input width 2 does not match the dataset's 3"),
+            (lambda ds: dataclasses.replace(ds, num_classes=3), "class count 2 does not match the dataset's 3"),
+        ],
+        ids=["feature width", "class count"],
+    )
+    def test_checkpoint_not_fitting_dataset_is_2(self, dataset_dir, tmp_path, capsys, refit, named):
+        from subgcn import load_dataset
+
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(dataset_dir), "--sampler", "edge", "--m", "30",
+                     "--layers", "1", "--epochs", "1", "--num-norm-subgraphs", "2",
+                     "--out", str(out)]) == 0
+        other = tmp_path / "other"
+        save_dataset(refit(load_dataset(dataset_dir)), other)  # same graph, so the hash still matches
+        capsys.readouterr()
+        assert main(["eval", "--data", str(other), "--checkpoint", str(out / "best.ckpt")]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "best.ckpt" in err and named in err
 
     def test_numeric_failure_is_3(self, tmp_path):
         ds = generate_sbm(SbmSpec(blocks=2, block_size=10, p_intra=0.5, p_inter=0.1, noise=0.5, seed=2))

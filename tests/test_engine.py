@@ -23,12 +23,13 @@ from subgcn.engine import (
     EmptyBatchError,
     build_batch,
     graph_adjacency,
+    layer_inputs_full,
 )
 from subgcn.graph import arc_source_nodes
 from subgcn.normalization import analytic_coeffs_edge
 from subgcn.samplers import inclusion_probabilities
 
-from conftest import random_graph
+from conftest import random_graph, random_pairs_graph
 
 
 def full_batch(g, features, labels, lam=None, train_mask=None):
@@ -125,6 +126,43 @@ class TestForward:
         assert scores.min() >= 0.0
         assert scores.max() <= 1.0 / 0.6 + 1e-12
         assert not np.allclose(scores, forward_full(model, triangle, feats))
+
+
+class TestFullGraphForward:
+    """``forward_full`` and ``layer_inputs_full`` against an explicit
+    per-layer loop, and the working memory of an inference pass."""
+
+    @pytest.mark.parametrize("dims", [(6, 3), (6, 8, 3), (6, 8, 8, 3)])
+    def test_matches_explicit_layer_loop_bitwise(self, dims):
+        g = random_pairs_graph(60, 180, seed=len(dims))
+        feats = np.random.default_rng(4).standard_normal((g.num_nodes, 6))
+        model = init_model(dims, "softmax", make_rng(2, 0))
+        adj = graph_adjacency(g)
+        x, want_inputs = feats, []
+        for l, w in enumerate(model.weights):
+            want_inputs.append(x)
+            z = (adj @ x) @ w
+            x = np.maximum(z, 0.0) if l < model.num_layers - 1 else z
+        inputs = layer_inputs_full(model, g, feats)
+        assert forward_full(model, g, feats).tobytes() == x.tobytes()
+        assert len(inputs) == model.num_layers
+        for got, want in zip(inputs, want_inputs):
+            assert got.tobytes() == want.tobytes()
+
+    def test_inference_peak_memory_below_four_activations(self):
+        import tracemalloc
+
+        n = 5000
+        g = random_pairs_graph(n, 4 * n, seed=0)
+        feats = np.random.default_rng(0).standard_normal((n, 16))
+        model = init_model((16, 64, 64, 4), "softmax", make_rng(0, 0))
+        tracemalloc.start()
+        try:
+            forward_full(model, g, feats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * n * 64 * 8
 
 
 class TestLossAndGrad:

@@ -17,7 +17,7 @@ from subgcn import (
 )
 from subgcn.variance import EdgeAggregates, budget_probabilities
 
-from conftest import random_graph
+from conftest import random_graph, random_pairs_graph
 
 
 def synthetic_aggregates(layer_sums: np.ndarray) -> EdgeAggregates:
@@ -227,6 +227,80 @@ class TestMonteCarlo:
         closed_opt = variance_closed_form(agg, p_opt)
         est_uni, se_uni = mc_with_se(g, feats, model, p_uni, seed=3)
         assert closed_opt <= est_uni - 3 * se_uni or closed_opt <= variance_closed_form(agg, p_uni)
+
+
+def dense_mc_reference(g, feats, model, probs, trials, rng):
+    """Every trial's mask from one ``rng.random((trials, |E|))`` draw,
+    reduced in a single block."""
+    agg = edge_aggregates(g, feats, model)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = np.where(probs[:, None] > 0, agg.layer_sum / probs[:, None], 0.0)
+    center = agg.layer_sum.sum(axis=0)
+    dev = (rng.random((trials, g.num_edges)) < probs) @ scaled - center
+    if trials == 1:
+        return 0.0
+    s1, s2 = dev.sum(axis=0), (dev**2).sum(axis=0)
+    return float(((s2 - s1**2 / trials) / (trials - 1)).sum())
+
+
+def mc_instance(num_nodes, num_edges, seed):
+    """A random graph with about ``num_edges`` edges, 16-dim features
+    and a 1-layer, 16-wide model."""
+    g = random_pairs_graph(num_nodes, num_edges, seed)
+    feats = np.random.default_rng(seed).standard_normal((num_nodes, 16))
+    return g, feats, init_model((16, 16), "softmax", make_rng(seed, 0))
+
+
+class TestMonteCarloBlocks:
+    """The blocked estimator draws the same masks as one dense draw and
+    needs a bounded amount of memory."""
+
+    @pytest.mark.parametrize(
+        "trials, chunk", [(1, None), (7, 3), (1000, 1), (1000, 64), (20_000, None)]
+    )
+    def test_matches_dense_reference_and_stream(self, trials, chunk):
+        g, feats, model = mc_instance(60, 150, seed=3)  # 20 000 trials span several blocks
+        probs = np.random.default_rng(8).uniform(0.05, 1.0, g.num_edges)
+        probs[:5] = 0.0
+        probs[5:10] = 1.0
+        kwargs = {} if chunk is None else {"chunk": chunk}
+        got_rng, want_rng = make_rng(5, 1), make_rng(5, 1)
+        got = variance_monte_carlo(g, feats, model, probs, trials, got_rng, **kwargs)
+        want = dense_mc_reference(g, feats, model, probs, trials, want_rng)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert got_rng.random() == want_rng.random()
+
+    def test_peak_memory_is_bounded(self):
+        import tracemalloc
+
+        g, feats, model = mc_instance(400, 2100, seed=1)
+        assert g.num_edges >= 2000
+        probs = np.full(g.num_edges, 0.5)
+        tracemalloc.start()
+        try:
+            variance_monte_carlo(g, feats, model, probs, 20_000, make_rng(0, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20
+
+    def test_zero_chunk_rejected(self):
+        g, feats, model = random_instance(seed=1)
+        with pytest.raises(ValueError, match="chunk"):
+            variance_monte_carlo(g, feats, model, np.ones(g.num_edges), 10, make_rng(0, 0), chunk=0)
+
+    @pytest.mark.parametrize("bad", [1.5, -0.25, np.nan], ids=["above 1", "negative", "nan"])
+    def test_probability_outside_unit_interval_rejected(self, bad):
+        g, feats, model = random_instance(seed=1)
+        probs = np.full(g.num_edges, 0.5)
+        probs[0] = bad
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            variance_monte_carlo(g, feats, model, probs, 10, make_rng(0, 0))
+
+    def test_wrong_length_probs_rejected(self):
+        g, feats, model = random_instance(seed=1)
+        with pytest.raises(ValueError, match="probs must have shape"):
+            variance_monte_carlo(g, feats, model, np.full(g.num_edges + 1, 0.5), 10, make_rng(0, 0))
 
 
 class TestOptimality:

@@ -1,0 +1,192 @@
+"""Digests of subgcn's observable outputs, to show that a change keeps
+them bit-identical.
+
+    python tools/bitident.py <checkout> [--data DIR]
+
+imports ``subgcn`` from ``<checkout>/src`` and prints one line
+``<group> <sha256>`` per group of outputs:
+
+- ``samplers.serial`` / ``samplers.workers2``: draws of all six sampler
+  kinds, serially and from a 2-worker producer;
+- ``coeffs``: every field of the empirical ``NormCoeffs``;
+- ``cli.train``: ``metrics.log`` and the reloaded checkpoint arrays of
+  two ``subgcn train`` runs (edge sampler; rw sampler with dropout);
+- ``forward``: ``forward_full`` scores and ``layer_inputs_full``;
+- ``variance.closed_form``: both closed-form variances;
+- ``monte_carlo``: the Monte-Carlo estimates rounded to 12 significant
+  digits, and the generator state after each call. The unrounded
+  estimates follow on a ``#`` line, since a change of summation order
+  may move them in the last bits.
+
+Run it on two checkouts and diff the outputs. The dataset is a 2-block
+SBM made in memory, or the text dataset in ``--data`` (for example a
+benchmark input written by ``perfbench/gen.py``).
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import dataclasses
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+DRAWS = 12  # subgraphs drawn per sampler kind
+
+
+class Digest:
+    def __init__(self) -> None:
+        self._h = hashlib.sha256()
+
+    def add(self, value) -> None:
+        if isinstance(value, np.ndarray):
+            a = np.ascontiguousarray(value)
+            self._h.update(f"{a.dtype.str}{a.shape}".encode())
+            self._h.update(a.tobytes())
+        elif dataclasses.is_dataclass(value):
+            for f in dataclasses.fields(value):
+                self._h.update(f.name.encode())
+                self.add(getattr(value, f.name))
+        elif isinstance(value, dict):
+            self.add(sorted(value.items()))
+        elif isinstance(value, (list, tuple)):
+            self._h.update(f"{type(value).__name__}{len(value)}".encode())
+            for v in value:
+                self.add(v)
+        elif isinstance(value, bytes):
+            self._h.update(value)
+        else:
+            self._h.update(repr(value).encode())
+
+    def hexdigest(self) -> str:
+        return self._h.hexdigest()
+
+
+def _import_subgcn(checkout: Path):
+    src = (checkout / "src").resolve()
+    sys.path.insert(0, str(src))
+    import subgcn
+
+    if not Path(subgcn.__file__).resolve().is_relative_to(src):
+        raise SystemExit(f"subgcn was imported from {subgcn.__file__}, not from {src}")
+    return subgcn
+
+
+def _sampler_configs(subgcn, g, seed: int):
+    n, e = g.num_nodes, g.num_edges
+    budgets = {
+        "node": dict(n=max(2, n // 10)),
+        "edge": dict(m=max(1, e // 20)),
+        "edge_independent": dict(m=max(1, e // 20)),
+        "rw": dict(r=max(1, n // 20), h=2),
+        "mrw": dict(n=max(2, n // 10), r=max(1, n // 40)),
+        "full": {},
+    }
+    return [subgcn.SamplerConfig(kind=k, seed=seed, **b) for k, b in budgets.items()]
+
+
+def _draws(subgcn, g, seed: int, workers: int) -> str:
+    d = Digest()
+    for cfg in _sampler_configs(subgcn, g, seed):
+        with subgcn.SubgraphProducer(g, cfg, workers=workers) as producer:
+            for _ in range(DRAWS):
+                d.add(producer.take())
+    return d.hexdigest()
+
+
+def _cli_train(data_dir: Path, work: Path) -> str:
+    from subgcn import data_io
+    from subgcn.cli import main
+
+    ds = data_io.load_dataset(data_dir)
+    runs = {
+        "edge": ["--sampler", "edge", "--m", str(max(1, ds.graph.num_edges // 20)), "--layers", "3"],
+        "rw": ["--sampler", "rw", "--r", str(max(1, ds.graph.num_nodes // 20)), "--h", "2",
+               "--layers", "2", "--dropout", "0.2"],
+    }
+    d = Digest()
+    for name, flags in runs.items():
+        out = work / name
+        argv = ["train", "--data", str(data_dir), *flags, "--hidden", "16", "--epochs", "4",
+                "--batches-per-epoch", "3", "--num-norm-subgraphs", "8", "--seed", "7", "--out", str(out)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        if code != 0:
+            raise SystemExit(f"subgcn {' '.join(argv)} exited {code}")
+        d.add((out / "metrics.log").read_bytes())
+        for ckpt in ("final.ckpt", "best.ckpt"):
+            d.add(data_io.load_checkpoint(out / ckpt, ds.graph))
+    return d.hexdigest()
+
+
+def digests(subgcn, data_dir: Path, seed: int = 3) -> tuple[dict[str, str], list[float]]:
+    """Group name -> digest, and the raw Monte-Carlo estimates."""
+    from subgcn import data_io, engine, normalization, samplers, variance
+
+    ds = data_io.load_dataset(data_dir)
+    g, feats = ds.graph, ds.features
+    out = {
+        "samplers.serial": _draws(subgcn, g, seed, workers=0),
+        "samplers.workers2": _draws(subgcn, g, seed, workers=2),
+    }
+
+    coeffs, _ = normalization.estimate_coeffs(g, _sampler_configs(subgcn, g, seed)[1], num_subgraphs=20)
+    d = Digest()
+    d.add(coeffs)
+    out["coeffs"] = d.hexdigest()
+
+    with tempfile.TemporaryDirectory() as work:
+        out["cli.train"] = _cli_train(data_dir, Path(work))
+
+    model = engine.init_model((feats.shape[1], 32, 32, ds.num_classes), "softmax", samplers.make_rng(seed, 0))
+    d = Digest()
+    d.add(engine.forward_full(model, g, feats))
+    d.add(engine.layer_inputs_full(model, g, feats))
+    out["forward"] = d.hexdigest()
+
+    model = engine.init_model((feats.shape[1], 16), "softmax", samplers.make_rng(seed, 0))
+    agg = variance.edge_aggregates(g, feats, model)
+    m = max(1, g.num_edges // 40)
+    probs = [variance.optimal_edge_probs(agg, m), variance.budget_probabilities(samplers.edge_weights(g).weights, m)]
+    d = Digest()
+    d.add([variance.variance_closed_form(agg, p) for p in probs])
+    out["variance.closed_form"] = d.hexdigest()
+
+    d = Digest()
+    estimates = []
+    for chunk in (64, 20_000):
+        rng = samplers.make_rng(seed, 1)
+        for p in probs:
+            estimates.append(variance.variance_monte_carlo(g, feats, model, p, 2_000, rng, chunk))
+            d.add(f"{estimates[-1]:.11e}")
+            d.add(rng.bit_generator.state)
+    out["monte_carlo"] = d.hexdigest()
+    return out, estimates
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("checkout", type=Path, help="a subgcn source tree (holding src/subgcn)")
+    parser.add_argument("--data", type=Path, help="text dataset directory (default: a 120-node SBM)")
+    args = parser.parse_args(argv)
+    subgcn = _import_subgcn(args.checkout)
+    with tempfile.TemporaryDirectory() as tmp:
+        data_dir = args.data
+        if data_dir is None:
+            data_dir = Path(tmp) / "data"
+            spec = subgcn.SbmSpec(blocks=2, block_size=60, p_intra=0.15, p_inter=0.02, noise=1.0, seed=11)
+            subgcn.save_dataset(subgcn.generate_sbm(spec), data_dir)
+        groups, estimates = digests(subgcn, data_dir)
+    for name, digest in groups.items():
+        print(f"{name} {digest}")
+    print("# monte_carlo estimates " + " ".join(repr(v) for v in estimates))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
