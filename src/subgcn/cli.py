@@ -225,11 +225,10 @@ def _cmd_train(args) -> int:
 def _check_checkpoint_fits(path, ckpt: engine.Checkpoint, ds: data_io.Dataset) -> None:
     """CacheMismatchError unless the checkpoint's input width, class
     count and head fit the dataset (the graph hash binds only the graph)."""
-    head = "softmax" if ds.label_mode == "single" else "sigmoid"
     for what, found, expected in (
         ("input width", ckpt.weights[0].shape[0], ds.features.shape[1]),
         ("class count", ckpt.weights[-1].shape[1], ds.num_classes),
-        ("head", ckpt.head, head),
+        ("head", ckpt.head, engine.head_for(ds.labels)),
     ):
         if found != expected:
             raise CacheMismatchError(

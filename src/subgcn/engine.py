@@ -48,6 +48,7 @@ __all__ = [
     "loss_and_grad",
     "adam_step",
     "f1_micro",
+    "head_for",
     "train",
     "evaluate",
 ]
@@ -170,13 +171,16 @@ def _forward(
 ):
     """Shared propagation loop; returns (scores, caches, layer_inputs).
 
-    ``caches`` holds the per-layer (dropout mask, aggregate, pre-activation)
+    ``caches`` holds the per-layer (dropout mask, aggregate, output)
     triples for :func:`loss_and_grad` when ``keep_cache`` is set, and
     ``layer_inputs`` the input of every layer when ``keep_inputs`` is
-    set; otherwise each is empty. Without a cache, a layer's input and
-    aggregate are released as soon as they are used and ReLU runs in
-    place, so an inference pass holds about two activation matrices at
-    its peak. The scores do not depend on either flag.
+    set; otherwise each is empty. A layer's output is its activation
+    (ReLU, applied in place, on every layer but the last), not the
+    pre-activation: ``relu(z) > 0`` equals ``z > 0`` everywhere, so the
+    backward pass reads the same ReLU pattern from it. Without a cache,
+    a layer's input and aggregate are released as soon as they are used,
+    so an inference pass holds about two activation matrices at its
+    peak. The scores do not depend on either flag.
     """
     x = features.astype(model.weights[0].dtype, copy=False)
     caches = []
@@ -199,15 +203,12 @@ def _forward(
             xd = x
         agg = adjacency @ xd
         del x, xd  # dead once aggregated (``inputs`` keeps its own reference)
+        x = agg @ w
+        if l < last:
+            np.maximum(x, 0.0, out=x)
         if keep_cache:
-            z = agg @ w
-            caches.append((mask, agg, z))
-            x = np.maximum(z, 0.0) if l < last else z
-        else:
-            x = agg @ w
-            del agg
-            if l < last:
-                np.maximum(x, 0.0, out=x)
+            caches.append((mask, agg, x))
+        del agg
     return x, caches, inputs
 
 
@@ -274,7 +275,8 @@ def loss_and_grad(
     unbiased estimate of the full-graph sum of training-node losses;
     with ``mean_loss`` it is additionally divided by the number of
     contributing nodes. Raises :class:`EmptyBatchError` when no node
-    contributes.
+    contributes. ``caches`` comes from :func:`forward_subgraph`; the
+    ReLU derivative of a layer is read off its cached activation.
     """
     contributing = batch.train_mask & (batch.lam > 0.0)
     count = int(contributing.sum())
@@ -292,8 +294,8 @@ def loss_and_grad(
     dout = dscores
     last = model.num_layers - 1
     for l in range(last, -1, -1):
-        mask, agg, z = caches[l]
-        dz = dout if l == last else dout * (z > 0.0)
+        mask, agg, out = caches[l]
+        dz = dout if l == last else dout * (out > 0.0)
         grads[l] = agg.T @ dz
         if l > 0:
             dxd = batch.adjacency.T @ (dz @ model.weights[l].T)
@@ -429,6 +431,12 @@ def _label_mode(labels: np.ndarray) -> str:
     return "single" if labels.ndim == 1 else "multi"
 
 
+def head_for(labels: np.ndarray) -> str:
+    """The head a model trained on ``labels`` uses: softmax for
+    single-label (1-D) labels, sigmoid for multi-label indicators."""
+    return "softmax" if _label_mode(labels) == "single" else "sigmoid"
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -464,7 +472,7 @@ def train(
     if not np.any(split == TRAIN):
         raise ValueError("split has no training nodes")
     mode = _label_mode(labels)
-    head = "softmax" if mode == "single" else "sigmoid"
+    head = head_for(labels)
     if num_classes is None:
         num_classes = int(labels.max()) + 1 if mode == "single" else labels.shape[1]
     dtype = np.float32 if train_cfg.single_precision else np.float64

@@ -33,9 +33,15 @@ __all__ = [
     "survival_probability",
 ]
 
-# Bytes of one Monte-Carlo block of uniforms (rows x edges, float64): cache-sized,
-# so a block is still cached when it is compared and multiplied.
-_BLOCK_BYTES = 4 << 20
+# Bytes of one Monte-Carlo block of uniforms (rows x edges, float64). Chosen
+# from a sweep of 1-32 MiB on the benchmark's inputs (256 trials on 44.7k
+# edges, 2e4 trials on 2.1k edges; 2-vCPU VM, 30-60 interleaved calls each):
+# below 8 MiB the 44.7k-edge check is no faster than unblocked 64-row chunks
+# (medians: 4 MiB, 11 rows, 165 vs 165 ms; 2 MiB 174 vs 157 ms), because each
+# block's ``block @ scaled`` repacks all of ``scaled``; 8 MiB (23 rows) takes
+# 153 ms against 165. On 2.1k edges 1-16 MiB all take 450-485 ms, 32 MiB
+# 511 ms. Every extra MiB stays resident for the whole check.
+_BLOCK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -141,10 +147,10 @@ def variance_monte_carlo(
 
     Trials are drawn in blocks of at most ``chunk`` rows (a cap, not a
     block size), and of at most as many rows as fit one ``_BLOCK_BYTES``
-    (4 MiB) block of uniforms, but at least one. One buffer of that size
+    (8 MiB) block of uniforms, but at least one. One buffer of that size
     holds a block's uniforms and then, compared in place, its 0/1 edge
-    mask, so the scratch memory is about 4 MiB whatever ``trials`` is
-    (8|E| bytes above 2**19 edges), besides the per-edge arrays.
+    mask, so the scratch memory is at most max(8 MiB, 8|E| bytes)
+    whatever ``trials`` is, besides the per-edge arrays.
     Trial t takes uniforms t*|E| .. (t+1)*|E| - 1 of ``rng``'s stream
     whatever the block size, so the masks, and the stream position on
     return, are those of one ``rng.random((trials, |E|))`` draw; only

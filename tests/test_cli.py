@@ -223,8 +223,10 @@ class TestExitCodes:
             (lambda ds: dataclasses.replace(ds, features=np.hstack([ds.features, ds.features[:, :1]])),
              "input width 2 does not match the dataset's 3"),
             (lambda ds: dataclasses.replace(ds, num_classes=3), "class count 2 does not match the dataset's 3"),
+            (lambda ds: dataclasses.replace(ds, labels=np.eye(2, dtype=np.int64)[ds.labels], label_mode="multi"),
+             "head softmax does not match the dataset's sigmoid"),
         ],
-        ids=["feature width", "class count"],
+        ids=["feature width", "class count", "head"],
     )
     def test_checkpoint_not_fitting_dataset_is_2(self, dataset_dir, tmp_path, capsys, refit, named):
         from subgcn import load_dataset

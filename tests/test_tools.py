@@ -3,7 +3,6 @@
 import re
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -20,12 +19,10 @@ GROUPS = [
 
 
 def test_bitident_digests_the_working_tree():
-    start = time.perf_counter()
     run = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "bitident.py"), str(ROOT)],
         capture_output=True, text=True, timeout=60, check=True,
     )
-    assert time.perf_counter() - start < 15.0
     lines = run.stdout.splitlines()
     assert [line.split()[0] for line in lines[:-1]] == GROUPS
     assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines[:-1])
