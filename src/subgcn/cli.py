@@ -3,8 +3,8 @@
 Subcommands are thin adapters over the library: ``gen`` (synthetic
 datasets), ``sample`` (pre-sampled subgraph caches), ``estimate``
 (normalization coefficient caches), ``train`` / ``eval`` (the training
-loop and checkpoint evaluation), ``variance-check`` (optimal versus
-topology edge probabilities), and ``bench`` (sampler timing).
+loop and checkpoint evaluation), and ``variance-check`` (optimal
+versus topology edge probabilities).
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 """
@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -126,12 +125,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--layers", type=int, default=1)
     p.add_argument("--hidden", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("bench", help="time the configured sampler")
-    p.add_argument("--data", required=True)
-    _add_sampler_flags(p)
-    p.add_argument("--count", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
 
     return parser
@@ -271,30 +264,6 @@ def _cmd_variance_check(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    if args.count < 1:
-        raise _UsageError("--count must be positive")
-    ds = data_io.load_dataset(args.data)
-    cfg = _sampler_cfg(args)
-    times = []
-    sizes = []
-    with samplers.SubgraphProducer(ds.graph, cfg, workers=_workers(args)) as producer:
-        start_all = time.perf_counter()
-        for _ in range(args.count):
-            t0 = time.perf_counter()
-            sub = producer.take()
-            times.append(time.perf_counter() - t0)
-            sizes.append(sub.num_nodes)
-        wall = time.perf_counter() - start_all
-    ms = np.asarray(times) * 1e3
-    print(
-        f"{args.count} draws of {cfg.kind}: mean {ms.mean():.3f} ms, "
-        f"min {ms.min():.3f} ms, max {ms.max():.3f} ms, wall {wall:.3f} s, "
-        f"mean subgraph size {np.mean(sizes):.1f}"
-    )
-    return 0
-
-
 _COMMANDS = {
     "gen": _cmd_gen,
     "sample": _cmd_sample,
@@ -302,7 +271,6 @@ _COMMANDS = {
     "train": _cmd_train,
     "eval": _cmd_eval,
     "variance-check": _cmd_variance_check,
-    "bench": _cmd_bench,
 }
 
 

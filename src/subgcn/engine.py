@@ -374,15 +374,11 @@ class TrainConfig:
     dropout: float = 0.0
     epochs: int = 30
     batches_per_epoch: int = 1
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     eval_every: int = 1
     seed: int = 0
     mean_loss: bool = False
     single_precision: bool = False
     workers: int = 0
-    queue_capacity: int = 8
     num_norm_subgraphs: int | None = None
 
     def __post_init__(self) -> None:
@@ -392,8 +388,6 @@ class TrainConfig:
             raise ValueError("dropout must lie in [0, 1)")
         if self.epochs < 1 or self.batches_per_epoch < 1 or self.eval_every < 1:
             raise ValueError("epochs, batches_per_epoch and eval_every must be positive")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0 and self.eps > 0.0):
-            raise ValueError("invalid Adam hyperparameters")
 
 
 @dataclass
@@ -483,7 +477,6 @@ def train(
         sampler_cfg,
         num_subgraphs=train_cfg.num_norm_subgraphs,
         workers=train_cfg.workers,
-        capacity=train_cfg.queue_capacity,
     )
 
     dims = (features.shape[1],) + tuple(train_cfg.hidden_dims) + (num_classes,)
@@ -515,28 +508,15 @@ def train(
     skipped = 0
     last_epoch = min(train_cfg.epochs, stop_after_epoch or train_cfg.epochs)
 
-    producer: SubgraphProducer | None = None
-
-    def subgraph_for(index: int) -> Subgraph:
-        nonlocal producer
-        if index < len(cached):
-            return cached[index]
-        if producer is None:
-            producer = SubgraphProducer(
-                g,
-                sampler_cfg,
-                workers=train_cfg.workers,
-                capacity=train_cfg.queue_capacity,
-                start=index,
-            )
-        return producer.take()
-
-    try:
+    # Steps past the cached pre-processing draws continue the same stream.
+    with SubgraphProducer(
+        g, sampler_cfg, workers=train_cfg.workers, start=max(iteration, len(cached))
+    ) as producer:
         for epoch in range(start_epoch + 1, last_epoch + 1):
             epoch_losses = []
             for _ in range(train_cfg.batches_per_epoch):
                 iteration += 1
-                sub = subgraph_for(iteration - 1)
+                sub = cached[iteration - 1] if iteration <= len(cached) else producer.take()
                 if sub.num_nodes == 0:
                     skipped += 1
                     continue
@@ -565,15 +545,7 @@ def train(
                             f"non-finite gradient in layer {l} at iteration {iteration} "
                             f"(epoch {epoch}); check learning rate and normalization"
                         )
-                adam_step(
-                    model,
-                    grads,
-                    state,
-                    train_cfg.lr,
-                    beta1=train_cfg.beta1,
-                    beta2=train_cfg.beta2,
-                    eps=train_cfg.eps,
-                )
+                adam_step(model, grads, state, train_cfg.lr)
                 epoch_losses.append(loss)
 
             if (epoch % train_cfg.eval_every == 0 or epoch == last_epoch) and val_idx.size:
@@ -584,9 +556,6 @@ def train(
                 if val_f1 > best_val:
                     best_val = val_f1
                     best_weights = [w.copy() for w in model.weights]
-    finally:
-        if producer is not None:
-            producer.close()
 
     if best_val < 0.0:  # no validation set: fall back to the final weights
         best_weights = [w.copy() for w in model.weights]

@@ -93,7 +93,6 @@ def estimate_coeffs(
     cfg: SamplerConfig,
     num_subgraphs: int | None = None,
     workers: int = 0,
-    capacity: int = 8,
 ) -> tuple[NormCoeffs, list[Subgraph]]:
     """Estimate coefficients by running the sampler repeatedly.
 
@@ -123,7 +122,7 @@ def estimate_coeffs(
         arcs = sub.arc_origin
         edge_counts[g.arc_to_edge[arcs[canonical[arcs]]]] += 1
 
-    with SubgraphProducer(g, cfg, workers=workers, capacity=capacity) as producer:
+    with SubgraphProducer(g, cfg, workers=workers) as producer:
         if num_subgraphs is None:
             pilot = 10
             target = pilot

@@ -24,7 +24,8 @@ producers yield bit-identical streams regardless of scheduling.
 from __future__ import annotations
 
 import logging
-import threading
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -271,102 +272,52 @@ def sample(
 
 
 class SubgraphProducer:
-    """Deterministic stream of subgraphs, optionally produced by a
-    worker pool behind a bounded buffer.
+    """Deterministic stream of subgraphs, optionally drawn ahead by a
+    thread pool.
 
     Stream element i is always the draw with RNG stream (cfg.seed, i),
     so serial and pooled modes yield identical sequences; ``take``
-    returns elements in stream order. With ``workers`` == 0 draws happen
-    in the calling thread.
+    returns elements in stream order, starting at ``start``. With
+    ``workers`` == 0 draws happen in the calling thread. Otherwise
+    ``workers`` threads draw up to 2 * ``workers`` elements ahead of
+    the last one taken, and an exception raised by a draw is re-raised
+    by the ``take`` that reaches that element. The pool starts no
+    thread before the first ``take``.
     """
 
-    def __init__(
-        self,
-        graph: Graph,
-        cfg: SamplerConfig,
-        workers: int = 0,
-        capacity: int = 8,
-        start: int = 0,
-    ):
-        if capacity < 1:
-            raise ValueError("queue capacity must be positive")
+    def __init__(self, graph: Graph, cfg: SamplerConfig, workers: int = 0, start: int = 0):
         self._graph = graph
         self._cfg = cfg
         self._dist = _precompute(graph, cfg)
-        self._next_out = start
-        self._workers: list[threading.Thread] = []
-        self._error: BaseException | None = None
-        if workers > 0:
-            self._lock = threading.Lock()
-            self._cond = threading.Condition(self._lock)
-            self._buffer: dict[int, Subgraph] = {}
-            self._next_claim = start
-            self._capacity = capacity
-            self._stop = False
-            for i in range(workers):
-                t = threading.Thread(target=self._work, name=f"sampler-{i}", daemon=True)
-                t.start()
-                self._workers.append(t)
+        self._next = start
+        self._ahead = 2 * workers
+        self._pool = (
+            ThreadPoolExecutor(workers, thread_name_prefix="sampler") if workers > 0 else None
+        )
+        self._pending: deque[Future[Subgraph]] = deque()
 
     def subgraph_at(self, index: int) -> Subgraph:
         """Draw stream element ``index`` directly."""
         rng = make_rng(self._cfg.seed, index)
         return sample(self._graph, self._cfg, rng, self._dist)
 
-    def _work(self) -> None:
-        while True:
-            with self._cond:
-                while not self._stop and self._next_claim >= self._next_out + self._capacity:
-                    self._cond.wait()
-                if self._stop:
-                    return
-                index = self._next_claim
-                self._next_claim += 1
-            try:
-                sub = self.subgraph_at(index)
-            except BaseException as exc:  # surfaced by take()
-                with self._cond:
-                    self._error = exc
-                    self._stop = True
-                    self._cond.notify_all()
-                return
-            with self._cond:
-                self._buffer[index] = sub
-                self._cond.notify_all()
-
     def take(self) -> Subgraph:
         """Next subgraph in stream order."""
-        if not self._workers:
-            sub = self.subgraph_at(self._next_out)
-            self._next_out += 1
+        if self._pool is None:
+            sub = self.subgraph_at(self._next)
+            self._next += 1
             return sub
-        with self._cond:
-            while self._next_out not in self._buffer and self._error is None:
-                self._cond.wait()
-            if self._next_out not in self._buffer:
-                raise self._error
-            sub = self._buffer.pop(self._next_out)
-            self._next_out += 1
-            self._cond.notify_all()
-            return sub
+        while len(self._pending) < self._ahead:
+            self._pending.append(self._pool.submit(self.subgraph_at, self._next))
+            self._next += 1
+        return self._pending.popleft().result()
 
     def close(self) -> None:
-        if self._workers:
-            with self._cond:
-                self._stop = True
-                self._cond.notify_all()
-            for t in self._workers:
-                t.join()
-            self._workers = []
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
 
     def __enter__(self) -> "SubgraphProducer":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> Subgraph:
-        return self.take()

@@ -46,7 +46,7 @@ _BLOCK_BYTES = 8 << 20
 
 @dataclass(frozen=True)
 class EdgeAggregates:
-    """Per-edge, per-layer aggregate vectors and their layer sums.
+    """Per-edge aggregate vectors summed over layers, and their norms.
 
     For edge e = (u, v) and layer l, the aggregate is
     A_{v,u} * xt_u^(l) + A_{u,v} * xt_v^(l) where xt^(l) is the layer-l
@@ -54,13 +54,12 @@ class EdgeAggregates:
     share one output dimension so the layer sum is well formed.
     """
 
-    per_layer: tuple[np.ndarray, ...]
     layer_sum: np.ndarray
     norms: np.ndarray
 
 
 def edge_aggregates(g: Graph, features: np.ndarray, model: Model) -> EdgeAggregates:
-    """Aggregate vectors for every undirected edge and layer."""
+    """Layer-summed aggregate vectors for every undirected edge."""
     out_dims = {w.shape[1] for w in model.weights}
     if len(out_dims) != 1:
         raise ValueError("edge aggregates require all layers to share one output dimension")
@@ -72,13 +71,21 @@ def edge_aggregates(g: Graph, features: np.ndarray, model: Model) -> EdgeAggrega
     coef_u = 1.0 / g.degrees[v]
     coef_v = 1.0 / g.degrees[u]
 
-    per_layer = []
+    layer_sum = None
     for x, w in zip(inputs, model.weights):
-        xt = x @ w
-        per_layer.append(coef_u[:, None] * xt[u] + coef_v[:, None] * xt[v])
-    layer_sum = np.sum(per_layer, axis=0)
+        # Promote before the in-place products, as a float64 broadcast would.
+        xt = np.asarray(x @ w, dtype=np.float64)
+        term = xt[u]
+        term *= coef_u[:, None]
+        v_side = xt[v]
+        v_side *= coef_v[:, None]
+        term += v_side
+        if layer_sum is None:
+            layer_sum = term
+        else:
+            layer_sum += term
     norms = np.linalg.norm(layer_sum, axis=1)
-    return EdgeAggregates(per_layer=tuple(per_layer), layer_sum=layer_sum, norms=norms)
+    return EdgeAggregates(layer_sum=layer_sum, norms=norms)
 
 
 def budget_probabilities(weights: np.ndarray, m: float) -> np.ndarray:

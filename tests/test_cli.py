@@ -147,14 +147,6 @@ class TestVarianceCheckCommand:
         assert closed >= 0.0 and mc >= 0.0
 
 
-class TestBenchCommand:
-    def test_reports_timing(self, dataset_dir, capsys):
-        code = main(["bench", "--data", str(dataset_dir), "--sampler", "edge",
-                     "--m", "10", "--count", "20"])
-        assert code == 0
-        assert "mean" in capsys.readouterr().out
-
-
 class TestExitCodes:
     def test_usage_error_is_1(self, capsys):
         assert main(["train", "--bogus"]) == 1

@@ -231,11 +231,14 @@ class TestArtifactCaches:
         for a, b in zip(loaded.adam_m, result.checkpoint.adam_m):
             assert np.array_equal(a, b)
 
-    def test_checkpoint_resume_reproduces_metric_log(self, tmp_path):
+    # The run stops at iteration 8: with 10 cached pre-processing draws it
+    # resumes inside them, with 6 past them.
+    @pytest.mark.parametrize("workers, num_norm_subgraphs", [(0, 6), (0, 10), (2, 6), (2, 10)])
+    def test_checkpoint_resume_reproduces_metric_log(self, tmp_path, workers, num_norm_subgraphs):
         ds = generate_sbm(SbmSpec(blocks=2, block_size=20, p_intra=0.3, p_inter=0.02, noise=0.8, seed=3))
         cfg = SamplerConfig(kind="edge", m=25, seed=4)
-        tcfg = TrainConfig(hidden_dims=(8,), epochs=8, batches_per_epoch=2, seed=11,
-                           dropout=0.1, num_norm_subgraphs=6)
+        tcfg = TrainConfig(hidden_dims=(8,), epochs=8, batches_per_epoch=2, seed=11, dropout=0.1,
+                           workers=workers, num_norm_subgraphs=num_norm_subgraphs)
 
         full = train(ds.graph, ds.features, ds.labels, ds.split, cfg, tcfg, num_classes=2)
 

@@ -22,11 +22,7 @@ from conftest import random_graph, random_pairs_graph
 
 def synthetic_aggregates(layer_sums: np.ndarray) -> EdgeAggregates:
     layer_sums = np.asarray(layer_sums, dtype=np.float64)
-    return EdgeAggregates(
-        per_layer=(layer_sums,),
-        layer_sum=layer_sums,
-        norms=np.linalg.norm(layer_sums, axis=1),
-    )
+    return EdgeAggregates(layer_sum=layer_sums, norms=np.linalg.norm(layer_sums, axis=1))
 
 
 def random_instance(seed, max_edges=20, dim=4):
@@ -67,7 +63,6 @@ class TestEdgeAggregates:
         agg = edge_aggregates(single_edge, x, model)
         # layer 1: 1*2 + 1*1 = 3; layer 2 inputs are (2, 1): 1*1 + 1*2 = 3
         assert agg.layer_sum[0, 0] == pytest.approx(6.0)
-        assert len(agg.per_layer) == 2
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(3)
