@@ -259,8 +259,8 @@ def _cmd_variance_check(args) -> int:
     rng = samplers.make_rng(args.seed, 1)
     print(f"closed_form_optimal {variance.variance_closed_form(agg, p_opt)!r}")
     print(f"closed_form_topology {variance.variance_closed_form(agg, p_topo)!r}")
-    print(f"mc_optimal {variance.variance_monte_carlo(g, ds.features, model, p_opt, args.trials, rng)!r}")
-    print(f"mc_topology {variance.variance_monte_carlo(g, ds.features, model, p_topo, args.trials, rng)!r}")
+    print(f"mc_optimal {variance.variance_monte_carlo(g, ds.features, model, p_opt, args.trials, rng, aggregates=agg)!r}")
+    print(f"mc_topology {variance.variance_monte_carlo(g, ds.features, model, p_topo, args.trials, rng, aggregates=agg)!r}")
     return 0
 
 

@@ -16,9 +16,11 @@ sampling scheme.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .engine import Model, layer_inputs_full
 from .graph import Graph
@@ -33,15 +35,18 @@ __all__ = [
     "survival_probability",
 ]
 
-# Bytes of one Monte-Carlo block of uniforms (rows x edges, float64). Chosen
-# from a sweep of 1-32 MiB on the benchmark's inputs (256 trials on 44.7k
-# edges, 2e4 trials on 2.1k edges; 2-vCPU VM, 30-60 interleaved calls each):
-# below 8 MiB the 44.7k-edge check is no faster than unblocked 64-row chunks
-# (medians: 4 MiB, 11 rows, 165 vs 165 ms; 2 MiB 174 vs 157 ms), because each
-# block's ``block @ scaled`` repacks all of ``scaled``; 8 MiB (23 rows) takes
-# 153 ms against 165. On 2.1k edges 1-16 MiB all take 450-485 ms, 32 MiB
-# 511 ms. Every extra MiB stays resident for the whole check.
-_BLOCK_BYTES = 8 << 20
+# Scratch bytes of one Monte-Carlo block. Chosen from a sweep of 0.5-16 MiB
+# on the benchmark's seed-7 inputs (both estimates of one check, budgets
+# interleaved in one process, 15 reps, median ms; 2-vCPU VM): 2.1k edges at
+# 2e4 trials took 311, 267, 235, 231, 250 and 282 ms at 0.5, 1, 2, 4, 8 and
+# 16 MiB; 44.7k edges at 256 trials (64-row chunks) 74, 67, 66 and 65 ms at
+# 0.5-4 MiB. Below 2 MiB the per-class, per-block calls dominate; 4 MiB is
+# no faster and keeps twice the memory resident.
+_BLOCK_BYTES = 2 << 20
+# Peak scratch per expected candidate slot: its skip, position, uniform and
+# column. tracemalloc on the 2.1k-edge input gave 23-25 bytes besides the
+# row sums, so 32 bounds it.
+_CANDIDATE_BYTES = 32
 
 
 @dataclass(frozen=True)
@@ -124,20 +129,93 @@ def optimal_edge_probs(aggregates: EdgeAggregates, m: float) -> np.ndarray:
     return budget_probabilities(aggregates.norms, m)
 
 
+def _checked_probs(probs, num_edges: int) -> np.ndarray:
+    """``probs`` as a float64 vector of ``num_edges`` values in [0, 1]."""
+    p = np.asarray(probs, dtype=np.float64)
+    if p.shape != (num_edges,):
+        raise ValueError(f"probs must have shape ({num_edges},), got {p.shape}")
+    if not np.all((p >= 0.0) & (p <= 1.0)):  # NaN fails both comparisons
+        raise ValueError("probabilities must lie in [0, 1]")
+    return p
+
+
 def variance_closed_form(aggregates: EdgeAggregates, probs: np.ndarray) -> float:
     """Exact variance of the edge estimator, summed over dimensions.
 
     Returns inf when some edge with a nonzero aggregate has probability
     zero (the estimator is then undefined on that edge).
     """
-    p = np.asarray(probs, dtype=np.float64)
-    if np.any(p < 0) or np.any(p > 1):
-        raise ValueError("probabilities must lie in [0, 1]")
     sq = aggregates.norms**2
+    p = _checked_probs(probs, sq.shape[0])
     if np.any((p == 0) & (sq > 0)):
         return float("inf")
     active = sq > 0
     return float((sq[active] / p[active]).sum() - sq.sum())
+
+
+@dataclass(frozen=True)
+class _RateClass:
+    """Edges with p_e in [r/2, r), r = 2^e, and their acceptance ratios
+    p_e / r in [1/2, 1)."""
+
+    edges: np.ndarray
+    r: float
+    accept: np.ndarray
+
+
+def _rate_classes(p: np.ndarray) -> list[_RateClass]:
+    """The edges with 0 < p < 1 grouped by the power of two above p,
+    highest rate first."""
+    edges = np.flatnonzero((p > 0.0) & (p < 1.0))
+    mantissa, exponent = np.frexp(p[edges])  # p = mantissa * 2^exponent, mantissa in [1/2, 1)
+    classes = []
+    for x in np.unique(exponent)[::-1]:
+        member = exponent == x
+        classes.append(_RateClass(edges=edges[member], r=float(np.ldexp(1.0, x)), accept=mantissa[member]))
+    return classes
+
+
+def _candidate_slots(r: float, slots: int, rng: np.random.Generator) -> np.ndarray:
+    """Ascending slots of 0 .. slots-1, each present independently with
+    probability r < 1, placed by geometric skips."""
+    parts = []
+    end = 0  # one past the last candidate so far
+    while True:
+        left = (slots - end) * r  # expected candidates still to place
+        # Four standard deviations above that, so one call almost always ends the class.
+        gaps = rng.geometric(r, size=int(left + 4.0 * math.sqrt(left)) + 1)
+        # Geometric draws saturate near 2^63 for tiny r. A gap of slots + 1
+        # passes the last slot from any start, so clipping there keeps the
+        # draw exact and the cumulative sum from wrapping.
+        np.minimum(gaps, slots + 1, out=gaps)
+        np.cumsum(gaps, out=gaps)
+        gaps += end - 1
+        parts.append(gaps)
+        if gaps[-1] >= slots:
+            break
+        end = int(gaps[-1]) + 1
+    pos = np.concatenate(parts) if len(parts) > 1 else parts[0]
+    return pos[: np.searchsorted(pos, slots)]
+
+
+def _kept_slots(classes: list[_RateClass], k: int, rng: np.random.Generator) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One block of k trials: per rate class, the (trial, index into
+    ``class.edges``) pairs the trials keep, in trial order.
+
+    Edge e of a class is kept in each trial independently with
+    probability r * p_e / r = p_e: a candidate with probability r,
+    accepted with probability p_e / r.
+    """
+    kept = []
+    for c in classes:
+        n = c.edges.shape[0]
+        if c.r == 1.0:  # every slot is a candidate
+            kept.append(np.nonzero(rng.random((k, n)) < c.accept))
+            continue
+        pos = _candidate_slots(c.r, k * n, rng)
+        pos = pos[rng.random(pos.shape[0]) < c.accept[pos % n]]
+        kept.append(np.divmod(pos, n))
+    return kept
 
 
 def variance_monte_carlo(
@@ -148,20 +226,30 @@ def variance_monte_carlo(
     trials: int,
     rng: np.random.Generator,
     chunk: int = 20_000,
+    *,
+    aggregates: EdgeAggregates | None = None,
 ) -> float:
     """Empirical variance of the edge estimator under independent
     sampling, summed over dimensions.
 
+    Each trial draws only the edges it keeps. Edges with p = 1 are in
+    every trial and fold into one constant; edges with p = 0 are in
+    none. The rest are grouped by r = 2^e with p_e in [r/2, r). Within
+    a class, candidates over the trial-major (trial, edge) slots are
+    placed by geometric skips with rate r and accepted with probability
+    p_e / r >= 1/2, so a trial costs O(sum p) draws, not O(|E|). A
+    block's trial sums are, per class, a sparse (block rows x class
+    edges) 0/1 matrix times the class's b_e / p_e rows.
+
     Trials are drawn in blocks of at most ``chunk`` rows (a cap, not a
-    block size), and of at most as many rows as fit one ``_BLOCK_BYTES``
-    (8 MiB) block of uniforms, but at least one. One buffer of that size
-    holds a block's uniforms and then, compared in place, its 0/1 edge
-    mask, so the scratch memory is at most max(8 MiB, 8|E| bytes)
-    whatever ``trials`` is, besides the per-edge arrays.
-    Trial t takes uniforms t*|E| .. (t+1)*|E| - 1 of ``rng``'s stream
-    whatever the block size, so the masks, and the stream position on
-    return, are those of one ``rng.random((trials, |E|))`` draw; only
-    the summation order depends on the block size.
+    block size), and of at most as many rows as keep the block's
+    expected candidate scratch and its (rows x d) sums within
+    ``_BLOCK_BYTES`` (2 MiB), but at least one. So the scratch memory
+    stays about 2 MiB whatever ``trials`` is, besides the per-edge
+    arrays. The estimate depends on the seed, ``trials`` and ``chunk``.
+
+    ``aggregates`` may pass ``edge_aggregates(g, features, model)`` when
+    the caller already has it; it is computed here otherwise.
 
     Accumulation is centered on the exact mean (the sum of layer sums),
     which keeps the two-pass variance stable when streamed in blocks.
@@ -170,27 +258,30 @@ def variance_monte_carlo(
         raise ValueError("trials must be positive")
     if chunk < 1:
         raise ValueError("chunk must be positive")
-    p = np.asarray(probs, dtype=np.float64)
-    if p.shape != (g.num_edges,):
-        raise ValueError(f"probs must have shape ({g.num_edges},), got {p.shape}")
-    if not np.all((p >= 0.0) & (p <= 1.0)):  # NaN fails both comparisons
-        raise ValueError("probabilities must lie in [0, 1]")
-    layer_sum = edge_aggregates(g, features, model).layer_sum
-    center = layer_sum.sum(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = np.where(p[:, None] > 0, layer_sum / p[:, None], 0.0)
-    del layer_sum  # the blocks below reuse its memory
+    p = _checked_probs(probs, g.num_edges)
+    if aggregates is None:
+        aggregates = edge_aggregates(g, features, model)
+    layer_sum = aggregates.layer_sum
+    if layer_sum.shape[0] != g.num_edges:
+        raise ValueError(f"aggregates must have {g.num_edges} rows, got {layer_sum.shape[0]}")
+    dim = layer_sum.shape[1]
+    base = layer_sum[p == 1.0].sum(axis=0) - layer_sum.sum(axis=0)
+    classes = _rate_classes(p)
+    scaled = [layer_sum[c.edges] / p[c.edges, None] for c in classes]
+    candidates_per_trial = sum(c.r * c.edges.shape[0] for c in classes)
 
-    rows = min(max(_BLOCK_BYTES // (8 * max(g.num_edges, 1)), 1), chunk, trials)
-    block = np.empty((rows, g.num_edges))
-    s1 = np.zeros(center.shape[0])
-    s2 = np.zeros(center.shape[0])
+    row_bytes = _CANDIDATE_BYTES * candidates_per_trial + 16 * dim
+    rows = min(max(int(_BLOCK_BYTES // row_bytes), 1), chunk, trials)
+    s1 = np.zeros(dim)
+    s2 = np.zeros(dim)
     done = 0
     while done < trials:
         k = min(rows, trials - done)
-        rng.random(out=block[:k])
-        np.less(block[:k], p, out=block[:k])  # uniforms -> 1.0 where the edge is kept, else 0.0
-        dev = block[:k] @ scaled - center
+        dev = np.tile(base, (k, 1))
+        for (trial, col), c, sc in zip(_kept_slots(classes, k, rng), classes, scaled):
+            indptr = np.zeros(k + 1, dtype=np.int64)
+            np.cumsum(np.bincount(trial, minlength=k), out=indptr[1:])
+            dev += sp.csr_matrix((np.ones(col.shape[0]), col, indptr), shape=(k, c.edges.shape[0])) @ sc
         s1 += dev.sum(axis=0)
         s2 += (dev**2).sum(axis=0)
         done += k

@@ -15,7 +15,7 @@ from subgcn import (
     variance_closed_form,
     variance_monte_carlo,
 )
-from subgcn.variance import EdgeAggregates, budget_probabilities
+from subgcn.variance import EdgeAggregates, _candidate_slots, _kept_slots, _rate_classes, budget_probabilities
 
 from conftest import random_graph, random_pairs_graph
 
@@ -146,6 +146,17 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             variance_closed_form(agg, np.array([1.5]))
 
+    def test_nan_probability_rejected(self):
+        agg = synthetic_aggregates(np.ones((3, 2)))
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            variance_closed_form(agg, np.array([0.5, np.nan, 0.5]))
+
+    @pytest.mark.parametrize("length", [2, 4])
+    def test_wrong_length_probs_rejected(self, length):
+        agg = synthetic_aggregates(np.ones((3, 2)))
+        with pytest.raises(ValueError, match="probs must have shape"):
+            variance_closed_form(agg, np.full(length, 0.5))
+
     def test_gradient_matches_finite_differences(self):
         """dVar/dp_e = -||B_e||^2 / p_e^2 at interior points."""
         rng = np.random.default_rng(9)
@@ -225,8 +236,8 @@ class TestMonteCarlo:
 
 
 def dense_mc_reference(g, feats, model, probs, trials, rng):
-    """Every trial's mask from one ``rng.random((trials, |E|))`` draw,
-    reduced in a single block."""
+    """The estimator with every trial's mask from one dense
+    ``rng.random((trials, |E|))`` draw, reduced in a single block."""
     agg = edge_aggregates(g, feats, model)
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = np.where(probs[:, None] > 0, agg.layer_sum / probs[:, None], 0.0)
@@ -246,24 +257,78 @@ def mc_instance(num_nodes, num_edges, seed):
     return g, feats, init_model((16, 16), "softmax", make_rng(seed, 0))
 
 
-class TestMonteCarloBlocks:
-    """The blocked estimator draws the same masks as one dense draw and
-    needs a bounded amount of memory."""
+def blocks_instance():
+    """A 60-node graph whose probabilities include 0, 1 and five rate classes."""
+    g, feats, model = mc_instance(60, 150, seed=3)
+    probs = np.random.default_rng(8).uniform(0.05, 1.0, g.num_edges)
+    probs[:5] = 0.0
+    probs[5:10] = 1.0
+    return g, feats, model, probs
 
-    @pytest.mark.parametrize(
-        "trials, chunk", [(1, None), (7, 3), (1000, 1), (1000, 64), (20_000, None)]
-    )
-    def test_matches_dense_reference_and_stream(self, trials, chunk):
-        g, feats, model = mc_instance(60, 150, seed=3)  # 20 000 trials span several blocks
-        probs = np.random.default_rng(8).uniform(0.05, 1.0, g.num_edges)
-        probs[:5] = 0.0
-        probs[5:10] = 1.0
+
+def batch_mean(estimate, reps):
+    """Mean of ``estimate(rep)`` over ``reps`` reps and its standard error."""
+    values = np.array([estimate(rep) for rep in range(reps)])
+    return values.mean(), values.std(ddof=1) / np.sqrt(reps)
+
+
+MC_Z = 4.0  # fixed z for the statistical Monte-Carlo checks; the seeds are fixed too
+BLOCK_GRID = [(1, None), (7, 3), (1000, 1), (1000, 64), (20_000, None)]
+# Reps per grid case: about 6k-20k trials each, fewer where tiny blocks are slow.
+BLOCK_REPS = {(1, None): 1, (7, 3): 300, (1000, 1): 6, (1000, 64): 20, (20_000, None): 6}
+
+
+class TestMonteCarloBlocks:
+    """The blocked sparse estimator agrees with a dense draw and with the
+    closed form, repeats under a fixed seed and needs a bounded amount of
+    memory."""
+
+    @pytest.mark.parametrize("trials, chunk", BLOCK_GRID)
+    def test_agrees_with_dense_reference(self, trials, chunk):
+        g, feats, model, probs = blocks_instance()
         kwargs = {} if chunk is None else {"chunk": chunk}
-        got_rng, want_rng = make_rng(5, 1), make_rng(5, 1)
-        got = variance_monte_carlo(g, feats, model, probs, trials, got_rng, **kwargs)
-        want = dense_mc_reference(g, feats, model, probs, trials, want_rng)
-        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
-        assert got_rng.random() == want_rng.random()
+        agg = edge_aggregates(g, feats, model)
+
+        def sparse(rep):
+            return variance_monte_carlo(g, feats, model, probs, trials, make_rng(5, rep), aggregates=agg, **kwargs)
+
+        def dense(rep):
+            return dense_mc_reference(g, feats, model, probs, trials, make_rng(6, rep))
+
+        if trials == 1:
+            assert sparse(0) == dense(0) == 0.0
+            return
+        reps = BLOCK_REPS[(trials, chunk)]
+        got, got_se = batch_mean(sparse, reps)
+        want, want_se = batch_mean(dense, reps)
+        assert abs(got - want) <= MC_Z * np.hypot(got_se, want_se)
+        # p = 0 edges are never drawn, so the closed form is that of the others
+        drawn = probs > 0
+        closed = variance_closed_form(synthetic_aggregates(agg.layer_sum[drawn]), probs[drawn])
+        assert abs(got - closed) <= MC_Z * got_se
+
+    @pytest.mark.parametrize("trials, chunk", BLOCK_GRID)
+    def test_fixed_seed_repeats(self, trials, chunk):
+        g, feats, model, probs = blocks_instance()
+        kwargs = {} if chunk is None else {"chunk": chunk}
+        first, second = (variance_monte_carlo(g, feats, model, probs, trials, make_rng(5, 1), **kwargs) for _ in range(2))
+        assert first == second
+
+    def test_given_aggregates_change_nothing(self):
+        g, feats, model, probs = blocks_instance()
+        given_rng, computed_rng = make_rng(5, 1), make_rng(5, 1)
+        agg = edge_aggregates(g, feats, model)
+        given = variance_monte_carlo(g, feats, model, probs, 1000, given_rng, 64, aggregates=agg)
+        computed = variance_monte_carlo(g, feats, model, probs, 1000, computed_rng, 64)
+        assert given == computed
+        assert given_rng.random() == computed_rng.random()
+
+    def test_aggregates_of_another_graph_rejected(self):
+        g, feats, model, probs = blocks_instance()
+        agg = edge_aggregates(g, feats, model)
+        wrong = EdgeAggregates(layer_sum=agg.layer_sum[1:], norms=agg.norms[1:])
+        with pytest.raises(ValueError, match="aggregates must have"):
+            variance_monte_carlo(g, feats, model, probs, 10, make_rng(0, 0), aggregates=wrong)
 
     def test_peak_memory_is_bounded(self):
         import tracemalloc
@@ -296,6 +361,77 @@ class TestMonteCarloBlocks:
         g, feats, model = random_instance(seed=1)
         with pytest.raises(ValueError, match="probs must have shape"):
             variance_monte_carlo(g, feats, model, np.full(g.num_edges + 1, 0.5), 10, make_rng(0, 0))
+
+
+def kept_matrix(p, trials, rng):
+    """One block's kept (trial, edge) pairs as a trials x |E| 0/1 matrix,
+    checking the pairs' order, range and uniqueness on the way."""
+    classes = _rate_classes(p)
+    kept = np.zeros((trials, p.shape[0]), dtype=bool)
+    pairs = 0
+    for (trial, col), c in zip(_kept_slots(classes, trials, rng), classes):
+        assert np.all(np.diff(trial) >= 0)  # trial order, as the CSR rows need
+        assert trial.shape == col.shape
+        if trial.size:
+            assert 0 <= trial.min() and trial.max() < trials
+            assert 0 <= col.min() and col.max() < c.edges.shape[0]
+        kept[trial, c.edges[col]] = True
+        pairs += trial.shape[0]
+    assert pairs == kept.sum()  # no slot kept twice
+    return kept
+
+
+class TestSparseDraw:
+    """Each trial keeps edge e with probability p_e, independently of the
+    other edges and trials."""
+
+    # 0 and 1, class boundaries (0.5, 0.25, 2^-10) and values inside classes
+    P = np.array([0.0, 1.0, 0.5, 0.25, 2.0**-10, 0.7, 0.3, 0.45, 0.12, 0.03, 0.004, 0.999, 0.26])
+
+    def test_rate_classes_bracket_each_probability(self):
+        classes = _rate_classes(self.P)
+        members = np.concatenate([c.edges for c in classes])
+        assert sorted(members) == list(np.flatnonzero((self.P > 0) & (self.P < 1)))
+        for c in classes:
+            p = self.P[c.edges]
+            assert np.all((c.r / 2 <= p) & (p < c.r))
+            assert np.all(c.accept == p / c.r)
+            assert np.all((0.5 <= c.accept) & (c.accept < 1.0))
+        r_of = {int(e): c.r for c in classes for e in c.edges}
+        assert (r_of[2], r_of[3], r_of[4]) == (1.0, 0.5, 2.0**-9)
+
+    def test_inclusion_frequencies_match_probabilities(self):
+        trials = 40_000
+        kept = kept_matrix(self.P, trials, make_rng(21, 0))
+        assert not kept[:, 0].any() and kept[:, 1].sum() == 0  # p = 1 edges fold into a constant
+        inner = (self.P > 0) & (self.P < 1)
+        p = self.P[inner]
+        z = np.abs(kept[:, inner].sum(axis=0) - trials * p) / np.sqrt(trials * p * (1 - p))
+        assert z.max() <= MC_Z
+
+    @pytest.mark.parametrize(
+        "u, v, lag",
+        [(2, 5, 0), (3, 6, 0), (5, 8, 0), (9, 11, 0), (12, 3, 1), (11, 2, 1)],
+        ids=["same class r=1", "adjacent slots r=0.5", "across classes", "small with large",
+             "trial end to next trial start r=0.5", "trial end to next trial start r=1"],
+    )
+    def test_pairs_are_independent(self, u, v, lag):
+        trials = 40_000
+        kept = kept_matrix(self.P, trials, make_rng(22, 0))
+        both = (kept[: trials - lag, u] & kept[lag:, v]).sum()
+        q = self.P[u] * self.P[v]
+        n = trials - lag
+        assert abs(both - n * q) <= MC_Z * np.sqrt(n * q * (1 - q))
+
+    @pytest.mark.parametrize("tiny", [5e-324, 1e-300, 2.0**-70])
+    def test_tiny_probabilities_keep_nothing(self, tiny):
+        p = np.array([tiny, 0.3, tiny, tiny])
+        trials = 100_000
+        kept = kept_matrix(p, trials, make_rng(23, 0))
+        assert not kept[:, [0, 2, 3]].any()
+        assert abs(kept[:, 1].sum() - 0.3 * trials) <= MC_Z * np.sqrt(trials * 0.21)
+        r = _rate_classes(p)[-1].r
+        assert r < 2.0**-68 and _candidate_slots(r, trials * 3, make_rng(23, 1)).size == 0
 
 
 class TestOptimality:
