@@ -1,15 +1,20 @@
 """Dataset files, artifact caches, and synthetic graph generators.
 
-Datasets live in a directory of four text files, chosen for desk-scale
-inspectability:
+Datasets live in a directory of four ASCII text files, chosen for
+desk-scale inspectability. Each line is a row of whitespace-separated
+tokens: integers are decimal (optional sign, no ``_``, within int64)
+and floats are what ``numpy.loadtxt`` reads, finite only.
 
 - ``graph.txt``: line 1 ``num_nodes num_edges``, then one ``u v`` per
   undirected edge, 0-based, u < v, strictly ascending lexicographic.
 - ``features.txt``: line 1 ``num_nodes feature_dim``, then one row of
-  space-separated decimal floats per node.
+  ``feature_dim`` floats per node.
 - ``labels.txt``: line 1 ``mode num_classes`` with mode in {single,
   multi}, then per node either one class ID or a 0/1 vector.
 - ``split.txt``: one tag per node from {0=train, 1=val, 2=test}.
+
+Every malformed row is reported as ``file:line``; ``load_dataset``
+sizes no array by a header count before the rows confirm it.
 
 Subgraph caches, coefficient caches and model checkpoints use a binary
 container (magic bytes, version, little-endian 64-bit payloads) bound
@@ -30,6 +35,7 @@ import json
 import math
 import os
 import struct
+import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -116,44 +122,78 @@ class SbmSpec:
 
 def _read_lines(path: Path) -> list[str]:
     try:
-        text = path.read_text()
+        data = path.read_bytes()
     except OSError as exc:
         raise DataFormatError(path, None, f"cannot read: {exc}") from exc
-    return text.splitlines()
+    try:  # numpy's text parser may crash on high code points, so none reach it
+        lines = data.decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        line = len((data[: exc.start].decode("ascii") + "?").splitlines())
+        raise DataFormatError(path, line, f"non-ASCII byte {data[exc.start]:#04x}") from None
+    if not lines:
+        raise DataFormatError(path, 1, "empty file")
+    return lines
 
 
-def _ints(path: Path, lineno: int, line: str, count: int | None = None) -> list[int]:
-    toks = line.split()
-    if count is not None and len(toks) != count:
-        raise DataFormatError(path, lineno, f"expected {count} integers, found {len(toks)}")
+def _loadtxt(lines: list[str], dtype) -> np.ndarray:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # "input contained no data": blank lines only
+        return np.loadtxt(lines, dtype=dtype, ndmin=2, comments=None)
+
+
+def _table(path: Path, lines: list[str], first: int, width: int, dtype) -> np.ndarray:
+    """The ``(len(lines), width)`` array of ``dtype`` held by ``lines``,
+    which are lines ``first, first + 1, ...`` of ``path``. Otherwise a
+    DataFormatError at the first line that the same parser, applied to
+    that line alone, does not read as ``width`` values."""
+    if not lines:
+        return np.zeros((0, width), dtype)
     try:
-        return [int(t) for t in toks]
+        table = _loadtxt(lines, dtype)
+        if table.shape == (len(lines), width):
+            return table
     except ValueError:
-        raise DataFormatError(path, lineno, f"invalid integer in {line!r}") from None
+        pass
+    for i, line in enumerate(lines):
+        try:
+            found = _loadtxt([line], dtype).size
+        except ValueError:
+            kind = "integer" if np.dtype(dtype).kind == "i" else "float"
+            raise DataFormatError(path, first + i, f"invalid {kind} in {line!r:.80}") from None
+        if found != width:
+            raise DataFormatError(path, first + i, f"expected {width} values, found {found}")
+    raise AssertionError(f"{path}: the table does not parse, yet each of its lines does")
+
+
+def _check_rows(path: Path, ok: np.ndarray, first: int, message) -> None:
+    """DataFormatError ``message(i)`` at the first row ``i`` not ``ok``."""
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise DataFormatError(path, first + i, message(i))
+
+
+def _read_graph(path: Path) -> tuple[np.ndarray, int]:
+    """The checked edge rows and node count of a ``graph.txt``."""
+    lines = _read_lines(path)
+    num_nodes, num_edges = _table(path, lines[:1], 1, 2, np.int64)[0].tolist()
+    if num_nodes < 1:
+        raise DataFormatError(path, 1, "num_nodes must be positive")
+    if len(lines) - 1 != num_edges:
+        raise DataFormatError(path, 1, f"header claims {num_edges} edges, body has {len(lines) - 1}")
+    edges = _table(path, lines[1:], 2, 2, np.int64)
+    u, v = edges.T
+    _check_rows(path, (0 <= u) & (u < v) & (v < num_nodes), 2,
+                lambda i: f"edge ({u[i]},{v[i]}) must satisfy 0 <= u < v < {num_nodes}")
+    ascending = (u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))
+    _check_rows(path, ascending, 3, lambda i: "edges must be strictly ascending lexicographic")
+    return edges, num_nodes
 
 
 def load_graph_txt(path) -> Graph:
-    path = Path(path)
-    lines = _read_lines(path)
-    if not lines:
-        raise DataFormatError(path, 1, "missing header")
-    num_nodes, num_edges = _ints(path, 1, lines[0], 2)
-    if num_nodes < 1:
-        raise DataFormatError(path, 1, "num_nodes must be positive")
-    body = lines[1:]
-    if len(body) != num_edges:
-        raise DataFormatError(path, 1, f"header claims {num_edges} edges, body has {len(body)}")
-    edges = np.zeros((num_edges, 2), dtype=np.int64)
-    prev = (-1, -1)
-    for i, line in enumerate(body):
-        u, v = _ints(path, i + 2, line, 2)
-        if not 0 <= u < v < num_nodes:
-            raise DataFormatError(path, i + 2, f"edge ({u},{v}) must satisfy 0 <= u < v < {num_nodes}")
-        if (u, v) <= prev:
-            raise DataFormatError(path, i + 2, "edges must be strictly ascending lexicographic")
-        prev = (u, v)
-        edges[i] = (u, v)
-    return build_graph(edges, num_nodes)
+    """Load a ``graph.txt``. Isolated nodes are legal, so this takes
+    O(num_nodes) memory however few edges the file lists; ``load_dataset``
+    first checks that count against the other files' rows."""
+    return build_graph(*_read_graph(Path(path)))
 
 
 def save_graph_txt(path, g: Graph) -> None:
@@ -166,98 +206,57 @@ def save_graph_txt(path, g: Graph) -> None:
 
 def _parse_features(path: Path, num_nodes: int) -> np.ndarray:
     lines = _read_lines(path)
-    if not lines:
-        raise DataFormatError(path, 1, "missing header")
-    n, dim = _ints(path, 1, lines[0], 2)
+    n, dim = _table(path, lines[:1], 1, 2, np.int64)[0].tolist()
     if n != num_nodes:
         raise DataFormatError(path, 1, f"feature rows {n} do not match graph nodes {num_nodes}")
     if dim < 1:
         raise DataFormatError(path, 1, "feature_dim must be positive")
     if len(lines) - 1 != n:
         raise DataFormatError(path, 1, f"header claims {n} rows, body has {len(lines) - 1}")
-    feats = np.zeros((n, dim))
-    for i, line in enumerate(lines[1:]):
-        toks = line.split()
-        if len(toks) != dim:
-            raise DataFormatError(path, i + 2, f"expected {dim} values, found {len(toks)}")
-        try:
-            feats[i] = [float(t) for t in toks]
-        except ValueError:
-            raise DataFormatError(path, i + 2, "invalid float") from None
+    feats = _table(path, lines[1:], 2, dim, np.float64)
+    _check_rows(path, np.isfinite(feats).all(axis=1), 2, lambda i: "feature values must be finite")
     return feats
 
 
 def _parse_labels(path: Path, num_nodes: int) -> tuple[np.ndarray, str, int]:
     lines = _read_lines(path)
-    if not lines:
-        raise DataFormatError(path, 1, "missing header")
     toks = lines[0].split()
     if len(toks) != 2 or toks[0] not in ("single", "multi"):
         raise DataFormatError(path, 1, "header must be 'single|multi num_classes'")
     mode = toks[0]
-    try:
-        num_classes = int(toks[1])
-    except ValueError:
-        raise DataFormatError(path, 1, "invalid class count") from None
+    num_classes = int(_table(path, toks[1:], 1, 1, np.int64)[0, 0])
     if num_classes < 1:
         raise DataFormatError(path, 1, "num_classes must be positive")
     if len(lines) - 1 != num_nodes:
         raise DataFormatError(path, 1, f"expected {num_nodes} label rows, found {len(lines) - 1}")
-    if mode == "single":
-        labels = np.zeros(num_nodes, dtype=np.int64)
-        for i, line in enumerate(lines[1:]):
-            vals = _ints(path, i + 2, line)
-            if len(vals) != 1:
-                raise DataFormatError(
-                    path, i + 2, f"single-label row must hold one class ID, found {len(vals)} values"
-                )
-            if not 0 <= vals[0] < num_classes:
-                raise DataFormatError(path, i + 2, f"class ID {vals[0]} out of range")
-            labels[i] = vals[0]
-    else:
-        labels = np.zeros((num_nodes, num_classes), dtype=np.int64)
-        for i, line in enumerate(lines[1:]):
-            vals = _ints(path, i + 2, line)
-            if len(vals) != num_classes:
-                raise DataFormatError(
-                    path, i + 2, f"multi-label row must hold {num_classes} indicators, found {len(vals)}"
-                )
-            if any(vv not in (0, 1) for vv in vals):
-                raise DataFormatError(path, i + 2, "multi-label indicators must be 0 or 1")
-            labels[i] = vals
-    return labels, mode, num_classes
+    width, high = (1, num_classes) if mode == "single" else (num_classes, 2)
+    labels = _table(path, lines[1:], 2, width, np.int64)
+    _check_rows(path, ((0 <= labels) & (labels < high)).all(axis=1), 2,
+                lambda i: f"{mode}-label row {labels[i].tolist()!s:.40} has a value outside [0, {high})")
+    return (labels.reshape(-1) if mode == "single" else labels), mode, num_classes
 
 
 def _parse_split(path: Path, num_nodes: int) -> np.ndarray:
     lines = _read_lines(path)
     if len(lines) != num_nodes:
         raise DataFormatError(path, 1, f"expected {num_nodes} split rows, found {len(lines)}")
-    split = np.zeros(num_nodes, dtype=np.int64)
-    for i, line in enumerate(lines):
-        vals = _ints(path, i + 1, line, 1)
-        if vals[0] not in (0, 1, 2):
-            raise DataFormatError(path, i + 1, "split tag must be 0, 1 or 2")
-        split[i] = vals[0]
+    split = _table(path, lines, 1, 1, np.int64).reshape(-1)
+    _check_rows(path, (0 <= split) & (split <= 2), 1, lambda i: "split tag must be 0, 1 or 2")
     if not np.any(split == 0):
         raise DataFormatError(path, None, "split contains no training nodes")
     return split
 
 
 def load_dataset(directory) -> Dataset:
-    """Load and cross-validate a dataset directory."""
+    """Load and cross-validate a dataset directory. The graph is built
+    last, once the other files' rows confirm its node count."""
     d = Path(directory)
-    graph = load_graph_txt(d / "graph.txt")
-    features = _parse_features(d / "features.txt", graph.num_nodes)
-    labels, mode, num_classes = _parse_labels(d / "labels.txt", graph.num_nodes)
-    split = _parse_split(d / "split.txt", graph.num_nodes)
-    return Dataset(
-        graph=graph,
-        features=features,
-        labels=labels,
-        split=split,
-        num_classes=num_classes,
-        label_mode=mode,
-    )
+    edges, num_nodes = _read_graph(d / "graph.txt")
+    features = _parse_features(d / "features.txt", num_nodes)
+    labels, mode, num_classes = _parse_labels(d / "labels.txt", num_nodes)
+    split = _parse_split(d / "split.txt", num_nodes)
+    return Dataset(graph=build_graph(edges, num_nodes), features=features, labels=labels,
+                   split=split, num_classes=num_classes, label_mode=mode)
 
 
 def save_dataset(ds: Dataset, directory) -> None:

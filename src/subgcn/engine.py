@@ -86,10 +86,6 @@ class Model:
                 raise ValueError("consecutive layer dimensions do not match")
 
     @property
-    def dims(self) -> tuple[int, ...]:
-        return (self.weights[0].shape[0],) + tuple(w.shape[1] for w in self.weights)
-
-    @property
     def num_layers(self) -> int:
         return len(self.weights)
 
@@ -412,7 +408,6 @@ class Checkpoint:
 @dataclass
 class TrainResult:
     model: Model
-    final_model: Model
     log: list[str]
     best_val_f1: float
     test_f1: float
@@ -581,7 +576,6 @@ def train(
     )
     return TrainResult(
         model=best_model,
-        final_model=model,
         log=log,
         best_val_f1=best_val,
         test_f1=test_f1,

@@ -167,6 +167,17 @@ class TestExitCodes:
         assert main(["sample", "--data", str(d), "--sampler", "edge", "--m", "2",
                      "--count", "1", "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("name, header", [
+        ("features.txt", "40 1000000000000000"),
+        ("labels.txt", "multi 1000000000000000"),
+    ])
+    def test_hostile_width_header_is_2(self, dataset_dir, tmp_path, capsys, name, header):
+        path = dataset_dir / name
+        path.write_text("\n".join([header, *path.read_text().splitlines()[1:]]) + "\n")
+        assert main(["eval", "--data", str(dataset_dir), "--checkpoint", str(tmp_path / "any.ckpt"),
+                     "--split", "test"]) == 2
+        assert f"{name}:2: expected 1000000000000000 values" in capsys.readouterr().err
+
     def test_malformed_checkpoint_header_is_2(self, dataset_dir, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["train", "--data", str(dataset_dir), "--sampler", "edge", "--m", "30",
@@ -236,8 +247,8 @@ class TestExitCodes:
 
     def test_numeric_failure_is_3(self, tmp_path):
         ds = generate_sbm(SbmSpec(blocks=2, block_size=10, p_intra=0.5, p_inter=0.1, noise=0.5, seed=2))
-        ds.features[:] = np.nan
-        d = tmp_path / "nan_data"
+        ds.features[:] = 1e308  # finite, so it loads, but the loss overflows
+        d = tmp_path / "huge_data"
         save_dataset(ds, d)
         assert main(["train", "--data", str(d), "--sampler", "full", "--epochs", "1",
                      "--layers", "1", "--num-norm-subgraphs", "2",

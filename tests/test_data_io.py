@@ -3,7 +3,10 @@
 import dataclasses
 import hashlib
 import json
+import math
 import struct
+import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +142,148 @@ class TestGrammarErrors:
         (tmp_path / "labels.txt").write_text("single 2\n0\n5\n")
         with pytest.raises(DataFormatError, match="labels.txt:3"):
             load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("token", ["1_0", "0x1", "1.0", "1e0", "99999999999999999999"])
+    def test_non_decimal_integer_rejected(self, tmp_path, token):
+        self._write_default(tmp_path)
+        (tmp_path / "split.txt").write_text(f"0\n{token}\n")
+        with pytest.raises(DataFormatError, match="split.txt:2"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("token", ["1_0.5", "0x1p3"])
+    def test_non_decimal_float_rejected(self, tmp_path, token):
+        self._write_default(tmp_path)
+        (tmp_path / "features.txt").write_text(f"2 1\n1.0\n{token}\n")
+        with pytest.raises(DataFormatError, match="features.txt:3"):
+            load_dataset(tmp_path)
+
+    def test_blank_body_line_names_line(self, tmp_path):
+        self._write_default(tmp_path)
+        (tmp_path / "split.txt").write_text("0\n \n")
+        with pytest.raises(DataFormatError, match="split.txt:2: expected 1 values, found 0"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("raw", [b"\xff", "\u0661".encode(), "\U0010241d\U000f0f14".encode()],
+                             ids=["invalid UTF-8", "Arabic-Indic digit", "plane-16 code point"])
+    def test_non_ascii_byte_names_line(self, tmp_path, raw):
+        self._write_default(tmp_path)
+        (tmp_path / "split.txt").write_bytes(b"0\n" + raw + b"\n")
+        with pytest.raises(DataFormatError, match="split.txt:2"):
+            load_dataset(tmp_path)
+
+
+class TestHostileInput:
+    """Header claims are data errors until rows confirm them, never allocations."""
+
+    @pytest.mark.parametrize("name, text", [
+        ("features.txt", "2 1000000000000000\n0.125\n-3.5\n"),
+        ("labels.txt", "multi 1000000000000000\n1 0\n0 1\n"),
+    ])
+    def test_huge_width_header_is_a_data_error(self, tmp_path, name, text):
+        save_dataset(minimal_dataset(), tmp_path)
+        (tmp_path / name).write_text(text)
+        with pytest.raises(DataFormatError, match=f"{name}:2: expected 1000000000000000 values"):
+            load_dataset(tmp_path)
+
+    def test_node_count_checked_before_the_graph_is_built(self, tmp_path):
+        save_dataset(minimal_dataset(), tmp_path)
+        (tmp_path / "graph.txt").write_text("1000000 0\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataFormatError, match="features.txt:1"):
+                load_dataset(tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("token", ["nan", "-inf"])
+    def test_non_finite_feature_names_first_line(self, tmp_path, token):
+        save_dataset(minimal_dataset(), tmp_path)
+        (tmp_path / "features.txt").write_text(f"2 2\n1.0 2.0\n3.0 {token}\n")
+        with pytest.raises(DataFormatError, match="features.txt:3: feature values must be finite"):
+            load_dataset(tmp_path)
+
+
+# Finite floats with the edge cases of their text form: signed zeros,
+# subnormals, and the largest magnitudes.
+FEATURE_VALUES = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def datasets(draw) -> Dataset:
+    n = draw(st.integers(1, 6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    dim = draw(st.integers(1, 3))
+    features = np.array(draw(st.lists(FEATURE_VALUES, min_size=n * dim, max_size=n * dim))).reshape(n, dim)
+    num_classes = draw(st.integers(1, 3))
+    mode = draw(st.sampled_from(["single", "multi"]))
+    shape = (n,) if mode == "single" else (n, num_classes)
+    high = num_classes - 1 if mode == "single" else 1
+    labels = np.array(draw(st.lists(st.integers(0, high), min_size=math.prod(shape), max_size=math.prod(shape))))
+    split = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    split[draw(st.integers(0, n - 1))] = 0  # at least one training node
+    return Dataset(
+        graph=build_graph(np.array(edges, dtype=np.int64).reshape(-1, 2), n),
+        features=features,
+        labels=labels.reshape(shape).astype(np.int64),
+        split=split.astype(np.int64),
+        num_classes=num_classes,
+        label_mode=mode,
+    )
+
+
+DATASET_FILES = ["graph.txt", "features.txt", "labels.txt", "split.txt"]
+CORRUPT_LINES = (
+    st.text(alphabet="0123456789 -+.e_xnaif\t", max_size=12)
+    | st.sampled_from(["-1", "1000000000000000", "99999999999999999999", "nan", "single 1", "multi 4", ""])
+    | st.text(max_size=6)
+)
+
+
+class TestDatasetProperties:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(ds=datasets())
+    def test_save_load_round_trip_is_bit_identical(self, ds):
+        with tempfile.TemporaryDirectory() as tmp:
+            a, b = Path(tmp) / "a", Path(tmp) / "b"
+            save_dataset(ds, a)
+            back = load_dataset(a)
+            save_dataset(back, b)
+            assert dir_bytes(a) == dir_bytes(b)
+        assert (back.label_mode, back.num_classes) == (ds.label_mode, ds.num_classes)
+        for name in ("features", "labels", "split"):
+            x, y = getattr(ds, name), getattr(back, name)
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+        assert np.array_equal(back.graph.edge_endpoints, ds.graph.edge_endpoints)
+        assert graph_hash(back.graph) == graph_hash(ds.graph)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(ds=datasets(), name=st.sampled_from(DATASET_FILES), data=st.data())
+    def test_corruption_is_a_data_error_naming_a_line_in_the_file(self, ds, name, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(tmp)
+            save_dataset(ds, d)
+            raw = (d / name).read_bytes()
+            lines = raw.split(b"\n")[:-1]
+            how = data.draw(st.sampled_from(["replace", "insert", "delete", "byte"]))
+            if how == "byte":
+                at = data.draw(st.integers(0, len(raw) - 1))
+                corrupt = raw[:at] + bytes([data.draw(st.integers(0, 255))]) + raw[at + 1 :]
+            else:
+                at = data.draw(st.integers(0, len(lines) - (how != "insert")))
+                new = [] if how == "delete" else [data.draw(CORRUPT_LINES).encode()]
+                lines[at : at + (how != "insert")] = new
+                corrupt = b"".join(line + b"\n" for line in lines)
+            (d / name).write_bytes(corrupt)
+            try:
+                load_dataset(d)
+            except DataFormatError as exc:
+                num_lines = len(corrupt.decode("ascii", errors="replace").splitlines())
+                assert exc.line is None or 1 <= exc.line <= max(1, num_lines), str(exc)
 
 
 class TestArtifactCaches:

@@ -323,7 +323,7 @@ class TestTrainLoop:
             adam_step(model, grads, state, lr=0.02)
             manual.append(loss)
         assert logged_losses == manual  # bitwise identical trajectories
-        assert np.array_equal(result.final_model.weights[0], model.weights[0])
+        assert np.array_equal(result.checkpoint.weights[0], model.weights[0])
 
     def test_metric_log_reproducible(self):
         g, feats, labels, split = small_dataset(seed=11)

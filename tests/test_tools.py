@@ -8,6 +8,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 GROUPS = [
+    "data_io.load_dataset",
     "samplers.serial",
     "samplers.workers2",
     "coeffs",
@@ -27,5 +28,6 @@ def test_bitident_digests_the_working_tree():
     assert [line.split()[0] for line in lines[:-1]] == GROUPS
     assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines[:-1])
     assert lines[-1].startswith("# monte_carlo estimates ")
+    digest = dict(line.split() for line in lines[:-1])
     # serial and pooled producers hand out the same draws
-    assert lines[0].split()[1] == lines[1].split()[1]
+    assert digest["samplers.serial"] == digest["samplers.workers2"]

@@ -6,6 +6,8 @@ them bit-identical.
 imports ``subgcn`` from ``<checkout>/src`` and prints one line
 ``<group> <sha256>`` per group of outputs:
 
+- ``data_io.load_dataset``: every field of the loaded ``Dataset``,
+  the graph's arrays included;
 - ``samplers.serial`` / ``samplers.workers2``: draws of all six sampler
   kinds, serially and from a 2-worker producer;
 - ``coeffs``: every field of the empirical ``NormCoeffs``;
@@ -130,7 +132,10 @@ def digests(subgcn, data_dir: Path, seed: int = 3) -> tuple[dict[str, str], list
 
     ds = data_io.load_dataset(data_dir)
     g, feats = ds.graph, ds.features
+    d = Digest()
+    d.add(ds)
     out = {
+        "data_io.load_dataset": d.hexdigest(),
         "samplers.serial": _draws(subgcn, g, seed, workers=0),
         "samplers.workers2": _draws(subgcn, g, seed, workers=2),
     }
