@@ -59,16 +59,21 @@ def _sampler_cfg(args) -> SamplerConfig:
     )
 
 
-def _workers(args) -> int:
-    return 0 if args.deterministic else args.threads
+def _at_least(low: int):
+    """argparse type: an integer count no smaller than ``low``."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, found {value}")
+        return value
+
+    return count
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="subgcn", description=__doc__)
-    parser.add_argument("--threads", type=int, default=0, help="sampler worker threads")
-    parser.add_argument(
-        "--deterministic", action="store_true", help="force single-threaded sampling"
-    )
+    parser.add_argument("--threads", type=_at_least(0), default=0, help="sampler worker threads (0: serial)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic dataset or graph")
@@ -87,7 +92,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("sample", help="write a cache of sampled subgraphs")
     p.add_argument("--data", required=True)
     _add_sampler_flags(p)
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_at_least(1), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
@@ -101,8 +106,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("train", help="train on sampled minibatches")
     p.add_argument("--data", required=True)
     _add_sampler_flags(p)
-    p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--hidden", type=int, default=128)
+    p.add_argument("--layers", type=_at_least(1), default=2)
+    p.add_argument("--hidden", type=_at_least(1), default=128)
     p.add_argument("--epochs", type=int, default=30)
     p.add_argument("--batches-per-epoch", type=int, default=1)
     p.add_argument("--lr", type=float, default=0.01)
@@ -123,8 +128,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--layers", type=int, default=1)
-    p.add_argument("--hidden", type=int, default=16)
+    p.add_argument("--layers", type=_at_least(1), default=1)
+    p.add_argument("--hidden", type=_at_least(1), default=16)
     p.add_argument("--seed", type=int, default=0)
 
     return parser
@@ -152,13 +157,11 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    if args.count < 1:
-        raise _UsageError("--count must be positive")
     ds = data_io.load_dataset(args.data)
     cfg = _sampler_cfg(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with samplers.SubgraphProducer(ds.graph, cfg, workers=_workers(args)) as producer:
+    with samplers.SubgraphProducer(ds.graph, cfg, workers=args.threads) as producer:
         subs = [producer.take() for _ in range(args.count)]
     path = out / "subgraphs.bin"
     data_io.save_subgraphs(path, ds.graph, cfg, subs)
@@ -171,7 +174,7 @@ def _cmd_estimate(args) -> int:
     ds = data_io.load_dataset(args.data)
     cfg = _sampler_cfg(args)
     coeffs, subs = estimate_coeffs(
-        ds.graph, cfg, num_subgraphs=args.num_subgraphs, workers=_workers(args)
+        ds.graph, cfg, num_subgraphs=args.num_subgraphs, workers=args.threads
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -184,8 +187,6 @@ def _cmd_estimate(args) -> int:
 def _cmd_train(args) -> int:
     ds = data_io.load_dataset(args.data)
     cfg = _sampler_cfg(args)
-    if args.layers < 1:
-        raise _UsageError("--layers must be at least 1")
     train_cfg = TrainConfig(
         hidden_dims=(args.hidden,) * (args.layers - 1),
         lr=args.lr,
@@ -196,7 +197,7 @@ def _cmd_train(args) -> int:
         seed=args.seed,
         mean_loss=args.mean_loss,
         single_precision=args.single_precision,
-        workers=_workers(args),
+        workers=args.threads,
         num_norm_subgraphs=args.num_norm_subgraphs,
     )
     result = engine.train(

@@ -19,13 +19,14 @@ sizes no array by a header count before the rows confirm it.
 Subgraph caches, coefficient caches and model checkpoints use a binary
 container (magic bytes, version, little-endian 64-bit payloads) bound
 to their graph by a BLAKE2b (8-byte digest) hash over the node and arc
-counts and the CSR arrays. The container is at version 3, which stores
-four arrays per cached subgraph; loaders refuse any other version, and
-files of an older version must be regenerated. All writers are
-byte-deterministic; loaders reject malformed input with the offending
-file and line, and refuse cached subgraphs, coefficients and
-checkpoint weights whose arrays disagree with the graph or with each
-other.
+counts and the CSR arrays. The container is at version 4: a cached
+subgraph is stored as its sorted node IDs and induced again on load.
+Loaders refuse any other version, and files of an older version must
+be regenerated. All writers are byte-deterministic; loaders reject
+malformed input with the offending file and line, and refuse node
+vectors that are not sorted unique node IDs of the graph, coefficients
+that ``NormCoeffs`` rejects, and arrays whose lengths or shapes
+disagree with the graph or with each other.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .engine import HEADS, Checkpoint
-from .graph import Graph, Subgraph, build_graph
+from .graph import Graph, Subgraph, build_graph, empty_subgraph, induced_subgraph
 from .normalization import NormCoeffs
 from .samplers import SamplerConfig, make_rng
 
@@ -146,23 +147,35 @@ def _table(path: Path, lines: list[str], first: int, width: int, dtype) -> np.nd
     which are lines ``first, first + 1, ...`` of ``path``. Otherwise a
     DataFormatError at the first line that the same parser, applied to
     that line alone, does not read as ``width`` values."""
+
+    def parses(block: list[str]) -> np.ndarray | None:
+        try:
+            table = _loadtxt(block, dtype)
+        except ValueError:
+            return None
+        return table if table.shape == (len(block), width) else None
+
     if not lines:
         return np.zeros((0, width), dtype)
+    table = parses(lines)
+    if table is not None:
+        return table
+    # A block of k lines parses to (k, width) exactly when each of its
+    # lines does, so bisect with lines[:lo] parsing and lines[lo:hi] not:
+    # each step parses half of what is left, about one more pass in all.
+    lo, hi = 0, len(lines)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if parses(lines[lo:mid]) is not None else (lo, mid)
+    line = lines[lo]
     try:
-        table = _loadtxt(lines, dtype)
-        if table.shape == (len(lines), width):
-            return table
+        found = _loadtxt([line], dtype).size
     except ValueError:
-        pass
-    for i, line in enumerate(lines):
-        try:
-            found = _loadtxt([line], dtype).size
-        except ValueError:
-            kind = "integer" if np.dtype(dtype).kind == "i" else "float"
-            raise DataFormatError(path, first + i, f"invalid {kind} in {line!r:.80}") from None
-        if found != width:
-            raise DataFormatError(path, first + i, f"expected {width} values, found {found}")
-    raise AssertionError(f"{path}: the table does not parse, yet each of its lines does")
+        kind = "integer" if np.dtype(dtype).kind == "i" else "float"
+        raise DataFormatError(path, first + lo, f"invalid {kind} in {line!r:.80}") from None
+    if found != width:
+        raise DataFormatError(path, first + lo, f"expected {width} values, found {found}")
+    raise AssertionError(f"{path}:{first + lo}: the line parses alone but not in its table")
 
 
 def _check_rows(path: Path, ok: np.ndarray, first: int, message) -> None:
@@ -282,7 +295,7 @@ def save_dataset(ds: Dataset, directory) -> None:
 # Binary container
 # ----------------------------------------------------------------------
 
-_VERSION = 3
+_VERSION = 4
 _MAGIC_SUB = b"SGCNSUBG"
 _MAGIC_COEF = b"SGCNCOEF"
 _MAGIC_CKPT = b"SGCNCKPT"
@@ -343,7 +356,7 @@ def _write_header(f, magic: bytes, g_hash: int, meta: dict) -> None:
     f.write(blob)
 
 
-def _read_header(f, magic: bytes, path, g: Graph | None) -> dict:
+def _read_header(f, magic: bytes, path, g: Graph) -> dict:
     if _read_exact(f, 8, path) != magic:
         raise DataFormatError(path, None, f"bad magic; expected {magic.decode()} container")
     version, g_hash, meta_len = struct.unpack("<IQI", _read_exact(f, 16, path))
@@ -357,7 +370,7 @@ def _read_header(f, magic: bytes, path, g: Graph | None) -> dict:
         raise DataFormatError(path, None, f"malformed container header: {exc}") from None
     if not isinstance(meta, dict):
         raise DataFormatError(path, None, "malformed container header: not a JSON object")
-    if g is not None and g_hash != graph_hash(g):
+    if g_hash != graph_hash(g):
         raise CacheMismatchError(f"{path}: cached artifact belongs to a different graph")
     return meta
 
@@ -386,15 +399,17 @@ def _cfg_meta(cfg: SamplerConfig | None) -> dict | None:
 
 
 def save_subgraphs(path, g: Graph, cfg: SamplerConfig, subgraphs: list[Subgraph]) -> None:
-    """Cache pre-sampled minibatch subgraphs."""
+    """Cache pre-sampled minibatch subgraphs. An induced subgraph is
+    determined by its node set, so only the sorted node IDs are stored."""
     with open(path, "wb") as f:
         _write_header(f, _MAGIC_SUB, graph_hash(g), {"sampler": _cfg_meta(cfg), "count": len(subgraphs)})
         for sub in subgraphs:
-            for arr in (sub.nodes, sub.row_offsets, sub.col_indices, sub.arc_origin):
-                _write_array(f, arr)
+            _write_array(f, sub.nodes)
 
 
 def load_subgraphs(path, g: Graph) -> tuple[SamplerConfig, list[Subgraph]]:
+    """The sampler config and the subgraphs of a cache, each induced
+    anew on ``g`` from its stored node IDs."""
     with open(path, "rb") as f:
         meta = _read_header(f, _MAGIC_SUB, path, g)
         sampler = _meta_field(meta, "sampler", dict, path)
@@ -404,33 +419,17 @@ def load_subgraphs(path, g: Graph) -> tuple[SamplerConfig, list[Subgraph]]:
             raise DataFormatError(path, None, f"container header key 'sampler' is invalid: {exc}") from None
         subs = []
         for i in range(_meta_field(meta, "count", int, path)):
-            sub = Subgraph(*(_read_array(f, path) for _ in range(4)))
-            _check_subgraph(path, i, g, sub)
-            subs.append(sub)
+            nodes = _read_array(f, path)
+            if nodes.ndim != 1 or nodes.dtype.kind != "i":
+                raise DataFormatError(
+                    path, None, f"subgraph {i}: nodes must be an integer vector, found {nodes.dtype} {nodes.shape}"
+                )
+            if nodes.size and (nodes[0] < 0 or nodes[-1] >= g.num_nodes or np.any(nodes[1:] <= nodes[:-1])):
+                raise DataFormatError(
+                    path, None, f"subgraph {i}: nodes must be strictly increasing in [0, {g.num_nodes})"
+                )
+            subs.append(induced_subgraph(g, nodes) if nodes.size else empty_subgraph())
     return cfg, subs
-
-
-def _check_subgraph(path, i: int, g: Graph, sub: Subgraph) -> None:
-    """DataFormatError unless ``sub`` is a well-formed local CSR over
-    sorted unique nodes of ``g`` with in-range parent arcs."""
-
-    def bad(message: str) -> DataFormatError:
-        return DataFormatError(path, None, f"subgraph {i}: {message}")
-
-    for name in ("nodes", "row_offsets", "col_indices", "arc_origin"):
-        a = getattr(sub, name)
-        if a.ndim != 1 or a.dtype.kind != "i":
-            raise bad(f"{name} must be an integer vector, found {a.dtype} {a.shape}")
-    nodes, offsets, cols, origin = sub.nodes, sub.row_offsets, sub.col_indices, sub.arc_origin
-    k, arcs = nodes.shape[0], cols.shape[0]
-    if k and (nodes[0] < 0 or nodes[-1] >= g.num_nodes or np.any(nodes[1:] <= nodes[:-1])):
-        raise bad(f"nodes must be strictly increasing in [0, {g.num_nodes})")
-    if offsets.shape[0] != k + 1 or offsets[0] != 0 or offsets[-1] != arcs or np.any(offsets[1:] < offsets[:-1]):
-        raise bad(f"row_offsets must be {k + 1} non-decreasing values from 0 to {arcs}")
-    if arcs and (cols.min() < 0 or cols.max() >= k):
-        raise bad(f"col_indices must lie in [0, {k})")
-    if origin.shape[0] != arcs or (arcs and (origin.min() < 0 or origin.max() >= g.num_arcs)):
-        raise bad(f"arc_origin must hold {arcs} parent arcs in [0, {g.num_arcs})")
 
 
 def save_coeffs(path, g: Graph, coeffs: NormCoeffs, cfg: SamplerConfig | None = None) -> None:
@@ -454,14 +453,13 @@ def load_coeffs(path, g: Graph) -> NormCoeffs:
     ):
         if a.shape != (n,):
             raise DataFormatError(path, None, f"{name} has shape {a.shape}; the graph has {n} {what}")
-    return NormCoeffs(
-        alpha=alpha,
-        lam=lam,
-        node_counts=node_counts,
-        edge_counts=edge_counts,
-        num_subgraphs=_meta_field(meta, "num_subgraphs", int, path),
-        source=_meta_field(meta, "source", str, path),
-    )
+    num_subgraphs = _meta_field(meta, "num_subgraphs", int, path)
+    source = _meta_field(meta, "source", str, path)
+    try:
+        return NormCoeffs(alpha=alpha, lam=lam, node_counts=node_counts, edge_counts=edge_counts,
+                          num_subgraphs=num_subgraphs, source=source)
+    except ValueError as exc:
+        raise DataFormatError(path, None, str(exc)) from None
 
 
 def save_checkpoint(path, g: Graph, ckpt: Checkpoint) -> None:

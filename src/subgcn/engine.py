@@ -26,7 +26,7 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from .graph import Graph, Subgraph
-from .normalization import NormCoeffs, estimate_coeffs, normalized_arc_values
+from .normalization import NormCoeffs, estimate_coeffs
 from .samplers import SamplerConfig, SubgraphProducer, make_rng
 
 __all__ = [
@@ -131,8 +131,10 @@ def graph_adjacency(g: Graph) -> sp.csr_matrix:
 
 
 def batch_adjacency(g: Graph, sub: Subgraph, coeffs: NormCoeffs | None) -> sp.csr_matrix:
-    """Local normalized adjacency of a subgraph (entries / alpha)."""
-    vals = normalized_arc_values(g, coeffs, sub.arc_origin)
+    """Local adjacency of a subgraph: norm_values / alpha (alpha = 1 if ``coeffs`` is None)."""
+    vals = g.norm_values[sub.arc_origin]
+    if coeffs is not None:
+        vals /= coeffs.alpha[sub.arc_origin]
     k = sub.num_nodes
     return sp.csr_matrix((vals, sub.col_indices, sub.row_offsets), shape=(k, k))
 

@@ -6,7 +6,8 @@ sampled) makes per-node aggregation unbiased, and weighting each node's
 loss by 1 / lambda with lambda_v = P(v in V_s) makes the minibatch loss
 an unbiased estimate of the full-graph sum of training-node losses.
 Both sources below use this one lambda, so their coefficients are
-interchangeable.
+interchangeable. ``NormCoeffs`` checks what both define on
+construction: every alpha finite and positive, every lambda in [0, 1].
 
 Coefficients come from one of two sources:
 
@@ -33,7 +34,6 @@ __all__ = [
     "NormCoeffs",
     "estimate_coeffs",
     "analytic_coeffs_edge",
-    "normalized_arc_values",
 ]
 
 
@@ -62,6 +62,12 @@ class NormCoeffs:
         N, the number of pre-processing draws (0 for analytic).
     source : str
         "empirical" or "analytic".
+
+    Raises
+    ------
+    ValueError
+        Naming the first arc whose alpha is not finite and positive, or
+        the first node whose lambda lies outside [0, 1] (NaN included).
     """
 
     alpha: np.ndarray
@@ -71,12 +77,21 @@ class NormCoeffs:
     num_subgraphs: int
     source: str
 
+    def __post_init__(self) -> None:
+        bad_alpha = ~(np.isfinite(self.alpha) & (self.alpha > 0.0))
+        if bad_alpha.any():
+            a = int(np.argmax(bad_alpha))
+            raise ValueError(f"arc {a} has alpha {self.alpha[a]}; alpha must be finite and positive")
+        bad_lam = ~((self.lam >= 0.0) & (self.lam <= 1.0))
+        if bad_lam.any():
+            v = int(np.argmax(bad_lam))
+            raise ValueError(f"node {v} has lambda {self.lam[v]}; lambda must lie in [0, 1]")
+
 
 def _coeffs_from_counts(g: Graph, node_counts: np.ndarray, edge_counts: np.ndarray, n: int) -> NormCoeffs:
     arc_ce = edge_counts[g.arc_to_edge].astype(np.float64)
     arc_cv = node_counts[arc_source_nodes(g)].astype(np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        alpha = np.where(arc_ce > 0, arc_ce / np.maximum(arc_cv, 1.0), (arc_ce + 1.0) / (arc_cv + 1.0))
+    alpha = np.where(arc_ce > 0, arc_ce / np.maximum(arc_cv, 1.0), (arc_ce + 1.0) / (arc_cv + 1.0))
     lam = node_counts / float(n)
     return NormCoeffs(
         alpha=alpha,
@@ -174,22 +189,3 @@ def analytic_coeffs_edge(g: Graph, m: int) -> NormCoeffs:
         source="analytic",
     )
 
-
-def normalized_arc_values(g: Graph, coeffs: NormCoeffs | None, arcs: np.ndarray) -> np.ndarray:
-    """Vectorized normalized values for a set of parent arc indices.
-
-    ``coeffs`` None means alpha == 1 everywhere (full-graph semantics).
-    Raises ValueError if any selected alpha is not a positive finite
-    number (zero, negative, NaN or infinite).
-    """
-    vals = g.norm_values[arcs]
-    if coeffs is None:
-        return vals.copy()
-    alpha = coeffs.alpha[arcs]
-    undefined = ~((alpha > 0.0) & np.isfinite(alpha))
-    if np.any(undefined):
-        i = int(np.argmax(undefined))
-        raise ValueError(
-            f"arc {int(arcs[i])} has undefined normalization (alpha={alpha[i]}); estimation is inconsistent"
-        )
-    return vals / alpha

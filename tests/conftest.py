@@ -98,11 +98,16 @@ def random_graph_factory():
 
 
 @st.composite
-def small_graphs(draw, max_nodes: int = 24, min_pairs: int = 0):
-    """Small graphs from arbitrary pair lists: duplicate and reversed
-    pairs, loops in the input, isolated nodes, and optionally a loop on
-    every node."""
+def graph_inputs(draw, max_nodes: int = 24, min_pairs: int = 0):
+    """``(pairs, num_nodes, self_loops)`` arguments of ``build_graph`` from
+    arbitrary pair lists: duplicate and reversed pairs, loops in the
+    input, isolated nodes, and optionally a loop on every node."""
     n = draw(st.integers(1, max_nodes))
     node = st.integers(0, n - 1)
     pairs = draw(st.lists(st.tuples(node, node), min_size=min_pairs, max_size=3 * n))
-    return build_graph(np.array(pairs, dtype=np.int64).reshape(-1, 2), n, self_loops=draw(st.booleans()))
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2), n, draw(st.booleans())
+
+
+def small_graphs(max_nodes: int = 24, min_pairs: int = 0):
+    """Small graphs built from ``graph_inputs``."""
+    return graph_inputs(max_nodes, min_pairs).map(lambda args: build_graph(*args))

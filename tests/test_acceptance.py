@@ -355,17 +355,17 @@ class TestCriterion8DeterminismAndRoundTrips:
 
         ok = True
 
-        # fixed-seed training runs are byte-identical in deterministic mode
+        # fixed-seed training runs are byte-identical, serial or pooled
         ds = generate_sbm(SbmSpec(blocks=2, block_size=25, p_intra=0.3, p_inter=0.03, noise=0.8, seed=2))
         data_dir = tmp_path / "data"
         save_dataset(ds, data_dir)
         argv = [
-            "--deterministic", "train", "--data", str(data_dir), "--sampler", "edge",
+            "train", "--data", str(data_dir), "--sampler", "edge",
             "--m", "40", "--layers", "2", "--hidden", "8", "--epochs", "5",
             "--seed", "13", "--num-norm-subgraphs", "6",
         ]
-        assert main(argv + ["--out", str(tmp_path / "run1")]) == 0
-        assert main(argv + ["--out", str(tmp_path / "run2")]) == 0
+        assert main(["--threads", "0"] + argv + ["--out", str(tmp_path / "run1")]) == 0
+        assert main(["--threads", "2"] + argv + ["--out", str(tmp_path / "run2")]) == 0
         for name in ("metrics.log", "best.ckpt", "final.ckpt"):
             ok &= (tmp_path / "run1" / name).read_bytes() == (tmp_path / "run2" / name).read_bytes()
 

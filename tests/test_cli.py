@@ -151,6 +151,21 @@ class TestExitCodes:
     def test_usage_error_is_1(self, capsys):
         assert main(["train", "--bogus"]) == 1
 
+    @pytest.mark.parametrize("argv, flag", [
+        pytest.param(["variance-check", "--m", "5", "--layers", "0"], "--layers", id="variance-check layers 0"),
+        pytest.param(["variance-check", "--m", "5", "--layers", "-4"], "--layers", id="variance-check layers -4"),
+        pytest.param(["variance-check", "--m", "5", "--hidden", "0"], "--hidden", id="variance-check hidden 0"),
+        pytest.param(["train", "--sampler", "edge", "--m", "30", "--layers", "0"], "--layers", id="train layers 0"),
+        pytest.param(["train", "--sampler", "edge", "--m", "30", "--hidden", "0"], "--hidden", id="train hidden 0"),
+        pytest.param(["--threads", "-3", "sample", "--sampler", "edge", "--m", "2", "--count", "1"], "--threads",
+                     id="threads -3"),
+    ])
+    def test_out_of_range_count_is_1(self, dataset_dir, tmp_path, capsys, argv, flag):
+        out = ["--out", str(tmp_path / "x")] if "variance-check" not in argv else []
+        assert main([*argv, "--data", str(dataset_dir), *out]) == 1
+        assert f"argument {flag}: must be at least" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_sampler_flag_combination_is_1(self, dataset_dir, tmp_path):
         # rw without --h is a config validation error
         assert main(["sample", "--data", str(dataset_dir), "--sampler", "rw", "--r", "2",

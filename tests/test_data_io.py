@@ -31,7 +31,9 @@ from subgcn import (
     save_dataset,
     train,
 )
+from subgcn import data_io
 from subgcn.engine import Checkpoint
+from subgcn.graph import empty_subgraph
 from subgcn.data_io import (
     CacheMismatchError,
     DataFormatError,
@@ -170,6 +172,43 @@ class TestGrammarErrors:
         (tmp_path / "split.txt").write_bytes(b"0\n" + raw + b"\n")
         with pytest.raises(DataFormatError, match="split.txt:2"):
             load_dataset(tmp_path)
+
+
+class TestTableErrorPath:
+    """A bad row is found by bisection, not by parsing line after line."""
+
+    def write_path_graph(self, path: Path, n: int, bad: dict[int, str]) -> None:
+        rows = [f"{i} {i + 1}" for i in range(n)]
+        for i, text in bad.items():
+            rows[i] = text
+        path.write_text("\n".join([f"{n + 1} {n}", *rows]) + "\n")
+
+    def test_bad_last_line_takes_logarithmically_many_parses(self, tmp_path, monkeypatch):
+        n = 10_000
+        self.write_path_graph(tmp_path / "graph.txt", n, {n - 1: "1 x"})
+        calls = []
+        real = data_io._loadtxt
+
+        def counting(lines, dtype):
+            calls.append(len(lines))
+            return real(lines, dtype)
+
+        monkeypatch.setattr(data_io, "_loadtxt", counting)
+        with pytest.raises(DataFormatError, match=f"graph.txt:{n + 1}: invalid integer in '1 x'"):
+            load_graph_txt(tmp_path / "graph.txt")
+        assert len(calls) <= 2 * math.ceil(math.log2(n)) + 2
+        assert sum(calls) <= 2 * n + len(calls)  # the header, the table, then halves of what is left
+
+    @pytest.mark.parametrize("bad, message", [
+        ({0: "0"}, "graph.txt:2: expected 2 values, found 1"),
+        ({2: "2 3 4", 7000: "x"}, "graph.txt:4: expected 2 values, found 3"),
+        ({4999: " ", 5000: "1"}, "graph.txt:5001: expected 2 values, found 0"),
+        ({9999: "9999"}, "graph.txt:10001: expected 2 values, found 1"),
+    ])
+    def test_first_bad_line_is_named(self, tmp_path, bad, message):
+        self.write_path_graph(tmp_path / "graph.txt", 10_000, bad)
+        with pytest.raises(DataFormatError, match=message):
+            load_graph_txt(tmp_path / "graph.txt")
 
 
 class TestHostileInput:
@@ -461,6 +500,17 @@ class TestGraphHash:
 
 class TestContainerValidation:
     @pytest.mark.parametrize("kind", LOADERS)
+    def test_version_3_rejected(self, containers, kind, tmp_path):
+        g, files = containers
+        data = bytearray(files[kind])
+        assert int.from_bytes(data[8:12], "little") == 4
+        data[8:12] = (3).to_bytes(4, "little")
+        path = tmp_path / kind
+        path.write_bytes(bytes(data))
+        with pytest.raises(DataFormatError, match="version 3 .*regenerate"):
+            LOADERS[kind](path, g)
+
+    @pytest.mark.parametrize("kind", LOADERS)
     def test_empty_header_rejected(self, containers, kind, tmp_path):
         g, files = containers
         path = tmp_path / kind
@@ -528,9 +578,8 @@ class TestContainerValidation:
             load_coeffs(path, g)
 
 
-# Each case edits one array of the induced subgraph of nodes {1, 2, 3} of
-# the square with a chord: nodes [1, 2, 3], row_offsets [0, 2, 4, 6],
-# col_indices [1, 2, 0, 2, 0, 1], arc_origin [2, 3, 4, 5, 6, 7].
+# Each case replaces the stored node vector of the induced subgraph of
+# nodes {1, 2, 3} of the square with a chord.
 BAD_SUBGRAPHS = {
     "repeated node": ("nodes", [1, 1, 3], "nodes must be strictly increasing"),
     "unsorted nodes": ("nodes", [3, 2, 1], "nodes must be strictly increasing"),
@@ -538,15 +587,6 @@ BAD_SUBGRAPHS = {
     "negative node": ("nodes", [-1, 2, 3], "nodes must be strictly increasing"),
     "float nodes": ("nodes", [1.0, 2.0, 3.0], "nodes must be an integer vector"),
     "matrix nodes": ("nodes", [[1, 2, 3]], "nodes must be an integer vector"),
-    "short row_offsets": ("row_offsets", [0, 2, 4], "row_offsets must be 4 non-decreasing"),
-    "row_offsets not from 0": ("row_offsets", [1, 2, 4, 6], "row_offsets must be 4 non-decreasing"),
-    "decreasing row_offsets": ("row_offsets", [0, 4, 2, 6], "row_offsets must be 4 non-decreasing"),
-    "row_offsets short of the arcs": ("row_offsets", [0, 2, 4, 5], "row_offsets must be 4 .* from 0 to 6"),
-    "local column k": ("col_indices", [1, 2, 0, 3, 0, 1], r"col_indices must lie in \[0, 3\)"),
-    "negative local column": ("col_indices", [1, 2, 0, -1, 0, 1], "col_indices must lie in"),
-    "short arc_origin": ("arc_origin", [2, 3, 4, 5, 6], "arc_origin must hold 6 parent arcs"),
-    "arc_origin past the graph": ("arc_origin", [2, 3, 4, 5, 6, 8], r"arc_origin must hold 6 parent arcs in \[0, 8\)"),
-    "negative arc_origin": ("arc_origin", [-1, 3, 4, 5, 6, 7], "arc_origin must hold"),
 }
 
 
@@ -573,11 +613,22 @@ class TestCacheValidation:
 
     def test_valid_subgraphs_load(self, square_chord, square_sub, tmp_path):
         cfg = SamplerConfig(kind="node", n=3)
-        empty = induced_subgraph(square_chord, [0, 2])  # no arcs
-        save_subgraphs(tmp_path / "subs", square_chord, cfg, [square_sub, empty])
+        no_arcs = induced_subgraph(square_chord, [0, 2])
+        save_subgraphs(tmp_path / "subs", square_chord, cfg, [square_sub, no_arcs, empty_subgraph()])
         _, loaded = load_subgraphs(tmp_path / "subs", square_chord)
-        assert loaded[0].arc_origin.tolist() == square_sub.arc_origin.tolist()
+        for want, got in zip([square_sub, no_arcs, empty_subgraph()], loaded, strict=True):
+            for name in ("nodes", "row_offsets", "col_indices", "arc_origin"):
+                assert getattr(got, name).dtype == np.int64
+                assert getattr(got, name).tolist() == getattr(want, name).tolist()
         assert loaded[1].num_arcs == 0
+        assert loaded[2].num_nodes == 0 and loaded[2].row_offsets.tolist() == [0]
+
+    def test_cache_stores_only_node_ids(self, square_chord, square_sub, tmp_path):
+        path = tmp_path / "subs"
+        save_subgraphs(path, square_chord, SamplerConfig(kind="node", n=3), [square_sub])
+        data = path.read_bytes()
+        body = data[24 + len(header_blob(data)) :]
+        assert body == b"i" + struct.pack("<BQ", 1, 3) + np.array([1, 2, 3], dtype="<i8").tobytes()
 
     @pytest.mark.parametrize("case", BAD_SUBGRAPHS)
     def test_bad_subgraph_rejected(self, square_chord, square_sub, case, tmp_path):
@@ -596,6 +647,25 @@ class TestCacheValidation:
         save_coeffs(path, square_chord, dataclasses.replace(coeffs, **{field: getattr(coeffs, field)[:-1]}))
         with pytest.raises(DataFormatError, match=f"{field} has shape"):
             load_coeffs(path, square_chord)
+
+    @pytest.mark.parametrize("field, index, value, match", [
+        *(("alpha", 5, v, "arc 5 has alpha") for v in (0.0, -1.0, np.nan, np.inf, -np.inf)),
+        *(("lam", 2, v, "node 2 has lambda") for v in (np.nan, -3.0, 1.5)),
+    ])
+    def test_invalid_coefficient_value_rejected(self, square_chord, field, index, value, match, tmp_path):
+        coeffs, _ = estimate_coeffs(square_chord, SamplerConfig(kind="edge", m=2, seed=1), num_subgraphs=3)
+        path = tmp_path / "coeffs"
+        save_coeffs(path, square_chord, coeffs)
+        data = bytearray(path.read_bytes())
+        at = 24 + len(header_blob(data))  # lam, then alpha; each is a tag, a rank, a length, the values
+        if field == "alpha":
+            at += 10 + 8 * square_chord.num_nodes
+        at += 10 + 8 * index
+        data[at : at + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(data))
+        with pytest.raises(DataFormatError, match=match) as exc_info:
+            load_coeffs(path, square_chord)
+        assert exc_info.value.path == str(path)
 
     @pytest.mark.parametrize(
         "ckpt, match",

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from subgcn import build_graph, induced_subgraph
 from subgcn.graph import arc_source_nodes
 
-from conftest import brute_force_induce, random_graph, small_graphs, subgraph_arcs_original
+from conftest import brute_force_induce, graph_inputs, random_graph, small_graphs, subgraph_arcs_original
 
 
 def dense_norm(g) -> np.ndarray:
@@ -98,6 +98,39 @@ class TestBuildGraph:
     def test_arrays_frozen(self, triangle):
         with pytest.raises(ValueError):
             triangle.norm_values[0] = 9.0
+
+
+def adjacency_oracle(pairs, num_nodes: int, self_loops: bool) -> dict[int, set[int]]:
+    """Neighbour sets of the undirected graph on ``pairs``, by brute force."""
+    adj = {v: {v} if self_loops else set() for v in range(num_nodes)}
+    for u, v in pairs.tolist():
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+class TestBuildGraphProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=graph_inputs())
+    def test_matches_dict_of_sets_oracle(self, case):
+        g = build_graph(*case)
+        adj = adjacency_oracle(*case)
+        edges = sorted({(min(u, v), max(u, v)) for u in adj for v in adj[u]})
+        assert g.num_nodes == case[1] and g.num_edges == len(edges)
+        assert g.edge_endpoints.tolist() == [list(e) for e in edges]  # unique, lexicographic, u <= v
+        # a self-loop has one arc and every other edge two
+        assert np.bincount(g.arc_to_edge, minlength=g.num_edges).tolist() == [1 if u == v else 2 for u, v in edges]
+        assert g.row_offsets[0] == 0 and g.row_offsets[-1] == g.num_arcs
+        for v, neighbours in adj.items():
+            row = g.neighbors(v)
+            assert np.all(np.diff(row) > 0)
+            assert row.tolist() == sorted(neighbours)
+            assert g.degrees[v] == len(neighbours)
+            assert np.all(g.norm_values[g.row_offsets[v] : g.row_offsets[v + 1]] == 1.0 / max(len(neighbours), 1))
+        rows = arc_source_nodes(g)
+        for a in range(g.num_arcs):
+            u, v = int(rows[a]), int(g.col_indices[a])
+            assert g.edge_endpoints[g.arc_to_edge[a]].tolist() == [min(u, v), max(u, v)]
 
 
 class TestInducedSubgraph:

@@ -13,8 +13,8 @@ from subgcn import (
     estimate_coeffs,
     make_rng,
 )
-from subgcn.graph import arc_source_nodes
-from subgcn.normalization import normalized_arc_values
+from subgcn.engine import batch_adjacency
+from subgcn.graph import arc_source_nodes, induced_subgraph
 from subgcn.samplers import inclusion_probabilities
 
 from conftest import random_graph, small_graphs
@@ -186,37 +186,58 @@ class TestAnalyticCoeffs:
                 assert coeffs.lam[v] == pytest.approx(p_v[v], rel=1e-12)
 
 
+def coeffs_of(g, alpha, lam) -> NormCoeffs:
+    return NormCoeffs(
+        alpha=alpha,
+        lam=lam,
+        node_counts=np.zeros(g.num_nodes, dtype=np.int64),
+        edge_counts=np.zeros(g.num_edges, dtype=np.int64),
+        num_subgraphs=0,
+        source="analytic",
+    )
+
+
 class TestNormalizedArcValue:
+    """The subgraph adjacency holds norm_values / alpha of each parent arc;
+    NormCoeffs itself refuses an alpha that would make it undefined."""
+
     def test_identity_when_alpha_is_one(self, triangle):
         coeffs, _ = estimate_coeffs(triangle, SamplerConfig(kind="full", seed=0), num_subgraphs=3)
-        arcs = np.arange(triangle.num_arcs)
-        assert np.array_equal(normalized_arc_values(triangle, coeffs, arcs), triangle.norm_values)
+        sub = induced_subgraph(triangle, [0, 1, 2])
+        assert np.array_equal(batch_adjacency(triangle, sub, coeffs).data, triangle.norm_values[sub.arc_origin])
+        assert np.array_equal(batch_adjacency(triangle, sub, None).data, triangle.norm_values[sub.arc_origin])
 
     def test_division(self, triangle):
-        coeffs = NormCoeffs(
-            alpha=np.full(triangle.num_arcs, 0.25),
-            lam=np.ones(3),
-            node_counts=np.zeros(3, dtype=np.int64),
-            edge_counts=np.zeros(3, dtype=np.int64),
-            num_subgraphs=0,
-            source="analytic",
-        )
-        assert normalized_arc_values(triangle, coeffs, np.array([0])) == pytest.approx([2.0])
+        alpha = np.full(triangle.num_arcs, 0.5)
+        alpha[1] = 0.25
+        sub = induced_subgraph(triangle, [0, 1, 2])
+        adjacency = batch_adjacency(triangle, sub, coeffs_of(triangle, alpha, np.ones(3)))
+        assert adjacency.data.tolist() == [1.0, 2.0, 1.0, 1.0, 1.0, 1.0]  # norm_values are all 0.5
 
     def test_undefined_alpha_signals(self, triangle):
-        for bad in (0.0, np.nan, np.inf, -np.inf):
+        for bad in (0.0, -1.0, np.nan, np.inf, -np.inf):
             alpha = np.full(triangle.num_arcs, 0.5)
             alpha[1] = bad
-            coeffs = NormCoeffs(
-                alpha=alpha,
-                lam=np.ones(3),
-                node_counts=np.zeros(3, dtype=np.int64),
-                edge_counts=np.zeros(3, dtype=np.int64),
-                num_subgraphs=0,
-                source="analytic",
-            )
             with pytest.raises(ValueError, match="arc 1 "):
-                normalized_arc_values(triangle, coeffs, np.array([0, 1]))
+                coeffs_of(triangle, alpha, np.ones(3))
+
+
+class TestNormCoeffsChecks:
+    @pytest.mark.parametrize("bad", [np.nan, -3.0, 1.5, -np.inf])
+    def test_lambda_outside_unit_interval_rejected(self, triangle, bad):
+        lam = np.array([0.0, 1.0, 0.5])
+        lam[2] = bad
+        with pytest.raises(ValueError, match="node 2 has lambda"):
+            coeffs_of(triangle, np.ones(triangle.num_arcs), lam)
+
+    def test_first_bad_arc_is_named(self, triangle):
+        alpha = np.array([1.0, 1.0, 0.0, np.nan, 1.0, -1.0])
+        with pytest.raises(ValueError, match="arc 2 has alpha 0.0"):
+            coeffs_of(triangle, alpha, np.ones(3))
+
+    def test_boundary_values_accepted(self, triangle):
+        tiny = np.full(triangle.num_arcs, 5e-324)
+        coeffs_of(triangle, tiny, np.array([0.0, 1.0, 0.5]))
 
 
 class TestUnbiasedness:

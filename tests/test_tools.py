@@ -12,6 +12,7 @@ GROUPS = [
     "samplers.serial",
     "samplers.workers2",
     "coeffs",
+    "caches",
     "cli.train",
     "forward",
     "variance.closed_form",

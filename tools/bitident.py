@@ -11,6 +11,9 @@ imports ``subgcn`` from ``<checkout>/src`` and prints one line
 - ``samplers.serial`` / ``samplers.workers2``: draws of all six sampler
   kinds, serially and from a 2-worker producer;
 - ``coeffs``: every field of the empirical ``NormCoeffs``;
+- ``caches``: the loaded objects (not the file bytes) of a
+  ``save_subgraphs`` -> ``load_subgraphs`` round trip of each sampler
+  kind's draws and of a ``save_coeffs`` -> ``load_coeffs`` round trip;
 - ``cli.train``: ``metrics.log`` and the reloaded checkpoint arrays of
   two ``subgcn train`` runs (edge sampler; rw sampler with dropout);
 - ``forward``: ``forward_full`` scores and ``layer_inputs_full``;
@@ -101,6 +104,21 @@ def _draws(subgcn, g, seed: int, workers: int) -> str:
     return d.hexdigest()
 
 
+def _caches(subgcn, g, seed: int, coeffs, work: Path) -> str:
+    from subgcn import data_io
+
+    d = Digest()
+    path = work / "subgraphs.bin"
+    for cfg in _sampler_configs(subgcn, g, seed):
+        with subgcn.SubgraphProducer(g, cfg) as producer:
+            data_io.save_subgraphs(path, g, cfg, [producer.take() for _ in range(DRAWS)])
+        d.add(data_io.load_subgraphs(path, g))
+    path = work / "coeffs.bin"
+    data_io.save_coeffs(path, g, coeffs)
+    d.add(data_io.load_coeffs(path, g))
+    return d.hexdigest()
+
+
 def _cli_train(data_dir: Path, work: Path) -> str:
     from subgcn import data_io
     from subgcn.cli import main
@@ -146,6 +164,7 @@ def digests(subgcn, data_dir: Path, seed: int = 3) -> tuple[dict[str, str], list
     out["coeffs"] = d.hexdigest()
 
     with tempfile.TemporaryDirectory() as work:
+        out["caches"] = _caches(subgcn, g, seed, coeffs, Path(work))
         out["cli.train"] = _cli_train(data_dir, Path(work))
 
     model = engine.init_model((feats.shape[1], 32, 32, ds.num_classes), "softmax", samplers.make_rng(seed, 0))
