@@ -5,7 +5,8 @@ The package splits into:
 - :mod:`subgcn.graph`: immutable CSR graphs and node-induced subgraphs
 - :mod:`subgcn.samplers`: node / edge / random-walk subgraph samplers
 - :mod:`subgcn.normalization`: bias-eliminating aggregation and loss
-  coefficients (empirical counters or the edge-sampler closed form)
+  coefficients (exact closed forms, or empirical counters for the
+  walk samplers)
 - :mod:`subgcn.engine`: the GCN itself with exact gradients, Adam, and
   the training loop
 - :mod:`subgcn.variance`: closed-form and Monte-Carlo variance of the

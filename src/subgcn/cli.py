@@ -99,7 +99,13 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("estimate", help="estimate and cache normalization coefficients")
     p.add_argument("--data", required=True)
     _add_sampler_flags(p)
-    p.add_argument("--num-subgraphs", type=int, default=None)
+    p.add_argument(
+        "--num-subgraphs",
+        type=int,
+        default=None,
+        help="estimate from this many draws (default: exact coefficients for node, edge, "
+        "edge-independent and full, with no draws; ceil(50|V|/mean|V_s|) draws for rw and mrw)",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
@@ -115,7 +121,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--eval-every", type=int, default=1)
     p.add_argument("--mean-loss", action="store_true")
     p.add_argument("--single-precision", action="store_true")
-    p.add_argument("--num-norm-subgraphs", type=int, default=None)
+    p.add_argument(
+        "--num-norm-subgraphs",
+        type=int,
+        default=None,
+        help="estimate the coefficients from this many draws, reused as the first minibatches "
+        "(default: exact coefficients for node, edge, edge-independent and full, with no "
+        "pre-processing draws; ceil(50|V|/mean|V_s|) draws for rw and mrw)",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
@@ -173,14 +186,17 @@ def _cmd_sample(args) -> int:
 def _cmd_estimate(args) -> int:
     ds = data_io.load_dataset(args.data)
     cfg = _sampler_cfg(args)
-    coeffs, subs = estimate_coeffs(
+    coeffs, _ = estimate_coeffs(
         ds.graph, cfg, num_subgraphs=args.num_subgraphs, workers=args.threads
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "coeffs.bin"
     data_io.save_coeffs(path, ds.graph, coeffs, cfg)
-    print(f"wrote coefficients from {len(subs)} subgraphs to {path}")
+    if coeffs.source == "exact":
+        print(f"wrote exact coefficients (closed form, no draws) to {path}")
+    else:
+        print(f"wrote coefficients from {coeffs.num_subgraphs} subgraphs to {path}")
     return 0
 
 

@@ -445,8 +445,16 @@ def train(
 ) -> TrainResult:
     """Sampled-minibatch training with full-graph validation.
 
-    Pre-processing estimates the normalization coefficients and caches
-    the drawn subgraphs, which are reused as the first minibatches.
+    Pre-processing gets the normalization coefficients from
+    ``estimate_coeffs``: exact, with no draws, for the ``node``,
+    ``edge``, ``edge_independent`` and ``full`` samplers unless
+    ``num_norm_subgraphs`` is set; otherwise empirical, and those
+    draws are reused as the first minibatches. Every other minibatch
+    comes from a ``SubgraphProducer``, which draws each epoch's
+    subgraphs before that epoch's steps, so no more than one epoch of
+    subgraphs beyond the empirical draws is held at a time. Stream
+    element i always feeds iteration i + 1, so a resumed or pooled run
+    sees the same subgraphs as a serial one.
     Each iteration builds a batch from the next subgraph (only sampled
     training nodes contribute to the loss), runs the normalized forward
     pass, backpropagates, and applies Adam. After every ``eval_every``
@@ -505,15 +513,19 @@ def train(
     skipped = 0
     last_epoch = min(train_cfg.epochs, stop_after_epoch or train_cfg.epochs)
 
-    # Steps past the cached pre-processing draws continue the same stream.
+    # Stream element i feeds iteration i + 1: the cached pre-processing
+    # draws first, then the producer continues the same stream. Each
+    # epoch takes all its subgraphs before its first step.
+    per_epoch = train_cfg.batches_per_epoch
     with SubgraphProducer(
         g, sampler_cfg, workers=train_cfg.workers, start=max(iteration, len(cached))
     ) as producer:
         for epoch in range(start_epoch + 1, last_epoch + 1):
+            subs = cached[iteration : iteration + per_epoch]
+            subs += [producer.take() for _ in range(per_epoch - len(subs))]
             epoch_losses = []
-            for _ in range(train_cfg.batches_per_epoch):
+            for sub in subs:
                 iteration += 1
-                sub = cached[iteration - 1] if iteration <= len(cached) else producer.take()
                 if sub.num_nodes == 0:
                     skipped += 1
                     continue

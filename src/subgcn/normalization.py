@@ -5,19 +5,26 @@ dividing each adjacency entry by alpha = P(edge sampled) / P(node
 sampled) makes per-node aggregation unbiased, and weighting each node's
 loss by 1 / lambda with lambda_v = P(v in V_s) makes the minibatch loss
 an unbiased estimate of the full-graph sum of training-node losses.
-Both sources below use this one lambda, so their coefficients are
-interchangeable. ``NormCoeffs`` checks what both define on
+Every source below uses this one lambda, so their coefficients are
+interchangeable. ``NormCoeffs`` checks what all define on
 construction: every alpha finite and positive, every lambda in [0, 1].
 
-Coefficients come from one of two sources:
+``estimate_coeffs`` is the entry point. It has two sources:
 
-- ``estimate_coeffs`` runs the sampler N times and counts node / edge
-  appearances; the drawn subgraphs are returned so training can reuse
-  them as its first N minibatches.
-- ``analytic_coeffs_edge`` evaluates the closed form for independent
-  edge sampling (pre-induction: the extra edges contributed by node
-  induction are not modeled, so empirical estimation is the default
-  whenever induction matters).
+- exact (``node``, ``edge``, ``edge_independent`` and ``full`` when no
+  draw count is given): p_v and p_uv of the *induced* subgraph in
+  closed form, O(|E|) and with no sampler draws. An arc is in an
+  induced subgraph iff both endpoints are, so both follow from the
+  probabilities q that a node, or a pair of nodes, is missed.
+- empirical (``rw`` and ``mrw``, or any kind given a draw count): run
+  the sampler N times and count node / edge appearances; the drawn
+  subgraphs are returned so training can reuse them as its first N
+  minibatches.
+
+``analytic_coeffs_edge`` is the pre-induction closed form of
+independent edge sampling: it models the drawn edge set only, not the
+edges node induction adds, so it is the object the unbiasedness
+checks simulate edge masks against, not a training default.
 """
 
 from __future__ import annotations
@@ -28,7 +35,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, Subgraph, arc_source_nodes
-from .samplers import SamplerConfig, SubgraphProducer, edge_weights, inclusion_probabilities
+from .samplers import (
+    SamplerConfig,
+    SubgraphProducer,
+    edge_weights,
+    inclusion_probabilities,
+    node_weights,
+)
 
 __all__ = [
     "NormCoeffs",
@@ -45,23 +58,27 @@ class NormCoeffs:
     ----------
     alpha : ndarray of float64, shape (num_arcs,)
         Aggregator normalization per arc; the arc value used during
-        subgraph propagation is norm_values / alpha. Empirical source:
-        edge counter over the arc's row-node counter, with a Laplace
-        fallback (C_e + 1) / (C_v + 1) for never-sampled edges so the
-        division is always defined.
+        subgraph propagation is norm_values / alpha. Exact source:
+        p_uv / p_u for the arc (u, v), and 1 for an arc that no
+        subgraph can hold (p_uv = 0), whose value is never read.
+        Empirical source: edge counter over the arc's row-node counter,
+        with a Laplace fallback (C_e + 1) / (C_v + 1) for never-sampled
+        edges so the division is always defined.
     lam : ndarray of float64, shape (num_nodes,)
-        Loss normalization per node: lambda_v = P(v in V_s), estimated
-        as C_v / N empirically and p_v analytically. Weighting node
-        losses by 1 / lambda makes the minibatch loss estimate the
-        full-graph sum of training-node losses. Zero for never-sampled
-        nodes, which are then excluded from minibatch losses.
+        Loss normalization per node: lambda_v = P(v in V_s), p_v for
+        the exact and analytic sources and C_v / N empirically.
+        Weighting node losses by 1 / lambda makes the minibatch loss
+        estimate the full-graph sum of training-node losses. Zero for
+        nodes no subgraph holds (exact: only isolated nodes;
+        empirical: every never-sampled node), which are then excluded
+        from minibatch losses.
     node_counts, edge_counts : ndarray of int64
         Appearance counters C_v (per node) and C_e (per undirected
-        edge); zeros for the analytic source.
+        edge); zeros for the exact and analytic sources.
     num_subgraphs : int
-        N, the number of pre-processing draws (0 for analytic).
+        N, the number of pre-processing draws (0 for exact and analytic).
     source : str
-        "empirical" or "analytic".
+        "exact", "empirical" or "analytic".
 
     Raises
     ------
@@ -88,6 +105,105 @@ class NormCoeffs:
             raise ValueError(f"node {v} has lambda {self.lam[v]}; lambda must lie in [0, 1]")
 
 
+EXACT_KINDS = ("node", "edge", "edge_independent", "full")
+
+
+def _incident_sum(g: Graph, per_edge: np.ndarray) -> np.ndarray:
+    """Per-node sum of a per-edge quantity over the incident edges; a
+    self-loop counts once."""
+    u, v = g.edge_endpoints[:, 0], g.edge_endpoints[:, 1]
+    nonloop = u != v
+    acc = np.bincount(u, weights=per_edge, minlength=g.num_nodes)
+    acc += np.bincount(v[nonloop], weights=per_edge[nonloop], minlength=g.num_nodes)
+    return acc
+
+
+def _log_miss(g: Graph, p_e: np.ndarray) -> np.ndarray:
+    """log P(v has no drawn edge) per node under independent edge draws
+    with probabilities ``p_e``; -inf where an incident p_e is 1."""
+    with np.errstate(divide="ignore"):
+        return _incident_sum(g, np.log1p(-p_e))
+
+
+def _covered_by_draws(k: int, s_u, s_v, t):
+    """P(k i.i.d. draws cover both u and v), where one draw covers u
+    with probability ``s_u``, v with ``s_v`` and both with ``t``.
+
+    Evaluated as p_u p_v - q_u q_v (1 - exp(-d)) with d = log(q_u q_v /
+    q_uv), not as 1 - q_u - q_v + q_uv, which cancels catastrophically
+    when p_uv is small. The one subtraction left is bounded by how much
+    covering u makes v less likely, about a factor k / (k - 1); one
+    draw covers both only through t, so k = 1 returns t as it is.
+    """
+    if k == 1:
+        return np.array(t, dtype=np.float64)
+    rest = (1.0 - s_u) - (s_v - t)  # one draw covers neither
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_qu, log_qv = k * np.log1p(-s_u), k * np.log1p(-s_v)
+        # q_u q_v / q_uv = ((1 - s_u)(1 - s_v) / rest)^k; q_uv = 0 where rest is
+        d = np.where(rest > 0.0, k * np.log1p((s_u - t) * (s_v - t) / rest - t), np.inf)
+        return np.expm1(log_qu) * np.expm1(log_qv) + np.exp(log_qu + log_qv) * np.expm1(-d)
+
+
+def _exact_coeffs(g: Graph, cfg: SamplerConfig) -> NormCoeffs:
+    """Exact induced coefficients of the node, edge, edge_independent
+    and full samplers.
+
+    A node is in V_s iff a draw covers it, and an arc (u, v) iff both
+    endpoints are. With q the probability of missing a node or a pair:
+
+    - node (n draws from pi): q_v = (1 - pi_v)^n, q_uv = (1 - pi_u - pi_v)^n;
+    - edge (m draws from w / W, s_v = sum of w_e / W over e at v):
+      q_v = (1 - s_v)^m, q_uv = (1 - s_u - s_v + w_uv / W)^m;
+    - edge_independent: q_v = prod over e at v of (1 - p_e),
+      q_uv = q_u q_v / (1 - p_uv), so p_uv = p_e + (1 - p_e) p'_u p'_v
+      with p'_u = 1 - q_u / (1 - p_e), and 1 for a saturated p_e = 1;
+    - full: alpha = lambda = 1.
+
+    Then p_v = 1 - q_v, alpha = p_uv / p_u per arc (u, v), lambda =
+    p_v. A self-loop arc has p_vv = p_v; an isolated node has lambda 0.
+    An arc with p_uv = 0 (``node`` with n = 1) is in no subgraph, so it
+    gets alpha 1, a value no batch reads.
+    """
+    rows = arc_source_nodes(g)
+    if cfg.kind == "full":
+        p_v = np.ones(g.num_nodes)
+        p_pair = np.ones(g.num_edges)
+    else:
+        u, v = g.edge_endpoints[:, 0], g.edge_endpoints[:, 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if cfg.kind == "node":
+                pi = node_weights(g).probabilities()
+                p_v = -np.expm1(cfg.n * np.log1p(-pi))
+                p_pair = _covered_by_draws(cfg.n, pi[u], pi[v], np.zeros(g.num_edges))
+            elif cfg.kind == "edge":
+                t = edge_weights(g).probabilities()
+                # rounding can lift a hub's incident mass past 1
+                s = np.minimum(_incident_sum(g, t), 1.0)
+                p_v = -np.expm1(cfg.m * np.log1p(-s))
+                p_pair = _covered_by_draws(cfg.m, s[u], s[v], t)
+            else:
+                p_e = inclusion_probabilities(g, cfg.m, edge_weights(g))
+                log_q = _log_miss(g, p_e)
+                p_v = -np.expm1(log_q)
+                log_keep = np.log1p(-p_e)
+                others = np.expm1(log_q[u] - log_keep) * np.expm1(log_q[v] - log_keep)
+                p_pair = np.where(p_e < 1.0, p_e + (1.0 - p_e) * others, 1.0)
+        loops = u == v
+        p_pair[loops] = p_v[u[loops]]
+    p_arc = p_pair[g.arc_to_edge]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha = np.where(p_arc == 0.0, 1.0, p_arc / p_v[rows])  # a NaN stays for NormCoeffs to reject
+    return NormCoeffs(
+        alpha=alpha,
+        lam=p_v,
+        node_counts=np.zeros(g.num_nodes, dtype=np.int64),
+        edge_counts=np.zeros(g.num_edges, dtype=np.int64),
+        num_subgraphs=0,
+        source="exact",
+    )
+
+
 def _coeffs_from_counts(g: Graph, node_counts: np.ndarray, edge_counts: np.ndarray, n: int) -> NormCoeffs:
     arc_ce = edge_counts[g.arc_to_edge].astype(np.float64)
     arc_cv = node_counts[arc_source_nodes(g)].astype(np.float64)
@@ -109,21 +225,27 @@ def estimate_coeffs(
     num_subgraphs: int | None = None,
     workers: int = 0,
 ) -> tuple[NormCoeffs, list[Subgraph]]:
-    """Estimate coefficients by running the sampler repeatedly.
+    """Normalization coefficients of ``cfg``'s sampler on ``g``, and the
+    subgraphs drawn to get them.
 
-    Counts, per drawn subgraph, each node present (C_v) and each
-    undirected edge present (C_e), then sets alpha = C_e / C_v per arc
+    With ``num_subgraphs`` None, the ``node``, ``edge``,
+    ``edge_independent`` and ``full`` kinds get their exact induced
+    coefficients (``source`` "exact") and no subgraphs: nothing is
+    drawn. Every other case is estimated empirically: the sampler runs
+    N times, each node present (C_v) and each undirected edge present
+    (C_e) is counted per drawn subgraph, and alpha = C_e / C_v per arc
     and lambda = C_v / N. The drawn subgraphs are returned for reuse as
-    the first training minibatches, which is what keeps pre-processing
-    cheap.
+    the first training minibatches.
 
-    With ``num_subgraphs`` None, N follows the adaptive rule
-    N = ceil(50 |V| / mean |V_s|), the mean taken over ten pilot draws
-    (which count toward N).
+    For ``rw`` and ``mrw`` with ``num_subgraphs`` None, N follows the
+    adaptive rule N = ceil(50 |V| / mean |V_s|), the mean taken over
+    ten pilot draws (which count toward N).
 
     Draw i uses RNG stream (cfg.seed, i); ``workers`` > 0 parallelizes
     production without changing the result.
     """
+    if num_subgraphs is None and cfg.kind in EXACT_KINDS:
+        return _exact_coeffs(g, cfg), []
     node_counts = np.zeros(g.num_nodes, dtype=np.int64)
     edge_counts = np.zeros(g.num_edges, dtype=np.int64)
     subgraphs: list[Subgraph] = []
@@ -160,21 +282,21 @@ def estimate_coeffs(
 
 
 def analytic_coeffs_edge(g: Graph, m: int) -> NormCoeffs:
-    """Closed-form coefficients for independent edge sampling.
+    """Pre-induction closed-form coefficients for independent edge
+    sampling.
 
     With p_e = min(1, m * w_e / sum(w)) the node inclusion probability
     is p_v = 1 - prod_{e incident to v} (1 - p_e); then alpha = p_e /
-    p_v per arc and lambda = p_v. The node-induction step is not
-    modeled (the closed form describes the drawn edge set only).
+    p_v per arc and lambda = p_v. This describes the drawn edge set
+    only: an arc that node induction adds (both endpoints drawn through
+    other edges) is not counted, so alpha here is below the induced
+    p_uv / p_v that ``estimate_coeffs`` returns for
+    ``edge_independent``. lambda is the same. It is the object of the
+    edge-mask unbiasedness checks, which draw edge sets, not induced
+    subgraphs.
     """
     p_e = inclusion_probabilities(g, m, edge_weights(g))
-    with np.errstate(divide="ignore"):
-        log_miss = np.log1p(-p_e)  # -inf where p_e == 1
-    u, v = g.edge_endpoints[:, 0], g.edge_endpoints[:, 1]
-    nonloop = u != v
-    acc = np.bincount(u, weights=log_miss, minlength=g.num_nodes)
-    acc += np.bincount(v[nonloop], weights=log_miss[nonloop], minlength=g.num_nodes)
-    p_v = -np.expm1(acc)
+    p_v = -np.expm1(_log_miss(g, p_e))
     p_v[g.degrees == 0] = 0.0
 
     rows = arc_source_nodes(g)

@@ -119,6 +119,21 @@ class TestEstimateAndEval:
         coeffs = load_coeffs(out / "coeffs.bin", ds.graph)
         assert coeffs.num_subgraphs == 12
 
+    def test_estimate_without_count_writes_exact_cache(self, dataset_dir, tmp_path, capsys):
+        from subgcn import estimate_coeffs, load_dataset
+        from subgcn.data_io import load_coeffs
+
+        out = tmp_path / "est"
+        code = main(["estimate", "--data", str(dataset_dir), "--sampler", "edge-independent",
+                     "--m", "20", "--seed", "3", "--out", str(out)])
+        assert code == 0
+        assert "wrote exact coefficients" in capsys.readouterr().out
+        ds = load_dataset(dataset_dir)
+        coeffs = load_coeffs(out / "coeffs.bin", ds.graph)
+        assert (coeffs.source, coeffs.num_subgraphs) == ("exact", 0)
+        want, _ = estimate_coeffs(ds.graph, SamplerConfig(kind="edge_independent", m=20, seed=3))
+        assert np.array_equal(coeffs.alpha, want.alpha) and np.array_equal(coeffs.lam, want.lam)
+
     def test_eval_prints_f1(self, dataset_dir, tmp_path, capsys):
         out = tmp_path / "run"
         main(["train", "--data", str(dataset_dir), "--sampler", "edge", "--m", "30",

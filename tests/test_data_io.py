@@ -325,6 +325,50 @@ class TestDatasetProperties:
                 assert exc.line is None or 1 <= exc.line <= max(1, num_lines), str(exc)
 
 
+def per_element_text(ds: Dataset) -> dict[str, bytes]:
+    """The dataset files as the element-by-element formatter wrote them:
+    repr(float(x)) per feature, str(int(x)) per label and split tag."""
+    lines = [f"{ds.graph.num_nodes} {ds.graph.num_edges}"]
+    lines += [f"{u} {v}" for u, v in ds.graph.edge_endpoints]
+    files = {"graph.txt": lines}
+    lines = [f"{ds.graph.num_nodes} {ds.features.shape[1]}"]
+    lines += [" ".join(repr(float(x)) for x in row) for row in ds.features]
+    files["features.txt"] = lines
+    lines = [f"{ds.label_mode} {ds.num_classes}"]
+    if ds.label_mode == "single":
+        lines += [str(int(y)) for y in ds.labels]
+    else:
+        lines += [" ".join(str(int(x)) for x in row) for row in ds.labels]
+    files["labels.txt"] = lines
+    files["split.txt"] = [str(int(s)) for s in ds.split]
+    return {name: ("\n".join(rows) + "\n").encode() for name, rows in sorted(files.items())}
+
+
+class TestTextWriterBytes:
+    """save_dataset formats whole rows at once; the bytes must be those
+    of the element-by-element formatter."""
+
+    @pytest.mark.parametrize("make", [
+        minimal_dataset,
+        lambda: generate_sbm(SbmSpec(blocks=3, block_size=30, p_intra=0.2, p_inter=0.02, noise=1.0, seed=4)),
+        lambda: dataclasses.replace(minimal_dataset(), features=np.array([[0.1], [-2.5]], dtype=np.float32)),
+        lambda: Dataset(graph=build_graph([(0, 1), (1, 2)], 3), features=np.arange(6).reshape(3, 2),
+                        labels=np.array([[1, 0], [0, 1], [1, 1]]), split=np.array([0, 1, 2]),
+                        num_classes=2, label_mode="multi"),
+    ])
+    def test_same_bytes_as_per_element_formatter(self, tmp_path, make):
+        ds = make()
+        save_dataset(ds, tmp_path)
+        assert dir_bytes(tmp_path) == per_element_text(ds)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(ds=datasets())
+    def test_same_bytes_on_drawn_datasets(self, ds):
+        with tempfile.TemporaryDirectory() as tmp:
+            save_dataset(ds, tmp)
+            assert dir_bytes(Path(tmp)) == per_element_text(ds)
+
+
 class TestArtifactCaches:
     def test_subgraph_cache_round_trip(self, tmp_path):
         g = generate_er(25, 0.2, seed=1)
@@ -437,6 +481,36 @@ class TestArtifactCaches:
         assert part1.log + part2.log == full.log
         for a, b in zip(part2.model.weights, full.model.weights):
             assert np.array_equal(a, b)
+
+    def test_checkpoint_resume_on_exact_coefficients(self, tmp_path):
+        # No pre-processing draws: every minibatch comes from the producer,
+        # one epoch at a time. A run stopped at epoch 3 and resumed, and a
+        # pooled run, see the same subgraphs as one serial run.
+        ds = generate_sbm(SbmSpec(blocks=2, block_size=20, p_intra=0.3, p_inter=0.02, noise=0.8, seed=3))
+        cfg = SamplerConfig(kind="edge", m=25, seed=4)
+        runs = {}
+        for workers in (0, 2):
+            tcfg = TrainConfig(hidden_dims=(8,), epochs=6, batches_per_epoch=3, seed=11, dropout=0.1,
+                               workers=workers)
+            full = train(ds.graph, ds.features, ds.labels, ds.split, cfg, tcfg, num_classes=2)
+            assert full.coeffs.source == "exact"
+            part1 = train(ds.graph, ds.features, ds.labels, ds.split, cfg, tcfg,
+                          num_classes=2, stop_after_epoch=3)
+            path = tmp_path / f"resume{workers}.ckpt"
+            save_checkpoint(path, ds.graph, part1.checkpoint)
+            part2 = train(ds.graph, ds.features, ds.labels, ds.split, cfg, tcfg,
+                          num_classes=2, resume=load_checkpoint(path, ds.graph))
+            assert part1.log + part2.log == full.log
+            for name in ("weights", "adam_m", "adam_v", "best_weights"):
+                for a, b in zip(getattr(part2.checkpoint, name), getattr(full.checkpoint, name)):
+                    assert np.array_equal(a, b), name
+            assert (part2.checkpoint.iteration, part2.checkpoint.adam_t) == (18, full.checkpoint.adam_t)
+            runs[workers] = full
+        serial, pooled = runs[0], runs[2]
+        assert serial.log == pooled.log
+        for a, b in zip(serial.checkpoint.weights, pooled.checkpoint.weights):
+            assert np.array_equal(a, b)
+
 
 
 LOADERS = {"subgraphs": load_subgraphs, "coeffs": load_coeffs, "checkpoint": load_checkpoint}

@@ -452,6 +452,28 @@ class TestTrainLoop:
         pooled = train(g, feats, labels, split, scfg, TrainConfig(**base, workers=3), num_classes=2)
         assert serial.log == pooled.log
 
+    @pytest.mark.parametrize("num_norm_subgraphs, draws", [(None, 6), (4, 6), (10, 10)])
+    def test_sampler_draws_per_run(self, monkeypatch, num_norm_subgraphs, draws):
+        # exact coefficients draw nothing before training; empirical ones
+        # draw N subgraphs that serve as the first N minibatches
+        from subgcn import samplers
+
+        calls = []
+        real = samplers.sample
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(samplers, "sample", counted)
+        g, feats, labels, split = small_dataset(seed=20)
+        scfg = SamplerConfig(kind="edge", m=6, seed=3)
+        tcfg = TrainConfig(hidden_dims=(4,), epochs=3, batches_per_epoch=2, seed=1,
+                           num_norm_subgraphs=num_norm_subgraphs)
+        result = train(g, feats, labels, split, scfg, tcfg, num_classes=2)
+        assert len(calls) == draws
+        assert result.coeffs.source == ("exact" if num_norm_subgraphs is None else "empirical")
+
     def test_loss_invariant_under_node_relabeling(self):
         g, feats, labels, split = small_dataset(seed=15)
         perm = np.random.default_rng(1).permutation(g.num_nodes)

@@ -1,4 +1,7 @@
-"""Normalization coefficients: counters, closed form, unbiasedness."""
+"""Normalization coefficients: counters, closed forms, unbiasedness."""
+
+import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,9 +18,9 @@ from subgcn import (
 )
 from subgcn.engine import batch_adjacency
 from subgcn.graph import arc_source_nodes, induced_subgraph
-from subgcn.samplers import inclusion_probabilities
+from subgcn.samplers import edge_weights, inclusion_probabilities, node_weights
 
-from conftest import random_graph, small_graphs
+from conftest import random_graph, random_pairs_graph, small_graphs
 
 
 def star_graph(leaves: int):
@@ -97,7 +100,8 @@ class TestEstimateCoeffs:
 
     def test_adaptive_subgraph_count(self):
         g = star_graph(9)  # 10 nodes
-        cfg = SamplerConfig(kind="node", n=5, seed=4)
+        # rw and mrw have no closed form, so they keep the adaptive rule
+        cfg = SamplerConfig(kind="mrw", n=5, r=2, seed=4)
         coeffs, subs = estimate_coeffs(g, cfg)
         avg = np.mean([s.num_nodes for s in subs[:10]])
         assert len(subs) == max(10, int(np.ceil(50.0 * 10 / avg)))
@@ -146,6 +150,148 @@ class TestEstimateCoeffsProperties:
                     edge_counts[e] += 1
         assert coeffs.node_counts.tolist() == node_counts.tolist()
         assert coeffs.edge_counts.tolist() == edge_counts.tolist()
+
+
+def enumerated_probabilities(g, cfg):
+    """Exhaustive oracle: p_v and p_e of the induced subgraph, summed over
+    every outcome of the sampler with its probability (all |V|^n node
+    tuples, all |E|^m edge sequences, all 2^|E| edge subsets)."""
+    edges = [tuple(e) for e in g.edge_endpoints.tolist()]
+    outcomes = []  # (probability, covered node set)
+    if cfg.kind == "node":
+        pi = node_weights(g).probabilities()
+        for tup in itertools.product(range(g.num_nodes), repeat=cfg.n):
+            outcomes.append((float(np.prod(pi[list(tup)])), set(tup)))
+    elif cfg.kind == "edge":
+        t = edge_weights(g).probabilities()
+        for seq in itertools.product(range(g.num_edges), repeat=cfg.m):
+            outcomes.append((float(np.prod(t[list(seq)])), {x for e in seq for x in edges[e]}))
+    else:
+        p = inclusion_probabilities(g, cfg.m)
+        for bits in itertools.product((False, True), repeat=g.num_edges):
+            prob = float(np.prod([p[e] if b else 1.0 - p[e] for e, b in enumerate(bits)]))
+            outcomes.append((prob, {x for e, b in enumerate(bits) if b for x in edges[e]}))
+    p_v = np.zeros(g.num_nodes)
+    p_e = np.zeros(g.num_edges)
+    for prob, covered in outcomes:
+        p_v[list(covered)] += prob
+        for e, (u, v) in enumerate(edges):
+            if u in covered and v in covered:
+                p_e[e] += prob
+    return p_v, p_e
+
+
+def assert_matches_enumeration(g, cfg):
+    coeffs, subs = estimate_coeffs(g, cfg)
+    assert subs == [] and coeffs.source == "exact" and coeffs.num_subgraphs == 0
+    assert not coeffs.node_counts.any() and not coeffs.edge_counts.any()
+    # what NormCoeffs checks on construction
+    assert np.all(np.isfinite(coeffs.alpha) & (coeffs.alpha > 0.0))
+    assert np.all((coeffs.lam >= 0.0) & (coeffs.lam <= 1.0))
+    p_v, p_e = enumerated_probabilities(g, cfg)
+    np.testing.assert_allclose(coeffs.lam, p_v, rtol=1e-12, atol=0.0)
+    p_arc = p_e[g.arc_to_edge]
+    rows = arc_source_nodes(g)
+    want = np.ones(g.num_arcs)  # arcs no subgraph holds get alpha 1
+    held = p_arc > 0.0
+    want[held] = p_arc[held] / p_v[rows[held]]
+    np.testing.assert_allclose(coeffs.alpha, want, rtol=1e-12, atol=0.0)
+
+
+def five_nodes():
+    """Triangle 0-1-2, chord 2-3, self-loop on 3, isolated node 4."""
+    return build_graph([(0, 1), (1, 2), (0, 2), (2, 3), (3, 3)], 5)
+
+
+class TestExactCoeffs:
+    @pytest.mark.parametrize(
+        "kind, budget",
+        [("node", 1), ("node", 2), ("node", 3), ("edge", 1), ("edge", 2), ("edge", 3),
+         ("edge_independent", 1), ("edge_independent", 3), ("edge_independent", 5)],
+    )
+    def test_matches_enumeration(self, kind, budget):
+        field = "n" if kind == "node" else "m"
+        assert_matches_enumeration(five_nodes(), SamplerConfig(kind=kind, **{field: budget}))
+
+    def test_edge_cases_on_five_nodes(self):
+        g = five_nodes()
+        loop_arc = g.row_offsets[3] + int(np.flatnonzero(g.neighbors(3) == 3)[0])
+        for cfg in (SamplerConfig(kind="node", n=1), SamplerConfig(kind="edge", m=2),
+                    SamplerConfig(kind="edge_independent", m=5)):
+            coeffs, _ = estimate_coeffs(g, cfg)
+            assert coeffs.lam[4] == 0.0  # isolated
+            assert np.all(coeffs.lam[:4] > 0.0)  # every other node can be drawn
+            assert coeffs.alpha[loop_arc] == 1.0  # p_vv = p_v
+        # one node per draw: no arc but the loop is ever in a batch
+        coeffs, _ = estimate_coeffs(g, SamplerConfig(kind="node", n=1))
+        assert np.all(coeffs.alpha == 1.0)
+        # m = 5 saturates edge (0, 1): both endpoints are always present
+        p = inclusion_probabilities(g, 5)
+        assert p[0] == 1.0 and p[1] < 1.0
+        coeffs, _ = estimate_coeffs(g, SamplerConfig(kind="edge_independent", m=5))
+        assert coeffs.lam[0] == coeffs.lam[1] == 1.0
+        assert coeffs.alpha[g.row_offsets[0]] == 1.0
+
+    def test_full_sampler_is_exactly_one(self):
+        g = five_nodes()
+        coeffs, subs = estimate_coeffs(g, SamplerConfig(kind="full"))
+        assert subs == [] and coeffs.source == "exact"
+        assert np.all(coeffs.alpha == 1.0) and np.all(coeffs.lam == 1.0)
+
+    def test_walk_samplers_stay_empirical(self, triangle):
+        coeffs, subs = estimate_coeffs(triangle, SamplerConfig(kind="rw", r=1, h=1))
+        assert coeffs.source == "empirical" and coeffs.num_subgraphs == len(subs) > 0
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(g=small_graphs(max_nodes=5, min_pairs=1), kind=st.sampled_from(["node", "edge", "edge_independent"]),
+           budget=st.integers(1, 3))
+    def test_matches_enumeration_on_small_graphs(self, g, kind, budget):
+        size = {"node": g.num_nodes**budget, "edge": g.num_edges**budget, "edge_independent": 2**g.num_edges}
+        if size[kind] > 4096:
+            return
+        field = "n" if kind == "node" else "m"
+        assert_matches_enumeration(g, SamplerConfig(kind=kind, **{field: budget}))
+
+    @pytest.mark.parametrize("kind", ["node", "edge"])
+    def test_small_probabilities_keep_full_precision(self, kind):
+        # On 20 000 nodes one draw covers a node with probability ~1e-4,
+        # where 1 - q_u - q_v + q_uv would lose ~4 digits to cancellation.
+        g = random_pairs_graph(20_000, 40_000, seed=5)
+        k = 2
+        cfg = SamplerConfig(kind=kind, n=k, m=k)
+        coeffs, _ = estimate_coeffs(g, cfg)
+        rows = arc_source_nodes(g)
+        if kind == "node":
+            mass = [Fraction(x) for x in node_weights(g).probabilities()]
+            both = lambda a: Fraction(0)
+        else:
+            t = [Fraction(x) for x in edge_weights(g).probabilities()]
+            mass = [Fraction(0)] * g.num_nodes
+            for e, (u, v) in enumerate(g.edge_endpoints.tolist()):
+                mass[u] += t[e]
+                mass[v] += t[e]
+            both = lambda a: t[g.arc_to_edge[a]]
+        for a in np.random.default_rng(0).choice(g.num_arcs, 40, replace=False).tolist():
+            u, v = int(rows[a]), int(g.col_indices[a])
+            su, sv = mass[u], mass[v]
+            p_u = 1 - (1 - su) ** k
+            p_uv = p_u - (1 - sv) ** k + (1 - su - sv + both(a)) ** k
+            assert abs(Fraction(coeffs.lam[u]) / p_u - 1) < 1e-12
+            assert abs(Fraction(coeffs.alpha[a]) / (p_uv / p_u) - 1) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["node", "edge", "edge_independent"])
+    def test_matches_induced_counts(self, kind):
+        # the counters see node induction; so must the closed form
+        g = build_graph([(i, (i + 1) % 12) for i in range(12)] + [(0, 6), (3, 9)], 12)
+        cfg = SamplerConfig(kind=kind, n=4, m=3, seed=21)
+        exact, _ = estimate_coeffs(g, cfg)
+        draws = 6_000
+        emp, _ = estimate_coeffs(g, cfg, num_subgraphs=draws)
+        p_e = np.zeros(g.num_edges)
+        p_e[g.arc_to_edge] = exact.alpha * exact.lam[arc_source_nodes(g)]
+        for p, count in ((exact.lam, emp.node_counts), (p_e, emp.edge_counts)):
+            z = (count / draws - p) / np.sqrt(p * (1.0 - p) / draws)
+            assert np.abs(z).max() < 4.5
 
 
 class TestAnalyticCoeffs:

@@ -12,6 +12,7 @@ GROUPS = [
     "samplers.serial",
     "samplers.workers2",
     "coeffs",
+    "exact",
     "caches",
     "cli.train",
     "forward",

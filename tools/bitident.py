@@ -11,6 +11,11 @@ imports ``subgcn`` from ``<checkout>/src`` and prints one line
 - ``samplers.serial`` / ``samplers.workers2``: draws of all six sampler
   kinds, serially and from a 2-worker producer;
 - ``coeffs``: every field of the empirical ``NormCoeffs``;
+- ``exact``: every field of the exact ``NormCoeffs`` of the ``node``,
+  ``edge``, ``edge_independent`` and ``full`` samplers, and
+  ``metrics.log`` plus the reloaded checkpoints of one ``subgcn train``
+  run (edge sampler) on exact coefficients, i.e. without
+  ``--num-norm-subgraphs``;
 - ``caches``: the loaded objects (not the file bytes) of a
   ``save_subgraphs`` -> ``load_subgraphs`` round trip of each sampler
   kind's draws and of a ``save_coeffs`` -> ``load_coeffs`` round trip;
@@ -119,21 +124,23 @@ def _caches(subgcn, g, seed: int, coeffs, work: Path) -> str:
     return d.hexdigest()
 
 
-def _cli_train(data_dir: Path, work: Path) -> str:
+def _cli_train(data_dir: Path, work: Path, runs=("edge", "rw"), norm=("--num-norm-subgraphs", "8")) -> str:
+    """Digest of ``metrics.log`` and the reloaded checkpoints of the
+    named ``subgcn train`` runs, each given the ``norm`` flags."""
     from subgcn import data_io
     from subgcn.cli import main
 
     ds = data_io.load_dataset(data_dir)
-    runs = {
+    flags = {
         "edge": ["--sampler", "edge", "--m", str(max(1, ds.graph.num_edges // 20)), "--layers", "3"],
         "rw": ["--sampler", "rw", "--r", str(max(1, ds.graph.num_nodes // 20)), "--h", "2",
                "--layers", "2", "--dropout", "0.2"],
     }
     d = Digest()
-    for name, flags in runs.items():
+    for name in runs:
         out = work / name
-        argv = ["train", "--data", str(data_dir), *flags, "--hidden", "16", "--epochs", "4",
-                "--batches-per-epoch", "3", "--num-norm-subgraphs", "8", "--seed", "7", "--out", str(out)]
+        argv = ["train", "--data", str(data_dir), *flags[name], "--hidden", "16", "--epochs", "4",
+                "--batches-per-epoch", "3", *norm, "--seed", "7", "--out", str(out)]
         with contextlib.redirect_stdout(io.StringIO()):
             code = main(argv)
         if code != 0:
@@ -158,12 +165,19 @@ def digests(subgcn, data_dir: Path, seed: int = 3) -> tuple[dict[str, str], list
         "samplers.workers2": _draws(subgcn, g, seed, workers=2),
     }
 
-    coeffs, _ = normalization.estimate_coeffs(g, _sampler_configs(subgcn, g, seed)[1], num_subgraphs=20)
+    configs = _sampler_configs(subgcn, g, seed)
+    coeffs, _ = normalization.estimate_coeffs(g, configs[1], num_subgraphs=20)
     d = Digest()
     d.add(coeffs)
     out["coeffs"] = d.hexdigest()
 
     with tempfile.TemporaryDirectory() as work:
+        d = Digest()
+        for cfg in configs:
+            if cfg.kind in ("node", "edge", "edge_independent", "full"):
+                d.add(normalization.estimate_coeffs(g, cfg))
+        d.add(_cli_train(data_dir, Path(work) / "exact", runs=("edge",), norm=()))
+        out["exact"] = d.hexdigest()
         out["caches"] = _caches(subgcn, g, seed, coeffs, Path(work))
         out["cli.train"] = _cli_train(data_dir, Path(work))
 
