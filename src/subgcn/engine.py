@@ -4,7 +4,9 @@ training loop.
 One layer computes relu(A_hat @ X @ W) where A_hat is the row-normalized
 adjacency divided per-arc by the aggregator normalization (restricted to
 the minibatch subgraph during training, alpha == 1 on the full graph at
-inference). The final layer is linear; the head (softmax cross-entropy
+inference), doing the sparse product on the narrower side of W:
+A_hat @ (X @ W) when W narrows the width, (A_hat @ X) @ W otherwise.
+The final layer is linear; the head (softmax cross-entropy
 for single-label, per-class sigmoid binary cross-entropy for
 multi-label) lives in the loss. The minibatch loss is the sum of
 per-node losses over sampled training nodes, each divided by its loss
@@ -19,6 +21,7 @@ finite differences in the test suite.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,6 +161,13 @@ def build_batch(
     )
 
 
+def _narrows(w: np.ndarray) -> bool:
+    """Whether a layer with weight ``w`` multiplies by the adjacency
+    after the weight: ``A @ (X @ W)`` when ``W`` narrows the width, so the
+    sparse product runs on the narrower side."""
+    return w.shape[1] < w.shape[0]
+
+
 def _forward(
     adjacency: sp.csr_matrix,
     features: np.ndarray,
@@ -169,16 +179,20 @@ def _forward(
 ):
     """Shared propagation loop; returns (scores, caches, layer_inputs).
 
-    ``caches`` holds the per-layer (dropout mask, aggregate, output)
-    triples for :func:`loss_and_grad` when ``keep_cache`` is set, and
-    ``layer_inputs`` the input of every layer when ``keep_inputs`` is
-    set; otherwise each is empty. A layer's output is its activation
-    (ReLU, applied in place, on every layer but the last), not the
+    A layer computes ``A @ (X @ W)`` when ``W`` narrows the width and
+    ``(A @ X) @ W`` otherwise (see :func:`_narrows`). ``caches`` holds,
+    per layer, the triple (dropout mask, left factor of ``W``'s
+    gradient, output) for :func:`loss_and_grad` when ``keep_cache`` is
+    set: the left factor is the aggregate ``A @ X`` of an unflipped
+    layer and the dropped-out input of a flipped one. ``layer_inputs``
+    holds the input of every layer when ``keep_inputs`` is set;
+    otherwise each is empty. A layer's output is its activation (ReLU,
+    applied in place, on every layer but the last), not the
     pre-activation: ``relu(z) > 0`` equals ``z > 0`` everywhere, so the
     backward pass reads the same ReLU pattern from it. Without a cache,
-    a layer's input and aggregate are released as soon as they are used,
-    so an inference pass holds about two activation matrices at its
-    peak. The scores do not depend on either flag.
+    a layer's input and intermediate product are released as soon as
+    they are used, so an inference pass holds about two activation
+    matrices at its peak. The scores do not depend on either flag.
     """
     x = features.astype(model.weights[0].dtype, copy=False)
     caches = []
@@ -199,14 +213,15 @@ def _forward(
         else:
             mask = None
             xd = x
-        agg = adjacency @ xd
-        del x, xd  # dead once aggregated (``inputs`` keeps its own reference)
-        x = agg @ w
+        flipped = _narrows(w)
+        left = xd if flipped else adjacency @ xd
+        del x, xd  # ``left`` holds what the product needs; ``inputs`` keeps its own reference
+        x = adjacency @ (left @ w) if flipped else left @ w
         if l < last:
             np.maximum(x, 0.0, out=x)
         if keep_cache:
-            caches.append((mask, agg, x))
-        del agg
+            caches.append((mask, left, x))
+        del left
     return x, caches, inputs
 
 
@@ -275,6 +290,13 @@ def loss_and_grad(
     contributing nodes. Raises :class:`EmptyBatchError` when no node
     contributes. ``caches`` comes from :func:`forward_subgraph`; the
     ReLU derivative of a layer is read off its cached activation.
+
+    The backward pass follows each layer's product order. With ``dz``
+    the gradient of a layer's pre-activation, an unflipped layer gives
+    ``grad = (A @ X)^T dz`` and ``dX = A^T (dz W^T)``; a flipped one
+    (``A @ (X @ W)``) first forms ``u = A^T dz``, as narrow as its
+    output, then ``grad = X^T u`` and ``dX = u W^T``. ``X`` is the
+    dropped-out input, and ``dX`` is masked by the same dropout mask.
     """
     contributing = batch.train_mask & (batch.lam > 0.0)
     count = int(contributing.sum())
@@ -292,11 +314,17 @@ def loss_and_grad(
     dout = dscores
     last = model.num_layers - 1
     for l in range(last, -1, -1):
-        mask, agg, out = caches[l]
+        w = model.weights[l]
+        mask, left, out = caches[l]
         dz = dout if l == last else dout * (out > 0.0)
-        grads[l] = agg.T @ dz
+        flipped = _narrows(w)
+        if flipped:
+            dz = batch.adjacency.T @ dz  # now the gradient of X @ W
+        grads[l] = left.T @ dz
         if l > 0:
-            dxd = batch.adjacency.T @ (dz @ model.weights[l].T)
+            dxd = dz @ w.T
+            if not flipped:
+                dxd = batch.adjacency.T @ dxd
             dout = dxd * mask if mask is not None else dxd
     return loss, grads
 
@@ -451,8 +479,9 @@ def train(
     ``num_norm_subgraphs`` is set; otherwise empirical, and those
     draws are reused as the first minibatches. Every other minibatch
     comes from a ``SubgraphProducer``, which draws each epoch's
-    subgraphs before that epoch's steps, so no more than one epoch of
-    subgraphs beyond the empirical draws is held at a time. Stream
+    subgraphs before that epoch's steps. Every subgraph is released
+    once trained on, so after pre-processing no more than the empirical
+    draws not yet trained on plus one epoch of subgraphs is held. Stream
     element i always feeds iteration i + 1, so a resumed or pooled run
     sees the same subgraphs as a serial one.
     Each iteration builds a batch from the next subgraph (only sampled
@@ -515,16 +544,21 @@ def train(
 
     # Stream element i feeds iteration i + 1: the cached pre-processing
     # draws first, then the producer continues the same stream. Each
-    # epoch takes all its subgraphs before its first step.
+    # epoch takes all its subgraphs before its first step, and each
+    # subgraph is released after its step; cached draws this run never
+    # trains on (already trained on before a resume, or beyond its last
+    # epoch) are released up front.
     per_epoch = train_cfg.batches_per_epoch
-    with SubgraphProducer(
-        g, sampler_cfg, workers=train_cfg.workers, start=max(iteration, len(cached))
-    ) as producer:
+    start = max(iteration, len(cached))
+    steps = max(0, last_epoch - start_epoch) * per_epoch
+    pending = deque(cached[iteration : iteration + steps])
+    del cached
+    with SubgraphProducer(g, sampler_cfg, workers=train_cfg.workers, start=start) as producer:
         for epoch in range(start_epoch + 1, last_epoch + 1):
-            subs = cached[iteration : iteration + per_epoch]
-            subs += [producer.take() for _ in range(per_epoch - len(subs))]
+            subs = [pending.popleft() if pending else producer.take() for _ in range(per_epoch)]
             epoch_losses = []
-            for sub in subs:
+            for k in range(per_epoch):
+                sub, subs[k] = subs[k], None
                 iteration += 1
                 if sub.num_nodes == 0:
                     skipped += 1

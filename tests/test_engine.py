@@ -44,16 +44,22 @@ def full_batch(g, features, labels, lam=None, train_mask=None):
     return batch
 
 
-def finite_difference_grads(model, batch, eps=1e-5, mean_loss=False):
+def finite_difference_grads(model, batch, eps=1e-5, mean_loss=False, dropout=0.0):
+    """Central differences of the loss; with ``dropout`` every forward
+    draws the same masks from a freshly seeded RNG."""
+
+    def loss():
+        rng = make_rng(0, 0) if dropout > 0.0 else None
+        s, c = forward_subgraph(model, batch, dropout=dropout, rng=rng)
+        return loss_and_grad(model, batch, s, c, mean_loss=mean_loss)[0]
+
     fd = [np.zeros_like(w) for w in model.weights]
     for l, w in enumerate(model.weights):
         for idx in np.ndindex(*w.shape):
             w[idx] += eps
-            s, c = forward_subgraph(model, batch)
-            lp, _ = loss_and_grad(model, batch, s, c, mean_loss=mean_loss)
+            lp = loss()
             w[idx] -= 2 * eps
-            s, c = forward_subgraph(model, batch)
-            lm, _ = loss_and_grad(model, batch, s, c, mean_loss=mean_loss)
+            lm = loss()
             w[idx] += eps
             fd[l][idx] = (lp - lm) / (2 * eps)
     return fd
@@ -128,6 +134,31 @@ class TestForward:
         assert not np.allclose(scores, forward_full(model, triangle, feats))
 
 
+def old_order_loss_grads(model, adj, feats, labels, dropout, rng):
+    """Reference forward and backward with every layer as ``(A @ X) @ W``:
+    the order before layers did their sparse product on the narrower
+    side. Softmax head, every node in the loss with lambda = 1."""
+    x, caches, last = feats, [], model.num_layers - 1
+    for l, w in enumerate(model.weights):
+        mask = (rng.random(x.shape) >= dropout) / (1.0 - dropout)
+        agg = adj @ (x * mask)
+        x = agg @ w
+        if l < last:
+            x = np.maximum(x, 0.0)
+        caches.append((mask, agg, x))
+    shift = x - x.max(axis=1, keepdims=True)
+    probs = np.exp(shift) / np.exp(shift).sum(axis=1, keepdims=True)
+    dout = probs
+    dout[np.arange(len(labels)), labels] -= 1.0
+    grads = [None] * model.num_layers
+    for l in range(last, -1, -1):
+        mask, agg, out = caches[l]
+        dz = dout if l == last else dout * (out > 0.0)
+        grads[l] = agg.T @ dz
+        dout = (adj.T @ (dz @ model.weights[l].T)) * mask
+    return x, grads
+
+
 class TestFullGraphForward:
     """``forward_full`` and ``layer_inputs_full`` against an explicit
     per-layer loop, and the working memory of an inference pass."""
@@ -141,13 +172,47 @@ class TestFullGraphForward:
         x, want_inputs = feats, []
         for l, w in enumerate(model.weights):
             want_inputs.append(x)
-            z = (adj @ x) @ w
+            # the sparse product runs on the narrower side of w
+            z = adj @ (x @ w) if w.shape[1] < w.shape[0] else (adj @ x) @ w
             x = np.maximum(z, 0.0) if l < model.num_layers - 1 else z
         inputs = layer_inputs_full(model, g, feats)
         assert forward_full(model, g, feats).tobytes() == x.tobytes()
         assert len(inputs) == model.num_layers
         for got, want in zip(inputs, want_inputs):
             assert got.tobytes() == want.tobytes()
+
+    def test_product_order_matches_old_order_to_rounding(self):
+        # 16-64-64-4 flips the last layer: scores and the gradients of a
+        # dropout batch agree with the all-(A @ X) @ W order to 1e-12
+        import tracemalloc
+
+        n = 5000
+        g = random_pairs_graph(n, 4 * n, seed=1)
+        rng = np.random.default_rng(5)
+        feats = rng.standard_normal((n, 16))
+        labels = rng.integers(0, 4, n)
+        model = init_model((16, 64, 64, 4), "softmax", make_rng(3, 0))
+
+        tracemalloc.start()
+        try:
+            got = forward_full(model, g, feats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * n * 64 * 8  # each layer's input is freed before its dense product
+        want, _ = old_order_loss_grads(model, graph_adjacency(g), feats, labels, 0.0, rng)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
+
+        sub = induced_subgraph(g, np.sort(rng.choice(n, 700, replace=False)))
+        batch = build_batch(g, sub, feats, labels, np.zeros(n, dtype=np.int64), None)
+        scores, caches = forward_subgraph(model, batch, dropout=0.3, rng=make_rng(0, 0))
+        _, grads = loss_and_grad(model, batch, scores, caches)
+        _, want_grads = old_order_loss_grads(
+            model, batch.adjacency, batch.features, batch.labels, 0.3, make_rng(0, 0)
+        )
+        for a, b in zip(grads, want_grads):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
 
     def test_inference_peak_memory_below_four_activations(self):
         import tracemalloc
@@ -195,6 +260,22 @@ class TestLossAndGrad:
         for a, b in zip(grads, fd):
             scale = max(np.abs(b).max(), 1e-12)
             assert np.abs(a - b).max() / scale < 1e-4
+
+    def test_flipped_hidden_layer_gradients_match_finite_differences(self):
+        # 3-8-5-2 flips a hidden layer (8 -> 5) and the last one, so the
+        # backward through a cached dropped-out input runs with its
+        # dropout mask and ReLU
+        rng = np.random.default_rng(23)
+        g = random_graph(rng, max_nodes=15)
+        feats = rng.standard_normal((g.num_nodes, 3))
+        labels = rng.integers(0, 2, g.num_nodes)
+        batch = full_batch(g, feats, labels, lam=rng.uniform(0.5, 2.0, g.num_nodes))
+        model = init_model((3, 8, 5, 2), "softmax", make_rng(4, 1))
+        scores, caches = forward_subgraph(model, batch, dropout=0.3, rng=make_rng(0, 0))
+        _, grads = loss_and_grad(model, batch, scores, caches)
+        fd = finite_difference_grads(model, batch, dropout=0.3)
+        for a, b in zip(grads, fd):
+            assert np.abs(a - b).max() / np.abs(b).max() < 1e-6
 
     def test_doubling_lambda_halves_loss_and_grads(self, triangle):
         rng = np.random.default_rng(5)
@@ -473,6 +554,49 @@ class TestTrainLoop:
         result = train(g, feats, labels, split, scfg, tcfg, num_classes=2)
         assert len(calls) == draws
         assert result.coeffs.source == ("exact" if num_norm_subgraphs is None else "empirical")
+
+    @pytest.mark.parametrize("resumed", [False, True])
+    def test_trained_draws_are_released(self, monkeypatch, resumed):
+        # empirical draws serve as the first minibatches; once an epoch
+        # is over its draws (and those before a resume point) are freed
+        import weakref
+
+        from subgcn import engine
+
+        g, feats, labels, split = small_dataset(seed=21)
+        scfg = SamplerConfig(kind="rw", r=3, h=2, seed=5)
+        tcfg = TrainConfig(hidden_dims=(4,), epochs=4, batches_per_epoch=3, seed=2,
+                           num_norm_subgraphs=12)
+        resume = None
+        if resumed:
+            resume = train(g, feats, labels, split, scfg, tcfg, num_classes=2,
+                           stop_after_epoch=1).checkpoint
+
+        refs = []
+        real_estimate, real_forward = engine.estimate_coeffs, engine.forward_full
+
+        def recording_estimate(*args, **kwargs):
+            coeffs, cached = real_estimate(*args, **kwargs)
+            refs.extend(weakref.ref(sub) for sub in cached)
+            return coeffs, cached
+
+        alive_at_validation = []
+
+        def recording_forward(*args, **kwargs):
+            alive_at_validation.append([i for i, r in enumerate(refs) if r() is not None])
+            return real_forward(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "estimate_coeffs", recording_estimate)
+        monkeypatch.setattr(engine, "forward_full", recording_forward)
+        train(g, feats, labels, split, scfg, tcfg, num_classes=2, resume=resume)
+
+        first = 2 if resumed else 1
+        assert len(refs) == 12
+        for epoch, alive in zip(range(first, 5), alive_at_validation):
+            done = 3 * epoch  # draws 0 .. done - 1 have been trained on
+            assert all(i >= done - 1 for i in alive)  # at most the last step's draw remains
+            assert set(range(done, 12)) <= set(alive)
+        assert [r() for r in refs] == [None] * 12
 
     def test_loss_invariant_under_node_relabeling(self):
         g, feats, labels, split = small_dataset(seed=15)

@@ -16,6 +16,7 @@ GROUPS = [
     "caches",
     "cli.train",
     "forward",
+    "grads",
     "variance.closed_form",
     "monte_carlo",
 ]

@@ -22,6 +22,9 @@ imports ``subgcn`` from ``<checkout>/src`` and prints one line
 - ``cli.train``: ``metrics.log`` and the reloaded checkpoint arrays of
   two ``subgcn train`` runs (edge sampler; rw sampler with dropout);
 - ``forward``: ``forward_full`` scores and ``layer_inputs_full``;
+- ``grads``: the loss and weight gradients of ``loss_and_grad`` on one
+  edge-sampler batch with exact coefficients and dropout, for a model
+  whose hidden and last layers both narrow;
 - ``variance.closed_form``: both closed-form variances;
 - ``monte_carlo``: the Monte-Carlo estimates rounded to 12 significant
   digits, and the generator state after each call. The unrounded
@@ -186,6 +189,15 @@ def digests(subgcn, data_dir: Path, seed: int = 3) -> tuple[dict[str, str], list
     d.add(engine.forward_full(model, g, feats))
     d.add(engine.layer_inputs_full(model, g, feats))
     out["forward"] = d.hexdigest()
+
+    model = engine.init_model((feats.shape[1], 32, 8, ds.num_classes), "softmax", samplers.make_rng(seed, 0))
+    with subgcn.SubgraphProducer(g, configs[1]) as producer:
+        sub = producer.take()
+    batch = engine.build_batch(g, sub, feats, ds.labels, ds.split, normalization.estimate_coeffs(g, configs[1])[0])
+    scores, caches = engine.forward_subgraph(model, batch, dropout=0.2, rng=samplers.make_rng(seed, 2))
+    d = Digest()
+    d.add(engine.loss_and_grad(model, batch, scores, caches))
+    out["grads"] = d.hexdigest()
 
     model = engine.init_model((feats.shape[1], 16), "softmax", samplers.make_rng(seed, 0))
     agg = variance.edge_aggregates(g, feats, model)
