@@ -31,7 +31,7 @@ from .samplers import (
     sample_node,
     sample_rw,
 )
-from .normalization import NormCoeffs, analytic_coeffs_edge, estimate_coeffs
+from .normalization import NormCoeffs, estimate_coeffs
 from .engine import (
     Batch,
     Model,
@@ -85,7 +85,6 @@ __all__ = [
     "sample_mrw",
     "NormCoeffs",
     "estimate_coeffs",
-    "analytic_coeffs_edge",
     "Model",
     "Batch",
     "TrainConfig",

@@ -120,7 +120,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--dropout", type=float, default=0.0)
     p.add_argument("--eval-every", type=int, default=1)
     p.add_argument("--mean-loss", action="store_true")
-    p.add_argument("--single-precision", action="store_true")
     p.add_argument(
         "--num-norm-subgraphs",
         type=int,
@@ -212,7 +211,6 @@ def _cmd_train(args) -> int:
         eval_every=args.eval_every,
         seed=args.seed,
         mean_loss=args.mean_loss,
-        single_precision=args.single_precision,
         workers=args.threads,
         num_norm_subgraphs=args.num_norm_subgraphs,
     )

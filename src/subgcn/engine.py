@@ -13,7 +13,7 @@ per-node losses over sampled training nodes, each divided by its loss
 normalization lambda_v = P(v in V_s), which makes it an unbiased
 estimate of the full-graph sum of training-node losses.
 
-Everything runs in double precision by default; gradients are exact
+Everything runs in double precision; gradients are exact
 reverse-mode through the cached forward and are validated against
 finite differences in the test suite.
 """
@@ -75,7 +75,7 @@ class Model:
 
     weights[l] has shape (f_l, f_{l+1}); hidden layers use ReLU, the
     last layer is linear. head is "softmax" (single-label) or "sigmoid"
-    (multi-label).
+    (multi-label). Every weight is float64.
     """
 
     weights: list[np.ndarray]
@@ -84,6 +84,9 @@ class Model:
     def __post_init__(self) -> None:
         if self.head not in HEADS:
             raise ValueError(f"head must be one of {HEADS}")
+        for l, w in enumerate(self.weights):
+            if w.dtype != np.float64:
+                raise ValueError(f"layer {l}: weights must be float64, found {w.dtype}")
         for a, b in zip(self.weights, self.weights[1:]):
             if a.shape[1] != b.shape[0]:
                 raise ValueError("consecutive layer dimensions do not match")
@@ -97,7 +100,6 @@ def init_model(
     dims: tuple[int, ...] | list[int],
     head: str,
     rng: np.random.Generator,
-    dtype=np.float64,
 ) -> Model:
     """Glorot-uniform initialization of the layer weights."""
     if len(dims) < 2:
@@ -105,7 +107,7 @@ def init_model(
     weights = []
     for fi, fo in zip(dims, dims[1:]):
         limit = math.sqrt(6.0 / (fi + fo))
-        weights.append(rng.uniform(-limit, limit, size=(fi, fo)).astype(dtype))
+        weights.append(rng.uniform(-limit, limit, size=(fi, fo)))
     return Model(weights=weights, head=head)
 
 
@@ -194,7 +196,7 @@ def _forward(
     they are used, so an inference pass holds about two activation
     matrices at its peak. The scores do not depend on either flag.
     """
-    x = features.astype(model.weights[0].dtype, copy=False)
+    x = features.astype(np.float64, copy=False)
     caches = []
     inputs = []
     last = model.num_layers - 1
@@ -269,7 +271,7 @@ def _head_loss_and_grad(scores, labels, weights, head):
         dscores = probs
         dscores[np.arange(scores.shape[0]), labels] -= 1.0
     else:
-        y = labels.astype(scores.dtype)
+        y = labels.astype(np.float64)
         losses = (np.maximum(scores, 0.0) - scores * y + np.log1p(np.exp(-np.abs(scores)))).sum(axis=1)
         dscores = expit(scores) - y
     return losses, dscores * weights[:, None]
@@ -302,7 +304,7 @@ def loss_and_grad(
     count = int(contributing.sum())
     if count == 0:
         raise EmptyBatchError
-    node_w = np.zeros(scores.shape[0], dtype=scores.dtype)
+    node_w = np.zeros(scores.shape[0])
     node_w[contributing] = 1.0 / batch.lam[contributing]
     if mean_loss:
         node_w /= count
@@ -403,7 +405,6 @@ class TrainConfig:
     eval_every: int = 1
     seed: int = 0
     mean_loss: bool = False
-    single_precision: bool = False
     workers: int = 0
     num_norm_subgraphs: int | None = None
 
@@ -414,6 +415,10 @@ class TrainConfig:
             raise ValueError("dropout must lie in [0, 1)")
         if self.epochs < 1 or self.batches_per_epoch < 1 or self.eval_every < 1:
             raise ValueError("epochs, batches_per_epoch and eval_every must be positive")
+        if self.workers < 0:
+            raise ValueError("workers must be non-negative")
+        if self.num_norm_subgraphs is not None and self.num_norm_subgraphs < 1:
+            raise ValueError("num_norm_subgraphs must be positive")
 
 
 @dataclass
@@ -493,7 +498,9 @@ def train(
 
     ``resume`` continues from a checkpoint; ``stop_after_epoch`` ends
     the run early at an epoch boundary (the returned checkpoint resumes
-    it). Fixed seeds make the metric log reproducible bit for bit.
+    it). A run that would end before the epochs ``resume`` has done
+    (0 without one) raises ValueError. Fixed seeds make the metric log
+    reproducible bit for bit.
     A non-finite loss or weight gradient raises :class:`NumericError`
     naming the iteration (and, for a gradient, the layer).
     """
@@ -503,8 +510,10 @@ def train(
     head = head_for(labels)
     if num_classes is None:
         num_classes = int(labels.max()) + 1 if mode == "single" else labels.shape[1]
-    dtype = np.float32 if train_cfg.single_precision else np.float64
-    features = features.astype(dtype, copy=False)
+    start_epoch = 0 if resume is None else resume.epochs_done
+    last_epoch = train_cfg.epochs if stop_after_epoch is None else min(train_cfg.epochs, stop_after_epoch)
+    if last_epoch < start_epoch:
+        raise ValueError(f"the run would end at epoch {last_epoch}, before the {start_epoch} epochs already done")
 
     coeffs, cached = estimate_coeffs(
         g,
@@ -515,32 +524,29 @@ def train(
 
     dims = (features.shape[1],) + tuple(train_cfg.hidden_dims) + (num_classes,)
     if resume is None:
-        model = init_model(dims, head, make_rng(train_cfg.seed, 0), dtype=dtype)
+        model = init_model(dims, head, make_rng(train_cfg.seed, 0))
         state = AdamState.zeros_like(model)
         iteration = 0
-        start_epoch = 0
         best_weights = [w.copy() for w in model.weights]
         best_val = -1.0
     else:
         if resume.head != head:
             raise ValueError("checkpoint head does not match the dataset")
-        # checkpoints hold 64-bit floats; the cast back to float32 is lossless
-        model = Model(weights=[w.astype(dtype) for w in resume.weights], head=head)
+        # copies: adam_step updates the weights and moments in place
+        model = Model(weights=[w.copy() for w in resume.weights], head=head)
         state = AdamState(
-            m=[a.astype(dtype) for a in resume.adam_m],
-            v=[a.astype(dtype) for a in resume.adam_v],
+            m=[a.copy() for a in resume.adam_m],
+            v=[a.copy() for a in resume.adam_v],
             t=resume.adam_t,
         )
         iteration = resume.iteration
-        start_epoch = resume.epochs_done
-        best_weights = [w.astype(dtype) for w in resume.best_weights]
+        best_weights = resume.best_weights
         best_val = resume.best_val_f1
 
     val_idx = np.flatnonzero(split == VAL)
     test_idx = np.flatnonzero(split == TEST)
     log: list[str] = []
     skipped = 0
-    last_epoch = min(train_cfg.epochs, stop_after_epoch or train_cfg.epochs)
 
     # Stream element i feeds iteration i + 1: the cached pre-processing
     # draws first, then the producer continues the same stream. Each
@@ -550,7 +556,7 @@ def train(
     # epoch) are released up front.
     per_epoch = train_cfg.batches_per_epoch
     start = max(iteration, len(cached))
-    steps = max(0, last_epoch - start_epoch) * per_epoch
+    steps = (last_epoch - start_epoch) * per_epoch
     pending = deque(cached[iteration : iteration + steps])
     del cached
     with SubgraphProducer(g, sampler_cfg, workers=train_cfg.workers, start=start) as producer:

@@ -7,7 +7,8 @@ loss by 1 / lambda with lambda_v = P(v in V_s) makes the minibatch loss
 an unbiased estimate of the full-graph sum of training-node losses.
 Every source below uses this one lambda, so their coefficients are
 interchangeable. ``NormCoeffs`` checks what all define on
-construction: every alpha finite and positive, every lambda in [0, 1].
+construction: one of the two sources below, every alpha finite and
+positive, every lambda in [0, 1].
 
 ``estimate_coeffs`` is the entry point. It has two sources:
 
@@ -20,11 +21,6 @@ construction: every alpha finite and positive, every lambda in [0, 1].
   the sampler N times and count node / edge appearances; the drawn
   subgraphs are returned so training can reuse them as its first N
   minibatches.
-
-``analytic_coeffs_edge`` is the pre-induction closed form of
-independent edge sampling: it models the drawn edge set only, not the
-edges node induction adds, so it is the object the unbiasedness
-checks simulate edge masks against, not a training default.
 """
 
 from __future__ import annotations
@@ -46,7 +42,6 @@ from .samplers import (
 __all__ = [
     "NormCoeffs",
     "estimate_coeffs",
-    "analytic_coeffs_edge",
 ]
 
 
@@ -66,7 +61,7 @@ class NormCoeffs:
         edges so the division is always defined.
     lam : ndarray of float64, shape (num_nodes,)
         Loss normalization per node: lambda_v = P(v in V_s), p_v for
-        the exact and analytic sources and C_v / N empirically.
+        the exact source and C_v / N empirically.
         Weighting node losses by 1 / lambda makes the minibatch loss
         estimate the full-graph sum of training-node losses. Zero for
         nodes no subgraph holds (exact: only isolated nodes;
@@ -74,17 +69,18 @@ class NormCoeffs:
         from minibatch losses.
     node_counts, edge_counts : ndarray of int64
         Appearance counters C_v (per node) and C_e (per undirected
-        edge); zeros for the exact and analytic sources.
+        edge); zeros for the exact source.
     num_subgraphs : int
-        N, the number of pre-processing draws (0 for exact and analytic).
+        N, the number of pre-processing draws (0 for exact).
     source : str
-        "exact", "empirical" or "analytic".
+        "exact" or "empirical".
 
     Raises
     ------
     ValueError
         Naming the first arc whose alpha is not finite and positive, or
-        the first node whose lambda lies outside [0, 1] (NaN included).
+        the first node whose lambda lies outside [0, 1] (NaN included),
+        or an unknown source.
     """
 
     alpha: np.ndarray
@@ -95,6 +91,8 @@ class NormCoeffs:
     source: str
 
     def __post_init__(self) -> None:
+        if self.source not in ("exact", "empirical"):
+            raise ValueError(f"source {self.source!r:.40} is not 'exact' or 'empirical'")
         bad_alpha = ~(np.isfinite(self.alpha) & (self.alpha > 0.0))
         if bad_alpha.any():
             a = int(np.argmax(bad_alpha))
@@ -116,13 +114,6 @@ def _incident_sum(g: Graph, per_edge: np.ndarray) -> np.ndarray:
     acc = np.bincount(u, weights=per_edge, minlength=g.num_nodes)
     acc += np.bincount(v[nonloop], weights=per_edge[nonloop], minlength=g.num_nodes)
     return acc
-
-
-def _log_miss(g: Graph, p_e: np.ndarray) -> np.ndarray:
-    """log P(v has no drawn edge) per node under independent edge draws
-    with probabilities ``p_e``; -inf where an incident p_e is 1."""
-    with np.errstate(divide="ignore"):
-        return _incident_sum(g, np.log1p(-p_e))
 
 
 def _covered_by_draws(k: int, s_u, s_v, t):
@@ -184,9 +175,9 @@ def _exact_coeffs(g: Graph, cfg: SamplerConfig) -> NormCoeffs:
                 p_pair = _covered_by_draws(cfg.m, s[u], s[v], t)
             else:
                 p_e = inclusion_probabilities(g, cfg.m, edge_weights(g))
-                log_q = _log_miss(g, p_e)
-                p_v = -np.expm1(log_q)
                 log_keep = np.log1p(-p_e)
+                log_q = _incident_sum(g, log_keep)  # log P(v has no drawn edge)
+                p_v = -np.expm1(log_q)
                 others = np.expm1(log_q[u] - log_keep) * np.expm1(log_q[v] - log_keep)
                 p_pair = np.where(p_e < 1.0, p_e + (1.0 - p_e) * others, 1.0)
         loops = u == v
@@ -279,35 +270,3 @@ def estimate_coeffs(
                 absorb(sub)
 
     return _coeffs_from_counts(g, node_counts, edge_counts, len(subgraphs)), subgraphs
-
-
-def analytic_coeffs_edge(g: Graph, m: int) -> NormCoeffs:
-    """Pre-induction closed-form coefficients for independent edge
-    sampling.
-
-    With p_e = min(1, m * w_e / sum(w)) the node inclusion probability
-    is p_v = 1 - prod_{e incident to v} (1 - p_e); then alpha = p_e /
-    p_v per arc and lambda = p_v. This describes the drawn edge set
-    only: an arc that node induction adds (both endpoints drawn through
-    other edges) is not counted, so alpha here is below the induced
-    p_uv / p_v that ``estimate_coeffs`` returns for
-    ``edge_independent``. lambda is the same. It is the object of the
-    edge-mask unbiasedness checks, which draw edge sets, not induced
-    subgraphs.
-    """
-    p_e = inclusion_probabilities(g, m, edge_weights(g))
-    p_v = -np.expm1(_log_miss(g, p_e))
-    p_v[g.degrees == 0] = 0.0
-
-    rows = arc_source_nodes(g)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        alpha = p_e[g.arc_to_edge] / p_v[rows]
-    return NormCoeffs(
-        alpha=alpha,
-        lam=p_v,
-        node_counts=np.zeros(g.num_nodes, dtype=np.int64),
-        edge_counts=np.zeros(g.num_edges, dtype=np.int64),
-        num_subgraphs=0,
-        source="analytic",
-    )
-

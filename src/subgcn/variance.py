@@ -78,8 +78,7 @@ def edge_aggregates(g: Graph, features: np.ndarray, model: Model) -> EdgeAggrega
 
     layer_sum = None
     for x, w in zip(inputs, model.weights):
-        # Promote before the in-place products, as a float64 broadcast would.
-        xt = np.asarray(x @ w, dtype=np.float64)
+        xt = x @ w
         term = xt[u]
         term *= coef_u[:, None]
         v_side = xt[v]

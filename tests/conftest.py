@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from subgcn import build_graph
+from subgcn.graph import arc_source_nodes
+from subgcn.samplers import edge_weights, inclusion_probabilities
 
 
 @pytest.fixture
@@ -111,3 +115,38 @@ def graph_inputs(draw, max_nodes: int = 24, min_pairs: int = 0):
 def small_graphs(max_nodes: int = 24, min_pairs: int = 0):
     """Small graphs built from ``graph_inputs``."""
     return graph_inputs(max_nodes, min_pairs).map(lambda args: build_graph(*args))
+
+
+@dataclass(frozen=True)
+class EdgeMaskCoeffs:
+    """Per-arc alpha and per-node lambda of a drawn edge set."""
+
+    alpha: np.ndarray
+    lam: np.ndarray
+
+
+def analytic_coeffs_edge(g, m: int) -> EdgeMaskCoeffs:
+    """Pre-induction closed-form coefficients for independent edge
+    sampling: the oracle of the edge-mask unbiasedness checks.
+
+    With p_e = min(1, m * w_e / sum(w)) the node inclusion probability
+    is p_v = 1 - prod_{e incident to v} (1 - p_e); then alpha = p_e /
+    p_v per arc and lambda = p_v. This describes the drawn edge set
+    only: an arc that node induction adds (both endpoints drawn through
+    other edges) is not counted, so alpha here is below the induced
+    p_uv / p_v that ``estimate_coeffs`` returns for
+    ``edge_independent``. lambda is the same. The checks that use it
+    draw edge sets, not induced subgraphs.
+    """
+    p_e = inclusion_probabilities(g, m, edge_weights(g))
+    u, v = g.edge_endpoints[:, 0], g.edge_endpoints[:, 1]
+    nonloop = u != v  # a self-loop counts once
+    with np.errstate(divide="ignore"):
+        log_miss = np.log1p(-p_e)
+    log_q = np.bincount(u, weights=log_miss, minlength=g.num_nodes)
+    log_q += np.bincount(v[nonloop], weights=log_miss[nonloop], minlength=g.num_nodes)
+    p_v = -np.expm1(log_q)
+    p_v[g.degrees == 0] = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha = p_e[g.arc_to_edge] / p_v[arc_source_nodes(g)]
+    return EdgeMaskCoeffs(alpha=alpha, lam=p_v)

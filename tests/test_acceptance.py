@@ -41,7 +41,7 @@ from subgcn.data_io import (
     graph_hash,
 )
 from subgcn.graph import arc_source_nodes
-from subgcn.normalization import analytic_coeffs_edge
+from conftest import analytic_coeffs_edge
 from subgcn.samplers import SubgraphProducer, inclusion_probabilities, sample_edge_independent
 from subgcn.variance import budget_probabilities
 

@@ -166,6 +166,12 @@ class TestExitCodes:
     def test_usage_error_is_1(self, capsys):
         assert main(["train", "--bogus"]) == 1
 
+    def test_removed_single_precision_flag_is_1(self, dataset_dir, tmp_path, capsys):
+        assert main(["train", "--data", str(dataset_dir), "--sampler", "edge", "--m", "30",
+                     "--epochs", "1", "--single-precision", "--out", str(tmp_path / "run")]) == 1
+        assert "unrecognized arguments: --single-precision" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("argv, flag", [
         pytest.param(["variance-check", "--m", "5", "--layers", "0"], "--layers", id="variance-check layers 0"),
         pytest.param(["variance-check", "--m", "5", "--layers", "-4"], "--layers", id="variance-check layers -4"),

@@ -622,6 +622,15 @@ class TestContainerValidation:
             LOADERS[kind](path, g)
         assert exc_info.value.path == str(path)
 
+    def test_unknown_coefficient_source_rejected(self, containers, tmp_path):
+        g, files = containers
+        meta = json.loads(header_blob(files["coeffs"]))
+        meta["source"] = "analytic"
+        path = tmp_path / "coeffs"
+        path.write_bytes(with_header(files["coeffs"], json.dumps(meta).encode()))
+        with pytest.raises(DataFormatError, match="source 'analytic' is not 'exact' or 'empirical'"):
+            load_coeffs(path, g)
+
     def test_unparseable_header_blob_rejected(self, containers, tmp_path):
         g, files = containers
         path = tmp_path / "checkpoint"

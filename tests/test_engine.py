@@ -26,10 +26,9 @@ from subgcn.engine import (
     layer_inputs_full,
 )
 from subgcn.graph import arc_source_nodes
-from subgcn.normalization import analytic_coeffs_edge
 from subgcn.samplers import inclusion_probabilities
 
-from conftest import random_graph, random_pairs_graph
+from conftest import analytic_coeffs_edge, random_graph, random_pairs_graph
 
 
 def full_batch(g, features, labels, lam=None, train_mask=None):
@@ -121,6 +120,11 @@ class TestForward:
         batch = full_batch(triangle, np.zeros((3, 4)), np.zeros(3, dtype=np.int64))
         with pytest.raises(ValueError):
             forward_subgraph(model, batch)
+
+    def test_model_rejects_float32_weights(self):
+        w = np.zeros((4, 2))
+        with pytest.raises(ValueError, match="layer 1: weights must be float64"):
+            Model(weights=[np.zeros((3, 4)), w.astype(np.float32)], head="softmax")
 
     def test_dropout_zeroes_and_rescales(self, triangle):
         feats = np.ones((3, 50))
@@ -516,13 +520,57 @@ class TestTrainLoop:
         assert 0.0 <= result.test_f1 <= 1.0
         assert result.log[-1].startswith("test_f1 ")
 
-    def test_single_precision_flag(self):
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64])
+    def test_features_of_any_dtype_train_as_float64(self, dtype):
+        g, feats, labels, split = small_dataset(seed=16)
+        feats = (4.0 * feats).astype(dtype)
+        scfg = SamplerConfig(kind="edge", m=6, seed=2)
+        tcfg = TrainConfig(hidden_dims=(4,), epochs=3, seed=3)
+        got = train(g, feats, labels, split, scfg, tcfg, num_classes=2)
+        want = train(g, feats.astype(np.float64), labels, split, scfg, tcfg, num_classes=2)
+        assert got.log == want.log
+        for a, b in zip(got.model.weights + got.checkpoint.weights,
+                        want.model.weights + want.checkpoint.weights):
+            assert a.dtype == np.float64 and np.array_equal(a, b)
+
+    def test_resume_leaves_the_checkpoint_unchanged(self):
         g, feats, labels, split = small_dataset(seed=16)
         scfg = SamplerConfig(kind="edge", m=6, seed=2)
-        tcfg = TrainConfig(hidden_dims=(4,), epochs=3, seed=3, single_precision=True)
-        result = train(g, feats, labels, split, scfg, tcfg, num_classes=2)
-        assert all(w.dtype == np.float32 for w in result.model.weights)
-        assert result.log  # runs end to end
+        tcfg = TrainConfig(hidden_dims=(4,), epochs=4, seed=3)
+        ckpt = train(g, feats, labels, split, scfg, tcfg, num_classes=2, stop_after_epoch=2).checkpoint
+        groups = (ckpt.weights, ckpt.adam_m, ckpt.adam_v, ckpt.best_weights)
+        before = [[a.copy() for a in group] for group in groups]
+        train(g, feats, labels, split, scfg, tcfg, num_classes=2, resume=ckpt)
+        for group, saved in zip(groups, before):
+            for a, b in zip(group, saved):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("stop, resume_at", [(0, None), (-1, None), (1, 2)],
+                             ids=["zero", "negative", "below resume"])
+    def test_stop_after_epoch(self, stop, resume_at):
+        g, feats, labels, split = small_dataset(seed=16)
+        scfg = SamplerConfig(kind="edge", m=6, seed=2)
+        tcfg = TrainConfig(hidden_dims=(4,), epochs=3, seed=3)
+        resume = None
+        if resume_at is not None:
+            resume = train(g, feats, labels, split, scfg, tcfg, num_classes=2,
+                           stop_after_epoch=resume_at).checkpoint
+        if stop < 0 or resume is not None:
+            with pytest.raises(ValueError, match="before the"):
+                train(g, feats, labels, split, scfg, tcfg, num_classes=2, resume=resume,
+                      stop_after_epoch=stop)
+            return
+        result = train(g, feats, labels, split, scfg, tcfg, num_classes=2, stop_after_epoch=stop)
+        assert result.log == []
+        assert (result.checkpoint.epochs_done, result.checkpoint.iteration) == (0, 0)
+        fresh = init_model((4, 4, 2), "softmax", make_rng(3, 0))
+        for a, b in zip(result.checkpoint.weights, fresh.weights):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("field, value", [("workers", -1), ("num_norm_subgraphs", 0)])
+    def test_config_rejects_out_of_range_counts(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
 
     def test_pooled_sampling_matches_serial_training(self):
         g, feats, labels, split = small_dataset(seed=17)

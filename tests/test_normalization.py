@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from subgcn import (
     NormCoeffs,
     SamplerConfig,
-    analytic_coeffs_edge,
     build_graph,
     estimate_coeffs,
     make_rng,
@@ -20,7 +19,7 @@ from subgcn.engine import batch_adjacency
 from subgcn.graph import arc_source_nodes, induced_subgraph
 from subgcn.samplers import edge_weights, inclusion_probabilities, node_weights
 
-from conftest import random_graph, random_pairs_graph, small_graphs
+from conftest import analytic_coeffs_edge, random_graph, random_pairs_graph, small_graphs
 
 
 def star_graph(leaves: int):
@@ -299,7 +298,6 @@ class TestAnalyticCoeffs:
         coeffs = analytic_coeffs_edge(single_edge, 1)
         assert np.allclose(coeffs.alpha, 1.0)
         assert np.allclose(coeffs.lam, 1.0)  # p_v = 1
-        assert coeffs.source == "analytic"
 
     def test_square_with_chord_node0(self, square_chord):
         coeffs = analytic_coeffs_edge(square_chord, 1)
@@ -332,14 +330,14 @@ class TestAnalyticCoeffs:
                 assert coeffs.lam[v] == pytest.approx(p_v[v], rel=1e-12)
 
 
-def coeffs_of(g, alpha, lam) -> NormCoeffs:
+def coeffs_of(g, alpha, lam, source="exact") -> NormCoeffs:
     return NormCoeffs(
         alpha=alpha,
         lam=lam,
         node_counts=np.zeros(g.num_nodes, dtype=np.int64),
         edge_counts=np.zeros(g.num_edges, dtype=np.int64),
         num_subgraphs=0,
-        source="analytic",
+        source=source,
     )
 
 
@@ -380,6 +378,11 @@ class TestNormCoeffsChecks:
         alpha = np.array([1.0, 1.0, 0.0, np.nan, 1.0, -1.0])
         with pytest.raises(ValueError, match="arc 2 has alpha 0.0"):
             coeffs_of(triangle, alpha, np.ones(3))
+
+    @pytest.mark.parametrize("source", ["analytic", "Exact", ""])
+    def test_unknown_source_rejected(self, triangle, source):
+        with pytest.raises(ValueError, match="is not 'exact' or 'empirical'"):
+            coeffs_of(triangle, np.ones(triangle.num_arcs), np.ones(3), source)
 
     def test_boundary_values_accepted(self, triangle):
         tiny = np.full(triangle.num_arcs, 5e-324)
