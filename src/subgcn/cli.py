@@ -119,7 +119,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--lr", type=float, default=0.01)
     p.add_argument("--dropout", type=float, default=0.0)
     p.add_argument("--eval-every", type=int, default=1)
-    p.add_argument("--mean-loss", action="store_true")
     p.add_argument(
         "--num-norm-subgraphs",
         type=int,
@@ -210,7 +209,6 @@ def _cmd_train(args) -> int:
         batches_per_epoch=args.batches_per_epoch,
         eval_every=args.eval_every,
         seed=args.seed,
-        mean_loss=args.mean_loss,
         workers=args.threads,
         num_norm_subgraphs=args.num_norm_subgraphs,
     )
@@ -250,6 +248,8 @@ def _cmd_eval(args) -> int:
     _check_checkpoint_fits(args.checkpoint, ckpt, ds)
     model = engine.Model(weights=ckpt.weights, head=ckpt.head)
     which = {"train": engine.TRAIN, "val": engine.VAL, "test": engine.TEST}[args.split]
+    if not np.any(ds.split == which):
+        raise DataFormatError(Path(args.data) / "split.txt", None, f"no {args.split} nodes (tag {which}) to evaluate")
     f1 = engine.evaluate(model, ds.graph, ds.features, ds.labels, ds.split, which)
     print(f"{args.split}_f1 {f1!r}")
     return 0

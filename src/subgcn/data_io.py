@@ -85,14 +85,17 @@ class CacheMismatchError(ValueError):
 
 @dataclass
 class Dataset:
-    """Graph plus node features, labels, and a train/val/test split."""
+    """Graph plus node features, labels, and a train/val/test split.
+
+    ``labels`` holds one class ID per node (single-label) or a 0/1 row
+    of ``num_classes`` indicators per node (multi-label).
+    """
 
     graph: Graph
     features: np.ndarray
     labels: np.ndarray
     split: np.ndarray
     num_classes: int
-    label_mode: str  # "single" | "multi"
 
 
 @dataclass(frozen=True)
@@ -231,7 +234,7 @@ def _parse_features(path: Path, num_nodes: int) -> np.ndarray:
     return feats
 
 
-def _parse_labels(path: Path, num_nodes: int) -> tuple[np.ndarray, str, int]:
+def _parse_labels(path: Path, num_nodes: int) -> tuple[np.ndarray, int]:
     lines = _read_lines(path)
     toks = lines[0].split()
     if len(toks) != 2 or toks[0] not in ("single", "multi"):
@@ -246,7 +249,7 @@ def _parse_labels(path: Path, num_nodes: int) -> tuple[np.ndarray, str, int]:
     labels = _table(path, lines[1:], 2, width, np.int64)
     _check_rows(path, ((0 <= labels) & (labels < high)).all(axis=1), 2,
                 lambda i: f"{mode}-label row {labels[i].tolist()!s:.40} has a value outside [0, {high})")
-    return (labels.reshape(-1) if mode == "single" else labels), mode, num_classes
+    return (labels.reshape(-1) if mode == "single" else labels), num_classes
 
 
 def _parse_split(path: Path, num_nodes: int) -> np.ndarray:
@@ -266,10 +269,10 @@ def load_dataset(directory) -> Dataset:
     d = Path(directory)
     edges, num_nodes = _read_graph(d / "graph.txt")
     features = _parse_features(d / "features.txt", num_nodes)
-    labels, mode, num_classes = _parse_labels(d / "labels.txt", num_nodes)
+    labels, num_classes = _parse_labels(d / "labels.txt", num_nodes)
     split = _parse_split(d / "split.txt", num_nodes)
     return Dataset(graph=build_graph(edges, num_nodes), features=features, labels=labels,
-                   split=split, num_classes=num_classes, label_mode=mode)
+                   split=split, num_classes=num_classes)
 
 
 def save_dataset(ds: Dataset, directory) -> None:
@@ -283,9 +286,10 @@ def save_dataset(ds: Dataset, directory) -> None:
     rows.extend(" ".join(map(repr, row)) for row in ds.features.astype(np.float64, copy=False).tolist())
     (d / "features.txt").write_text("\n".join(rows) + "\n")
 
-    rows = [f"{ds.label_mode} {ds.num_classes}"]
+    single = ds.labels.ndim == 1
+    rows = [f"{'single' if single else 'multi'} {ds.num_classes}"]
     labels = ds.labels.astype(np.int64, copy=False).tolist()
-    if ds.label_mode == "single":
+    if single:
         rows.extend(map(str, labels))
     else:
         rows.extend(" ".join(map(str, row)) for row in labels)
@@ -565,7 +569,6 @@ def generate_sbm(spec: SbmSpec) -> Dataset:
         labels=labels,
         split=split,
         num_classes=spec.blocks,
-        label_mode="single",
     )
 
 

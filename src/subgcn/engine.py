@@ -47,7 +47,6 @@ __all__ = [
     "build_batch",
     "forward_subgraph",
     "forward_full",
-    "layer_inputs_full",
     "loss_and_grad",
     "adam_step",
     "f1_micro",
@@ -177,36 +176,31 @@ def _forward(
     dropout: float = 0.0,
     rng: np.random.Generator | None = None,
     keep_cache: bool = False,
-    keep_inputs: bool = False,
 ):
-    """Shared propagation loop; returns (scores, caches, layer_inputs).
+    """Shared propagation loop; returns (scores, caches).
 
     A layer computes ``A @ (X @ W)`` when ``W`` narrows the width and
     ``(A @ X) @ W`` otherwise (see :func:`_narrows`). ``caches`` holds,
     per layer, the triple (dropout mask, left factor of ``W``'s
     gradient, output) for :func:`loss_and_grad` when ``keep_cache`` is
-    set: the left factor is the aggregate ``A @ X`` of an unflipped
-    layer and the dropped-out input of a flipped one. ``layer_inputs``
-    holds the input of every layer when ``keep_inputs`` is set;
-    otherwise each is empty. A layer's output is its activation (ReLU,
-    applied in place, on every layer but the last), not the
-    pre-activation: ``relu(z) > 0`` equals ``z > 0`` everywhere, so the
-    backward pass reads the same ReLU pattern from it. Without a cache,
-    a layer's input and intermediate product are released as soon as
-    they are used, so an inference pass holds about two activation
-    matrices at its peak. The scores do not depend on either flag.
+    set, and is empty otherwise: the left factor is the aggregate
+    ``A @ X`` of an unflipped layer and the dropped-out input of a
+    flipped one. A layer's output is its activation (ReLU, applied in
+    place, on every layer but the last), not the pre-activation:
+    ``relu(z) > 0`` equals ``z > 0`` everywhere, so the backward pass
+    reads the same ReLU pattern from it. Without a cache, a layer's
+    input and intermediate product are released as soon as they are
+    used, so an inference pass holds about two activation matrices at
+    its peak. The scores do not depend on ``keep_cache``.
     """
     x = features.astype(np.float64, copy=False)
     caches = []
-    inputs = []
     last = model.num_layers - 1
     for l, w in enumerate(model.weights):
         if x.shape[1] != w.shape[0]:
             raise ValueError(
                 f"layer {l}: input dimension {x.shape[1]} does not match weight rows {w.shape[0]}"
             )
-        if keep_inputs:
-            inputs.append(x)
         if dropout > 0.0:
             if rng is None:
                 raise ValueError("dropout requires an RNG")
@@ -217,14 +211,14 @@ def _forward(
             xd = x
         flipped = _narrows(w)
         left = xd if flipped else adjacency @ xd
-        del x, xd  # ``left`` holds what the product needs; ``inputs`` keeps its own reference
+        del x, xd  # ``left`` holds what the product needs
         x = adjacency @ (left @ w) if flipped else left @ w
         if l < last:
             np.maximum(x, 0.0, out=x)
         if keep_cache:
             caches.append((mask, left, x))
         del left
-    return x, caches, inputs
+    return x, caches
 
 
 def forward_subgraph(
@@ -239,26 +233,12 @@ def forward_subgraph(
     by :func:`loss_and_grad`. Dropout (training only) is applied to the
     input of every layer.
     """
-    scores, caches, _ = _forward(
-        batch.adjacency, batch.features, model, dropout=dropout, rng=rng, keep_cache=True
-    )
-    return scores, caches
+    return _forward(batch.adjacency, batch.features, model, dropout=dropout, rng=rng, keep_cache=True)
 
 
 def forward_full(model: Model, g: Graph, features: np.ndarray) -> np.ndarray:
     """Full-graph inference scores (alpha == 1, no dropout)."""
-    scores, _, _ = _forward(graph_adjacency(g), features, model)
-    return scores
-
-
-def layer_inputs_full(model: Model, g: Graph, features: np.ndarray) -> list[np.ndarray]:
-    """Per-layer input activations of a full-graph forward pass.
-
-    Element l is the input of layer l (element 0 is the raw feature
-    matrix); used by the variance analysis to form per-edge aggregates.
-    """
-    _, _, inputs = _forward(graph_adjacency(g), features, model, keep_inputs=True)
-    return inputs
+    return _forward(graph_adjacency(g), features, model)[0]
 
 
 def _head_loss_and_grad(scores, labels, weights, head):
@@ -282,16 +262,14 @@ def loss_and_grad(
     batch: Batch,
     scores: np.ndarray,
     caches: list,
-    mean_loss: bool = False,
 ) -> tuple[float, list[np.ndarray]]:
     """Normalized minibatch loss and exact weight gradients.
 
     The loss is sum over sampled training nodes of L_v / lambda_v, an
-    unbiased estimate of the full-graph sum of training-node losses;
-    with ``mean_loss`` it is additionally divided by the number of
-    contributing nodes. Raises :class:`EmptyBatchError` when no node
-    contributes. ``caches`` comes from :func:`forward_subgraph`; the
-    ReLU derivative of a layer is read off its cached activation.
+    unbiased estimate of the full-graph sum of training-node losses.
+    Raises :class:`EmptyBatchError` when no node contributes.
+    ``caches`` comes from :func:`forward_subgraph`; the ReLU derivative
+    of a layer is read off its cached activation.
 
     The backward pass follows each layer's product order. With ``dz``
     the gradient of a layer's pre-activation, an unflipped layer gives
@@ -301,13 +279,10 @@ def loss_and_grad(
     dropped-out input, and ``dX`` is masked by the same dropout mask.
     """
     contributing = batch.train_mask & (batch.lam > 0.0)
-    count = int(contributing.sum())
-    if count == 0:
+    if not contributing.any():
         raise EmptyBatchError
     node_w = np.zeros(scores.shape[0])
     node_w[contributing] = 1.0 / batch.lam[contributing]
-    if mean_loss:
-        node_w /= count
 
     losses, dscores = _head_loss_and_grad(scores, batch.labels, node_w, model.head)
     loss = float((losses * node_w).sum())
@@ -404,7 +379,6 @@ class TrainConfig:
     batches_per_epoch: int = 1
     eval_every: int = 1
     seed: int = 0
-    mean_loss: bool = False
     workers: int = 0
     num_norm_subgraphs: int | None = None
 
@@ -483,12 +457,12 @@ def train(
     ``edge``, ``edge_independent`` and ``full`` samplers unless
     ``num_norm_subgraphs`` is set; otherwise empirical, and those
     draws are reused as the first minibatches. Every other minibatch
-    comes from a ``SubgraphProducer``, which draws each epoch's
-    subgraphs before that epoch's steps. Every subgraph is released
-    once trained on, so after pre-processing no more than the empirical
-    draws not yet trained on plus one epoch of subgraphs is held. Stream
-    element i always feeds iteration i + 1, so a resumed or pooled run
-    sees the same subgraphs as a serial one.
+    comes from a ``SubgraphProducer``, taken by the step that trains on
+    it. Every subgraph is released once trained on, so after
+    pre-processing no more than the empirical draws not yet trained on,
+    the current step's subgraph and a pooled producer's look-ahead are
+    held. Stream element i always feeds iteration i + 1, so a resumed
+    or pooled run sees the same subgraphs as a serial one.
     Each iteration builds a batch from the next subgraph (only sampled
     training nodes contribute to the loss), runs the normalized forward
     pass, backpropagates, and applies Adam. After every ``eval_every``
@@ -550,10 +524,9 @@ def train(
 
     # Stream element i feeds iteration i + 1: the cached pre-processing
     # draws first, then the producer continues the same stream. Each
-    # epoch takes all its subgraphs before its first step, and each
-    # subgraph is released after its step; cached draws this run never
-    # trains on (already trained on before a resume, or beyond its last
-    # epoch) are released up front.
+    # step takes its own subgraph, which is released by the next step;
+    # cached draws this run never trains on (already trained on before
+    # a resume, or beyond its last epoch) are released up front.
     per_epoch = train_cfg.batches_per_epoch
     start = max(iteration, len(cached))
     steps = (last_epoch - start_epoch) * per_epoch
@@ -561,10 +534,9 @@ def train(
     del cached
     with SubgraphProducer(g, sampler_cfg, workers=train_cfg.workers, start=start) as producer:
         for epoch in range(start_epoch + 1, last_epoch + 1):
-            subs = [pending.popleft() if pending else producer.take() for _ in range(per_epoch)]
             epoch_losses = []
-            for k in range(per_epoch):
-                sub, subs[k] = subs[k], None
+            for _ in range(per_epoch):
+                sub = pending.popleft() if pending else producer.take()
                 iteration += 1
                 if sub.num_nodes == 0:
                     skipped += 1
@@ -577,9 +549,7 @@ def train(
                     model, batch, dropout=train_cfg.dropout, rng=rng
                 )
                 try:
-                    loss, grads = loss_and_grad(
-                        model, batch, scores, caches, mean_loss=train_cfg.mean_loss
-                    )
+                    loss, grads = loss_and_grad(model, batch, scores, caches)
                 except EmptyBatchError:
                     skipped += 1
                     continue

@@ -66,10 +66,6 @@ class Graph:
     def num_arcs(self) -> int:
         return int(self.col_indices.shape[0])
 
-    def neighbors(self, v: int) -> np.ndarray:
-        """Neighbor IDs of ``v`` (read-only view)."""
-        return self.col_indices[self.row_offsets[v] : self.row_offsets[v + 1]]
-
 
 @dataclass(frozen=True)
 class Subgraph:

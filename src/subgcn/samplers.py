@@ -296,7 +296,7 @@ class SubgraphProducer:
         )
         self._pending: deque[Future[Subgraph]] = deque()
 
-    def subgraph_at(self, index: int) -> Subgraph:
+    def _subgraph_at(self, index: int) -> Subgraph:
         """Draw stream element ``index`` directly."""
         rng = make_rng(self._cfg.seed, index)
         return sample(self._graph, self._cfg, rng, self._dist)
@@ -304,11 +304,11 @@ class SubgraphProducer:
     def take(self) -> Subgraph:
         """Next subgraph in stream order."""
         if self._pool is None:
-            sub = self.subgraph_at(self._next)
+            sub = self._subgraph_at(self._next)
             self._next += 1
             return sub
         while len(self._pending) < self._ahead:
-            self._pending.append(self._pool.submit(self.subgraph_at, self._next))
+            self._pending.append(self._pool.submit(self._subgraph_at, self._next))
             self._next += 1
         return self._pending.popleft().result()
 

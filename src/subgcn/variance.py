@@ -8,7 +8,7 @@ Bernoulli sampling its variance has the closed form
 
 summed over dimensions, and the probabilities minimizing it under a
 fixed expected edge count m are proportional to ||sum_l b_e^(l)||.
-This module computes the aggregates from a full-graph forward pass,
+This module computes the aggregates from a full-graph propagation,
 evaluates the closed form, draws Monte-Carlo estimates to cross-check
 it, and exposes the survival probability of the contrasting per-layer
 sampling scheme.
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .engine import Model, layer_inputs_full
+from .engine import Model, graph_adjacency
 from .graph import Graph
 
 __all__ = [
@@ -64,11 +64,18 @@ class EdgeAggregates:
 
 
 def edge_aggregates(g: Graph, features: np.ndarray, model: Model) -> EdgeAggregates:
-    """Layer-summed aggregate vectors for every undirected edge."""
+    """Layer-summed aggregate vectors for every undirected edge.
+
+    Propagates over the full graph itself: each layer forms
+    ``xt = x @ W_l`` and adds its edge terms, and every layer but the
+    last then sets ``x = relu(A @ xt)``. That is one gemm per layer and
+    one sparse product per hidden layer. The layer inputs equal those of
+    ``forward_full`` where every hidden layer narrows the width, and
+    agree with them to rounding otherwise.
+    """
     out_dims = {w.shape[1] for w in model.weights}
     if len(out_dims) != 1:
         raise ValueError("edge aggregates require all layers to share one output dimension")
-    inputs = layer_inputs_full(model, g, features)
 
     u = g.edge_endpoints[:, 0]
     v = g.edge_endpoints[:, 1]
@@ -76,8 +83,11 @@ def edge_aggregates(g: Graph, features: np.ndarray, model: Model) -> EdgeAggrega
     coef_u = 1.0 / g.degrees[v]
     coef_v = 1.0 / g.degrees[u]
 
+    adjacency = graph_adjacency(g)
+    last = model.num_layers - 1
+    x = features
     layer_sum = None
-    for x, w in zip(inputs, model.weights):
+    for l, w in enumerate(model.weights):
         xt = x @ w
         term = xt[u]
         term *= coef_u[:, None]
@@ -88,6 +98,9 @@ def edge_aggregates(g: Graph, features: np.ndarray, model: Model) -> EdgeAggrega
             layer_sum = term
         else:
             layer_sum += term
+        if l < last:
+            x = adjacency @ xt
+            np.maximum(x, 0.0, out=x)
     norms = np.linalg.norm(layer_sum, axis=1)
     return EdgeAggregates(layer_sum=layer_sum, norms=norms)
 

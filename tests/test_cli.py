@@ -172,6 +172,12 @@ class TestExitCodes:
         assert "unrecognized arguments: --single-precision" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_removed_mean_loss_flag_is_1(self, dataset_dir, tmp_path, capsys):
+        assert main(["train", "--data", str(dataset_dir), "--sampler", "edge", "--m", "30",
+                     "--epochs", "1", "--mean-loss", "--out", str(tmp_path / "run")]) == 1
+        assert "unrecognized arguments: --mean-loss" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("argv, flag", [
         pytest.param(["variance-check", "--m", "5", "--layers", "0"], "--layers", id="variance-check layers 0"),
         pytest.param(["variance-check", "--m", "5", "--layers", "-4"], "--layers", id="variance-check layers -4"),
@@ -262,7 +268,7 @@ class TestExitCodes:
             (lambda ds: dataclasses.replace(ds, features=np.hstack([ds.features, ds.features[:, :1]])),
              "input width 2 does not match the dataset's 3"),
             (lambda ds: dataclasses.replace(ds, num_classes=3), "class count 2 does not match the dataset's 3"),
-            (lambda ds: dataclasses.replace(ds, labels=np.eye(2, dtype=np.int64)[ds.labels], label_mode="multi"),
+            (lambda ds: dataclasses.replace(ds, labels=np.eye(2, dtype=np.int64)[ds.labels]),
              "head softmax does not match the dataset's sigmoid"),
         ],
         ids=["feature width", "class count", "head"],
@@ -280,6 +286,20 @@ class TestExitCodes:
         assert main(["eval", "--data", str(other), "--checkpoint", str(out / "best.ckpt")]) == 2
         err = capsys.readouterr().err
         assert "data error" in err and "best.ckpt" in err and named in err
+
+    def test_eval_on_split_without_nodes_is_2(self, tmp_path, capsys):
+        ds = generate_sbm(SbmSpec(blocks=2, block_size=20, p_intra=0.3, p_inter=0.03, noise=0.8, seed=1))
+        ds.split[ds.split == 1] = 2  # no validation nodes
+        d = tmp_path / "no_val"
+        save_dataset(ds, d)
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(d), "--sampler", "edge", "--m", "30", "--layers", "1",
+                     "--epochs", "1", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--data", str(d), "--checkpoint", str(out / "best.ckpt"), "--split", "val"]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "split.txt" in err and "no val nodes" in err
+        assert main(["eval", "--data", str(d), "--checkpoint", str(out / "best.ckpt"), "--split", "test"]) == 0
 
     def test_numeric_failure_is_3(self, tmp_path):
         ds = generate_sbm(SbmSpec(blocks=2, block_size=10, p_intra=0.5, p_inter=0.1, noise=0.5, seed=2))

@@ -58,7 +58,6 @@ def minimal_dataset() -> Dataset:
         labels=np.array([0, 1], dtype=np.int64),
         split=np.array([0, 2], dtype=np.int64),
         num_classes=2,
-        label_mode="single",
     )
 
 
@@ -86,13 +85,27 @@ class TestDatasetRoundTrip:
             labels=np.array([[1, 0], [0, 1], [1, 1]], dtype=np.int64),
             split=np.array([0, 1, 2], dtype=np.int64),
             num_classes=2,
-            label_mode="multi",
         )
         save_dataset(ds, tmp_path)
         ds2 = load_dataset(tmp_path)
-        assert ds2.label_mode == "multi"
+        assert ds2.labels.shape == (3, 2)
         assert np.array_equal(ds.labels, ds2.labels)
         assert np.array_equal(ds.features, ds2.features)
+
+
+    @pytest.mark.parametrize("labels, header", [
+        (np.array([0, 2, 1]), "single 3"),
+        (np.array([[1, 0, 0], [0, 1, 1], [0, 0, 0]]), "multi 3"),
+    ], ids=["single", "multi"])
+    def test_label_mode_follows_label_rank(self, tmp_path, labels, header):
+        # the rank of the labels alone sets the header's mode, and a load gives it back
+        ds = Dataset(graph=build_graph([(0, 1), (1, 2)], 3), features=np.zeros((3, 1)),
+                     labels=labels, split=np.array([0, 1, 2]), num_classes=3)
+        save_dataset(ds, tmp_path)
+        assert (tmp_path / "labels.txt").read_text().splitlines()[0] == header
+        back = load_dataset(tmp_path)
+        assert (back.labels.dtype, back.labels.shape) == (np.int64, labels.shape)
+        assert np.array_equal(back.labels, labels)
 
 
 class TestGrammarErrors:
@@ -271,7 +284,6 @@ def datasets(draw) -> Dataset:
         labels=labels.reshape(shape).astype(np.int64),
         split=split.astype(np.int64),
         num_classes=num_classes,
-        label_mode=mode,
     )
 
 
@@ -293,7 +305,7 @@ class TestDatasetProperties:
             back = load_dataset(a)
             save_dataset(back, b)
             assert dir_bytes(a) == dir_bytes(b)
-        assert (back.label_mode, back.num_classes) == (ds.label_mode, ds.num_classes)
+        assert back.num_classes == ds.num_classes
         for name in ("features", "labels", "split"):
             x, y = getattr(ds, name), getattr(back, name)
             assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
@@ -334,8 +346,9 @@ def per_element_text(ds: Dataset) -> dict[str, bytes]:
     lines = [f"{ds.graph.num_nodes} {ds.features.shape[1]}"]
     lines += [" ".join(repr(float(x)) for x in row) for row in ds.features]
     files["features.txt"] = lines
-    lines = [f"{ds.label_mode} {ds.num_classes}"]
-    if ds.label_mode == "single":
+    mode = "single" if ds.labels.ndim == 1 else "multi"
+    lines = [f"{mode} {ds.num_classes}"]
+    if mode == "single":
         lines += [str(int(y)) for y in ds.labels]
     else:
         lines += [" ".join(str(int(x)) for x in row) for row in ds.labels]
@@ -354,7 +367,7 @@ class TestTextWriterBytes:
         lambda: dataclasses.replace(minimal_dataset(), features=np.array([[0.1], [-2.5]], dtype=np.float32)),
         lambda: Dataset(graph=build_graph([(0, 1), (1, 2)], 3), features=np.arange(6).reshape(3, 2),
                         labels=np.array([[1, 0], [0, 1], [1, 1]]), split=np.array([0, 1, 2]),
-                        num_classes=2, label_mode="multi"),
+                        num_classes=2),
     ])
     def test_same_bytes_as_per_element_formatter(self, tmp_path, make):
         ds = make()

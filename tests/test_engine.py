@@ -23,7 +23,6 @@ from subgcn.engine import (
     EmptyBatchError,
     build_batch,
     graph_adjacency,
-    layer_inputs_full,
 )
 from subgcn.graph import arc_source_nodes
 from subgcn.samplers import inclusion_probabilities
@@ -43,14 +42,14 @@ def full_batch(g, features, labels, lam=None, train_mask=None):
     return batch
 
 
-def finite_difference_grads(model, batch, eps=1e-5, mean_loss=False, dropout=0.0):
+def finite_difference_grads(model, batch, eps=1e-5, dropout=0.0):
     """Central differences of the loss; with ``dropout`` every forward
     draws the same masks from a freshly seeded RNG."""
 
     def loss():
         rng = make_rng(0, 0) if dropout > 0.0 else None
         s, c = forward_subgraph(model, batch, dropout=dropout, rng=rng)
-        return loss_and_grad(model, batch, s, c, mean_loss=mean_loss)[0]
+        return loss_and_grad(model, batch, s, c)[0]
 
     fd = [np.zeros_like(w) for w in model.weights]
     for l, w in enumerate(model.weights):
@@ -164,8 +163,8 @@ def old_order_loss_grads(model, adj, feats, labels, dropout, rng):
 
 
 class TestFullGraphForward:
-    """``forward_full`` and ``layer_inputs_full`` against an explicit
-    per-layer loop, and the working memory of an inference pass."""
+    """``forward_full`` against an explicit per-layer loop, and the
+    working memory of an inference pass."""
 
     @pytest.mark.parametrize("dims", [(6, 3), (6, 8, 3), (6, 8, 8, 3)])
     def test_matches_explicit_layer_loop_bitwise(self, dims):
@@ -173,17 +172,12 @@ class TestFullGraphForward:
         feats = np.random.default_rng(4).standard_normal((g.num_nodes, 6))
         model = init_model(dims, "softmax", make_rng(2, 0))
         adj = graph_adjacency(g)
-        x, want_inputs = feats, []
+        x = feats
         for l, w in enumerate(model.weights):
-            want_inputs.append(x)
             # the sparse product runs on the narrower side of w
             z = adj @ (x @ w) if w.shape[1] < w.shape[0] else (adj @ x) @ w
             x = np.maximum(z, 0.0) if l < model.num_layers - 1 else z
-        inputs = layer_inputs_full(model, g, feats)
         assert forward_full(model, g, feats).tobytes() == x.tobytes()
-        assert len(inputs) == model.num_layers
-        for got, want in zip(inputs, want_inputs):
-            assert got.tobytes() == want.tobytes()
 
     def test_product_order_matches_old_order_to_rounding(self):
         # 16-64-64-4 flips the last layer: scores and the gradients of a
@@ -304,17 +298,6 @@ class TestLossAndGrad:
         scores, caches = forward_subgraph(model, batch)
         with pytest.raises(EmptyBatchError):
             loss_and_grad(model, batch, scores, caches)
-
-    def test_mean_loss_flag_divides_by_contributing_count(self, triangle):
-        rng = np.random.default_rng(6)
-        feats = rng.standard_normal((3, 2))
-        labels = np.array([0, 1, 1])
-        model = init_model((2, 2), "softmax", make_rng(1, 0))
-        batch = full_batch(triangle, feats, labels)
-        s, c = forward_subgraph(model, batch)
-        total, _ = loss_and_grad(model, batch, s, c, mean_loss=False)
-        mean, _ = loss_and_grad(model, batch, s, c, mean_loss=True)
-        assert mean == pytest.approx(total / 3.0, rel=1e-15)
 
 
 class TestAdam:

@@ -52,8 +52,8 @@ class TestBuildGraph:
 
     def test_self_loop_flag(self):
         g = build_graph([(0, 1)], 2, self_loops=True)
-        assert np.array_equal(g.neighbors(0), [0, 1])
-        assert np.array_equal(g.neighbors(1), [0, 1])
+        assert np.array_equal(g.col_indices[g.row_offsets[0] : g.row_offsets[1]], [0, 1])
+        assert np.array_equal(g.col_indices[g.row_offsets[1] : g.row_offsets[2]], [0, 1])
         # loop arcs stored once: 1 undirected edge + 2 loops = 4 arcs
         assert g.num_edges == 3
         assert g.num_arcs == 4
@@ -122,7 +122,7 @@ class TestBuildGraphProperties:
         assert np.bincount(g.arc_to_edge, minlength=g.num_edges).tolist() == [1 if u == v else 2 for u, v in edges]
         assert g.row_offsets[0] == 0 and g.row_offsets[-1] == g.num_arcs
         for v, neighbours in adj.items():
-            row = g.neighbors(v)
+            row = g.col_indices[g.row_offsets[v] : g.row_offsets[v + 1]]
             assert np.all(np.diff(row) > 0)
             assert row.tolist() == sorted(neighbours)
             assert g.degrees[v] == len(neighbours)

@@ -214,7 +214,7 @@ class TestExactCoeffs:
 
     def test_edge_cases_on_five_nodes(self):
         g = five_nodes()
-        loop_arc = g.row_offsets[3] + int(np.flatnonzero(g.neighbors(3) == 3)[0])
+        loop_arc = g.row_offsets[3] + int(np.flatnonzero(g.col_indices[g.row_offsets[3] : g.row_offsets[4]] == 3)[0])
         for cfg in (SamplerConfig(kind="node", n=1), SamplerConfig(kind="edge", m=2),
                     SamplerConfig(kind="edge_independent", m=5)):
             coeffs, _ = estimate_coeffs(g, cfg)

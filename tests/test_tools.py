@@ -17,6 +17,9 @@ GROUPS = [
     "cli.train",
     "forward",
     "grads",
+    "edge_aggregates.f_16",
+    "edge_aggregates.f_2_2",
+    "edge_aggregates.f_16_16_16",
     "variance.closed_form",
     "monte_carlo",
 ]

@@ -15,6 +15,7 @@ from subgcn import (
     variance_closed_form,
     variance_monte_carlo,
 )
+from subgcn.engine import graph_adjacency
 from subgcn.variance import EdgeAggregates, _candidate_slots, _kept_slots, _rate_classes, budget_probabilities
 
 from conftest import random_graph, random_pairs_graph
@@ -82,6 +83,36 @@ class TestEdgeAggregates:
         }
         for e, (u, v) in enumerate(g2.edge_endpoints):
             assert np.allclose(agg2.layer_sum[e], by_pair[(int(u), int(v))], atol=1e-12)
+
+    @pytest.mark.parametrize("dims", [(6, 4), (6, 4, 4), (6, 8, 8, 8)])
+    def test_matches_explicit_layer_loop(self, dims):
+        # bitwise against layer inputs relu(A @ (X @ W)); to rounding
+        # against those of forward_full's order, which forms (A @ X) @ W
+        # for a layer that does not narrow
+        g = random_pairs_graph(60, 180, seed=len(dims))
+        feats = np.random.default_rng(4).standard_normal((g.num_nodes, 6))
+        model = init_model(dims, "softmax", make_rng(2, 0))
+        adj = graph_adjacency(g)
+        u, v = g.edge_endpoints[:, 0], g.edge_endpoints[:, 1]
+
+        def layer_sum(next_input):
+            x, terms = feats, []
+            for w in model.weights:
+                xt = x @ w
+                terms.append(xt[u] * (1.0 / g.degrees[v])[:, None] + xt[v] * (1.0 / g.degrees[u])[:, None])
+                x = np.maximum(next_input(x, w, xt), 0.0)
+            total = terms[0]
+            for t in terms[1:]:
+                total = total + t
+            return total
+
+        agg = edge_aggregates(g, feats, model)
+        want = layer_sum(lambda x, w, xt: adj @ xt)
+        assert agg.layer_sum.tobytes() == want.tobytes()
+        assert agg.norms.tobytes() == np.linalg.norm(want, axis=1).tobytes()
+        old = layer_sum(lambda x, w, xt: adj @ xt if w.shape[1] < w.shape[0] else (adj @ x) @ w)
+        np.testing.assert_allclose(agg.layer_sum, old, rtol=1e-12, atol=1e-12 * np.abs(old).max())
+        np.testing.assert_allclose(agg.norms, np.linalg.norm(old, axis=1), rtol=1e-12)
 
     def test_mixed_output_dims_rejected(self, triangle):
         model = Model(weights=[np.zeros((2, 3)), np.zeros((3, 2))], head="softmax")
@@ -205,16 +236,19 @@ class TestMonteCarlo:
         agg = edge_aggregates(g, feats, model)
         probs = optimal_edge_probs(agg, 4)
 
-        # independent target: sum over layers and arcs of value * xt[col]
+        # independent target: sum over layers and arcs of value * xt[col],
+        # with the layer inputs propagated through a dense adjacency
         from subgcn.graph import arc_source_nodes
-        from subgcn.engine import layer_inputs_full
 
         target = np.zeros(agg.layer_sum.shape[1])
-        rows = arc_source_nodes(g)
-        for x, w in zip(layer_inputs_full(model, g, feats), model.weights):
+        dense = np.zeros((g.num_nodes, g.num_nodes))
+        dense[arc_source_nodes(g), g.col_indices] = g.norm_values
+        x = feats
+        for w in model.weights:
             xt = x @ w
             for a in range(g.num_arcs):
                 target += g.norm_values[a] * xt[g.col_indices[a]]
+            x = np.maximum(dense @ xt, 0.0)
 
         trials = 100_000
         rng = make_rng(11, 0)

@@ -6,8 +6,10 @@ them bit-identical.
 imports ``subgcn`` from ``<checkout>/src`` and prints one line
 ``<group> <sha256>`` per group of outputs:
 
-- ``data_io.load_dataset``: every field of the loaded ``Dataset``,
-  the graph's arrays included;
+- ``data_io.load_dataset``: the fields ``graph`` (its arrays
+  included), ``features``, ``labels``, ``split`` and ``num_classes`` of
+  the loaded ``Dataset``, by name, so that checkouts whose ``Dataset``
+  has other fields besides compare alike;
 - ``samplers.serial`` / ``samplers.workers2``: draws of all six sampler
   kinds, serially and from a 2-worker producer;
 - ``coeffs``: every field of the empirical ``NormCoeffs``;
@@ -21,10 +23,13 @@ imports ``subgcn`` from ``<checkout>/src`` and prints one line
   kind's draws and of a ``save_coeffs`` -> ``load_coeffs`` round trip;
 - ``cli.train``: ``metrics.log`` and the reloaded checkpoint arrays of
   two ``subgcn train`` runs (edge sampler; rw sampler with dropout);
-- ``forward``: ``forward_full`` scores and ``layer_inputs_full``;
+- ``forward``: ``forward_full`` scores;
 - ``grads``: the loss and weight gradients of ``loss_and_grad`` on one
   edge-sampler batch with exact coefficients and dropout, for a model
   whose hidden and last layers both narrow;
+- ``edge_aggregates.f_16``, ``edge_aggregates.f_2_2`` and
+  ``edge_aggregates.f_16_16_16``: ``edge_aggregates`` of models with
+  those dimensions, f being the feature width;
 - ``variance.closed_form``: both closed-form variances;
 - ``monte_carlo``: the Monte-Carlo estimates rounded to 12 significant
   digits, and the generator state after each call. The unrounded
@@ -50,6 +55,8 @@ from pathlib import Path
 import numpy as np
 
 DRAWS = 12  # subgraphs drawn per sampler kind
+DATASET_FIELDS = ("graph", "features", "labels", "split", "num_classes")
+AGGREGATE_DIMS = ((16,), (2, 2), (16, 16, 16))  # the layer widths after the features
 
 
 class Digest:
@@ -161,7 +168,9 @@ def digests(subgcn, data_dir: Path, seed: int = 3) -> tuple[dict[str, str], list
     ds = data_io.load_dataset(data_dir)
     g, feats = ds.graph, ds.features
     d = Digest()
-    d.add(ds)
+    for name in DATASET_FIELDS:
+        d.add(name)
+        d.add(getattr(ds, name))
     out = {
         "data_io.load_dataset": d.hexdigest(),
         "samplers.serial": _draws(subgcn, g, seed, workers=0),
@@ -187,7 +196,6 @@ def digests(subgcn, data_dir: Path, seed: int = 3) -> tuple[dict[str, str], list
     model = engine.init_model((feats.shape[1], 32, 32, ds.num_classes), "softmax", samplers.make_rng(seed, 0))
     d = Digest()
     d.add(engine.forward_full(model, g, feats))
-    d.add(engine.layer_inputs_full(model, g, feats))
     out["forward"] = d.hexdigest()
 
     model = engine.init_model((feats.shape[1], 32, 8, ds.num_classes), "softmax", samplers.make_rng(seed, 0))
@@ -198,6 +206,12 @@ def digests(subgcn, data_dir: Path, seed: int = 3) -> tuple[dict[str, str], list
     d = Digest()
     d.add(engine.loss_and_grad(model, batch, scores, caches))
     out["grads"] = d.hexdigest()
+
+    for hidden in AGGREGATE_DIMS:
+        model = engine.init_model((feats.shape[1], *hidden), "softmax", samplers.make_rng(seed, 0))
+        d = Digest()
+        d.add(variance.edge_aggregates(g, feats, model))
+        out["edge_aggregates.f_" + "_".join(map(str, hidden))] = d.hexdigest()
 
     model = engine.init_model((feats.shape[1], 16), "softmax", samplers.make_rng(seed, 0))
     agg = variance.edge_aggregates(g, feats, model)
