@@ -40,7 +40,7 @@ def _add_sampler_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--sampler",
         required=True,
-        choices=["node", "edge", "edge-independent", "rw", "mrw", "full"],
+        choices=[kind.replace("_", "-") for kind in samplers.SAMPLER_KINDS],
     )
     p.add_argument("--n", type=int, help="node budget (node, mrw)")
     p.add_argument("--m", type=int, help="edge budget (edge, edge-independent)")
@@ -138,7 +138,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("variance-check", help="compare optimal and topology edge probabilities")
     p.add_argument("--data", required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--trials", type=int, default=100_000)
+    p.add_argument("--trials", type=_at_least(2), default=100_000)
     p.add_argument("--layers", type=_at_least(1), default=1)
     p.add_argument("--hidden", type=_at_least(1), default=16)
     p.add_argument("--seed", type=int, default=0)
@@ -224,7 +224,7 @@ def _cmd_train(args) -> int:
     for line in result.log:
         print(line)
     if result.skipped_batches:
-        print(f"skipped {result.skipped_batches} empty batches")
+        print(f"skipped {result.skipped_batches} batches with no training node")
     return 0
 
 

@@ -572,7 +572,11 @@ def generate_sbm(spec: SbmSpec) -> Dataset:
     )
 
 
-def generate_regular(d: int, n: int, seed: int = 0, max_tries: int = 2000) -> Graph:
+# Configuration-model draws generate_regular makes before giving up.
+_REGULAR_TRIES = 2000
+
+
+def generate_regular(d: int, n: int, seed: int = 0) -> Graph:
     """Simple d-regular graph via the retried configuration model."""
     if n < 1 or d < 0 or d >= n:
         raise ValueError("need 0 <= d < n")
@@ -581,7 +585,7 @@ def generate_regular(d: int, n: int, seed: int = 0, max_tries: int = 2000) -> Gr
     if d == 0:
         return build_graph(np.zeros((0, 2), dtype=np.int64), n)
     rng = make_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(_REGULAR_TRIES):
         stubs = np.repeat(np.arange(n, dtype=np.int64), d)
         rng.shuffle(stubs)
         pairs = stubs.reshape(-1, 2)

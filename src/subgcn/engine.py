@@ -40,7 +40,6 @@ __all__ = [
     "Checkpoint",
     "TrainResult",
     "NumericError",
-    "EmptyBatchError",
     "init_model",
     "graph_adjacency",
     "batch_adjacency",
@@ -59,13 +58,12 @@ TRAIN, VAL, TEST = 0, 1, 2
 
 HEADS = ("softmax", "sigmoid")
 
+# Adam's moment decay rates and denominator guard.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 class NumericError(RuntimeError):
     """Training produced a non-finite quantity."""
-
-
-class EmptyBatchError(Exception):
-    """Skip signal: the batch contains no loss-contributing nodes."""
 
 
 @dataclass
@@ -257,6 +255,11 @@ def _head_loss_and_grad(scores, labels, weights, head):
     return losses, dscores * weights[:, None]
 
 
+def _contributing(batch: Batch) -> np.ndarray:
+    """Mask of the batch nodes in the loss: training nodes with lambda > 0."""
+    return batch.train_mask & (batch.lam > 0.0)
+
+
 def loss_and_grad(
     model: Model,
     batch: Batch,
@@ -267,7 +270,8 @@ def loss_and_grad(
 
     The loss is sum over sampled training nodes of L_v / lambda_v, an
     unbiased estimate of the full-graph sum of training-node losses.
-    Raises :class:`EmptyBatchError` when no node contributes.
+    A batch where no node contributes gives the empty sum: loss 0.0
+    and zero gradients.
     ``caches`` comes from :func:`forward_subgraph`; the ReLU derivative
     of a layer is read off its cached activation.
 
@@ -278,9 +282,7 @@ def loss_and_grad(
     output, then ``grad = X^T u`` and ``dX = u W^T``. ``X`` is the
     dropped-out input, and ``dX`` is masked by the same dropout mask.
     """
-    contributing = batch.train_mask & (batch.lam > 0.0)
-    if not contributing.any():
-        raise EmptyBatchError
+    contributing = _contributing(batch)
     node_w = np.zeros(scores.shape[0])
     node_w[contributing] = 1.0 / batch.lam[contributing]
 
@@ -327,37 +329,33 @@ def adam_step(
     grads: list[np.ndarray],
     state: AdamState,
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> tuple[Model, AdamState]:
     """One bias-corrected Adam update, in place."""
     state.t += 1
-    c1 = 1.0 - beta1**state.t
-    c2 = 1.0 - beta2**state.t
+    c1 = 1.0 - ADAM_BETA1**state.t
+    c2 = 1.0 - ADAM_BETA2**state.t
     for w, g_, m_, v_ in zip(model.weights, grads, state.m, state.v):
-        m_ *= beta1
-        m_ += (1.0 - beta1) * g_
-        v_ *= beta2
-        v_ += (1.0 - beta2) * g_**2
-        w -= lr * (m_ / c1) / (np.sqrt(v_ / c2) + eps)
+        m_ *= ADAM_BETA1
+        m_ += (1.0 - ADAM_BETA1) * g_
+        v_ *= ADAM_BETA2
+        v_ += (1.0 - ADAM_BETA2) * g_**2
+        w -= lr * (m_ / c1) / (np.sqrt(v_ / c2) + ADAM_EPS)
     return model, state
 
 
-def f1_micro(scores: np.ndarray, labels: np.ndarray, mode: str) -> float:
+def f1_micro(scores: np.ndarray, labels: np.ndarray) -> float:
     """Micro-averaged F1 pooled over all (node, class) decisions.
 
-    ``scores`` are raw model outputs: single-label mode predicts the
-    argmax (micro-F1 then equals accuracy), multi-label mode thresholds
-    the sigmoid at 0.5 (score > 0).
+    ``scores`` are raw model outputs. Single-label (1-D) ``labels``
+    score the argmax (micro-F1 then equals accuracy); multi-label
+    indicator ``labels`` score the sigmoid thresholded at 0.5
+    (score > 0).
     """
     if scores.shape[0] == 0:
         raise ValueError("empty evaluation set")
-    if mode == "single":
+    if labels.ndim == 1:
         pred = scores.argmax(axis=1)
         return float(np.mean(pred == labels))
-    if mode != "multi":
-        raise ValueError("mode must be 'single' or 'multi'")
     pred = scores > 0.0
     truth = labels.astype(bool)
     tp = int((pred & truth).sum())
@@ -425,14 +423,10 @@ class TrainResult:
     skipped_batches: int = 0
 
 
-def _label_mode(labels: np.ndarray) -> str:
-    return "single" if labels.ndim == 1 else "multi"
-
-
 def head_for(labels: np.ndarray) -> str:
     """The head a model trained on ``labels`` uses: softmax for
     single-label (1-D) labels, sigmoid for multi-label indicators."""
-    return "softmax" if _label_mode(labels) == "single" else "sigmoid"
+    return "softmax" if labels.ndim == 1 else "sigmoid"
 
 
 def _fmt(x: float) -> str:
@@ -463,12 +457,15 @@ def train(
     the current step's subgraph and a pooled producer's look-ahead are
     held. Stream element i always feeds iteration i + 1, so a resumed
     or pooled run sees the same subgraphs as a serial one.
-    Each iteration builds a batch from the next subgraph (only sampled
-    training nodes contribute to the loss), runs the normalized forward
-    pass, backpropagates, and applies Adam. After every ``eval_every``
-    epochs the full-graph validation F1-micro is logged and the best
-    model retained; the test score of the best model is appended when
-    training completes.
+    Each iteration builds a batch from the next subgraph, runs the
+    normalized forward pass, backpropagates, and applies Adam. Only
+    sampled training nodes with lambda > 0 contribute to the loss; a
+    batch with none of them (an empty draw included) is skipped before
+    the forward pass and counted in ``skipped_batches``. After every
+    ``eval_every`` epochs the full-graph validation F1-micro is logged
+    and the best model retained, with the mean loss of the epoch's
+    trained batches (``nan`` when every batch was skipped); the test
+    score of the best model is appended when training completes.
 
     ``resume`` continues from a checkpoint; ``stop_after_epoch`` ends
     the run early at an epoch boundary (the returned checkpoint resumes
@@ -480,10 +477,9 @@ def train(
     """
     if not np.any(split == TRAIN):
         raise ValueError("split has no training nodes")
-    mode = _label_mode(labels)
     head = head_for(labels)
     if num_classes is None:
-        num_classes = int(labels.max()) + 1 if mode == "single" else labels.shape[1]
+        num_classes = int(labels.max()) + 1 if labels.ndim == 1 else labels.shape[1]
     start_epoch = 0 if resume is None else resume.epochs_done
     last_epoch = train_cfg.epochs if stop_after_epoch is None else min(train_cfg.epochs, stop_after_epoch)
     if last_epoch < start_epoch:
@@ -538,21 +534,17 @@ def train(
             for _ in range(per_epoch):
                 sub = pending.popleft() if pending else producer.take()
                 iteration += 1
-                if sub.num_nodes == 0:
+                batch = build_batch(g, sub, features, labels, split, coeffs)
+                if not _contributing(batch).any():
                     skipped += 1
                     continue
-                batch = build_batch(g, sub, features, labels, split, coeffs)
                 rng = (
                     make_rng(train_cfg.seed, 2, iteration) if train_cfg.dropout > 0.0 else None
                 )
                 scores, caches = forward_subgraph(
                     model, batch, dropout=train_cfg.dropout, rng=rng
                 )
-                try:
-                    loss, grads = loss_and_grad(model, batch, scores, caches)
-                except EmptyBatchError:
-                    skipped += 1
-                    continue
+                loss, grads = loss_and_grad(model, batch, scores, caches)
                 if not math.isfinite(loss):
                     raise NumericError(
                         f"non-finite loss {loss} at iteration {iteration} "
@@ -569,7 +561,7 @@ def train(
 
             if (epoch % train_cfg.eval_every == 0 or epoch == last_epoch) and val_idx.size:
                 scores = forward_full(model, g, features)
-                val_f1 = f1_micro(scores[val_idx], labels[val_idx], mode)
+                val_f1 = f1_micro(scores[val_idx], labels[val_idx])
                 mean = float(np.mean(epoch_losses)) if epoch_losses else float("nan")
                 log.append(f"iter {iteration} loss {_fmt(mean)} val_f1 {_fmt(val_f1)}")
                 if val_f1 > best_val:
@@ -584,7 +576,7 @@ def train(
     if last_epoch == train_cfg.epochs:
         if test_idx.size:
             scores = forward_full(best_model, g, features)
-            test_f1 = f1_micro(scores[test_idx], labels[test_idx], mode)
+            test_f1 = f1_micro(scores[test_idx], labels[test_idx])
             log.append(f"test_f1 {_fmt(test_f1)}")
 
     checkpoint = Checkpoint(
@@ -620,4 +612,4 @@ def evaluate(
     """F1-micro of full-graph predictions on one split."""
     idx = np.flatnonzero(split == which)
     scores = forward_full(model, g, features)
-    return f1_micro(scores[idx], labels[idx], _label_mode(labels))
+    return f1_micro(scores[idx], labels[idx])

@@ -104,22 +104,18 @@ def _freeze(*arrays: np.ndarray) -> None:
 def build_graph(
     edge_list: Iterable[tuple[int, int]] | np.ndarray,
     num_nodes: int,
-    self_loops: bool = False,
 ) -> Graph:
     """Build the immutable CSR graph from an undirected edge list.
 
     Duplicate pairs and both orientations of the same edge are
-    deduplicated. With ``self_loops`` set, the loop (v, v) is added for
-    every node before degree normalization; loops present in the input
-    are kept either way.
+    deduplicated. Loops (v, v) in the input are kept as single-arc
+    edges, so a graph with a loop on every node passes every (v, v).
 
     Parameters
     ----------
     edge_list : iterable of (u, v) pairs or (k, 2) array
     num_nodes : int
         Must be positive; all endpoints must lie in [0, num_nodes).
-    self_loops : bool
-        Add (v, v) for every v before normalization.
 
     Raises
     ------
@@ -136,10 +132,6 @@ def build_graph(
 
     lo = np.minimum(pairs[:, 0], pairs[:, 1])
     hi = np.maximum(pairs[:, 0], pairs[:, 1])
-    if self_loops:
-        all_ids = np.arange(num_nodes, dtype=np.int64)
-        lo = np.concatenate([lo, all_ids])
-        hi = np.concatenate([hi, all_ids])
 
     # Dedup + canonical lexicographic edge order via a scalar key.
     keys = np.unique(lo * np.int64(num_nodes) + hi)

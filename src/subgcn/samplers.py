@@ -7,8 +7,9 @@ Five samplers produce node multisets that are induced into subgraphs:
 - ``edge``: m edges with replacement, weighted by the sum of inverse
   endpoint degrees (the fast approximate edge sampler).
 - ``edge_independent``: one Bernoulli decision per edge with inclusion
-  probability min(1, m * w_e / sum(w)); the exact object of the
-  variance analysis.
+  probability proportional to w_e, capped at 1, the mass above the cap
+  refilled into the other edges so that the expected count is m (or
+  every edge, if m >= |E|); the exact object of the variance analysis.
 - ``rw``: r uniform roots, each walking h uniform-neighbor hops.
 - ``mrw``: a degree-weighted frontier of r walkers expanded to a node
   budget n.
@@ -38,6 +39,7 @@ __all__ = [
     "make_rng",
     "node_weights",
     "edge_weights",
+    "budget_probabilities",
     "sample_node",
     "sample_edge_approx",
     "sample_edge_independent",
@@ -163,16 +165,47 @@ def sample_edge_approx(
     return induced_subgraph(g, g.edge_endpoints[eids].ravel())
 
 
+def budget_probabilities(weights: np.ndarray, m: float) -> np.ndarray:
+    """Probabilities proportional to ``weights`` with sum m, clipped to 1.
+
+    Mass lost to clipping is redistributed among the unsaturated edges
+    (water-filling) until the sum reaches m or every positive-weight
+    edge is saturated. Zero-weight edges get probability 0.
+    """
+    w = np.asarray(weights, dtype=np.float64)
+    if m <= 0:
+        raise ValueError("budget must be positive")
+    if not np.all(w >= 0):
+        raise ValueError("weights must be non-negative")
+    if not np.any(w > 0):
+        raise ValueError("all weights are zero")
+    p = np.zeros(w.shape[0])
+    active = w > 0
+    remaining = float(m)
+    while remaining > 0 and active.any():
+        scaled = w * (remaining / w[active].sum())
+        saturated = active & (scaled >= 1.0)
+        if not saturated.any():
+            p[active] = scaled[active]
+            break
+        p[saturated] = 1.0
+        remaining -= int(saturated.sum())
+        active &= ~saturated
+    return np.minimum(p, 1.0)
+
+
 def inclusion_probabilities(g: Graph, m: int, weights: Categorical | None = None) -> np.ndarray:
-    """Per-edge Bernoulli probabilities min(1, m * w_e / sum(w))."""
+    """Per-edge Bernoulli probabilities: the edge weights water-filled
+    to the budget m (:func:`budget_probabilities`)."""
     dist = weights if weights is not None else edge_weights(g)
-    return np.minimum(1.0, m * dist.weights / dist.total)
+    return budget_probabilities(dist.weights, m)
 
 
 def sample_edge_independent(
     g: Graph, m: int, rng: np.random.Generator, weights: Categorical | None = None
 ) -> tuple[Subgraph, np.ndarray]:
-    """Independent per-edge Bernoulli sampling with expected count <= m.
+    """Independent per-edge Bernoulli sampling with expected count
+    min(m, |E|).
 
     Returns the subgraph induced over the endpoints of the selected
     edges together with the realized boolean inclusion mask (needed by

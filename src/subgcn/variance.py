@@ -24,6 +24,7 @@ import scipy.sparse as sp
 
 from .engine import Model, graph_adjacency
 from .graph import Graph
+from .samplers import budget_probabilities
 
 __all__ = [
     "EdgeAggregates",
@@ -103,35 +104,6 @@ def edge_aggregates(g: Graph, features: np.ndarray, model: Model) -> EdgeAggrega
             np.maximum(x, 0.0, out=x)
     norms = np.linalg.norm(layer_sum, axis=1)
     return EdgeAggregates(layer_sum=layer_sum, norms=norms)
-
-
-def budget_probabilities(weights: np.ndarray, m: float) -> np.ndarray:
-    """Probabilities proportional to ``weights`` with sum m, clipped to 1.
-
-    Mass lost to clipping is redistributed among the unsaturated edges
-    (water-filling) until the sum reaches m or every positive-weight
-    edge is saturated. Zero-weight edges get probability 0.
-    """
-    w = np.asarray(weights, dtype=np.float64)
-    if m <= 0:
-        raise ValueError("budget must be positive")
-    if not np.all(w >= 0):
-        raise ValueError("weights must be non-negative")
-    if not np.any(w > 0):
-        raise ValueError("all weights are zero")
-    p = np.zeros(w.shape[0])
-    active = w > 0
-    remaining = float(m)
-    while remaining > 0 and active.any():
-        scaled = w * (remaining / w[active].sum())
-        saturated = active & (scaled >= 1.0)
-        if not saturated.any():
-            p[active] = scaled[active]
-            break
-        p[saturated] = 1.0
-        remaining -= int(saturated.sum())
-        active &= ~saturated
-    return np.minimum(p, 1.0)
 
 
 def optimal_edge_probs(aggregates: EdgeAggregates, m: float) -> np.ndarray:

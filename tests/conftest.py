@@ -103,13 +103,16 @@ def random_graph_factory():
 
 @st.composite
 def graph_inputs(draw, max_nodes: int = 24, min_pairs: int = 0):
-    """``(pairs, num_nodes, self_loops)`` arguments of ``build_graph`` from
-    arbitrary pair lists: duplicate and reversed pairs, loops in the
-    input, isolated nodes, and optionally a loop on every node."""
+    """``(pairs, num_nodes)`` arguments of ``build_graph`` from arbitrary
+    pair lists: duplicate and reversed pairs, loops in the input,
+    isolated nodes, and, when a drawn flag is set, a loop (v, v)
+    appended for every node."""
     n = draw(st.integers(1, max_nodes))
     node = st.integers(0, n - 1)
     pairs = draw(st.lists(st.tuples(node, node), min_size=min_pairs, max_size=3 * n))
-    return np.array(pairs, dtype=np.int64).reshape(-1, 2), n, draw(st.booleans())
+    if draw(st.booleans()):
+        pairs += [(v, v) for v in range(n)]
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2), n
 
 
 def small_graphs(max_nodes: int = 24, min_pairs: int = 0):
@@ -129,14 +132,16 @@ def analytic_coeffs_edge(g, m: int) -> EdgeMaskCoeffs:
     """Pre-induction closed-form coefficients for independent edge
     sampling: the oracle of the edge-mask unbiasedness checks.
 
-    With p_e = min(1, m * w_e / sum(w)) the node inclusion probability
-    is p_v = 1 - prod_{e incident to v} (1 - p_e); then alpha = p_e /
-    p_v per arc and lambda = p_v. This describes the drawn edge set
-    only: an arc that node induction adds (both endpoints drawn through
-    other edges) is not counted, so alpha here is below the induced
-    p_uv / p_v that ``estimate_coeffs`` returns for
-    ``edge_independent``. lambda is the same. The checks that use it
-    draw edge sets, not induced subgraphs.
+    With p_e the edge weights w_e water-filled to the budget m
+    (proportional to w_e, capped at 1, the excess refilled into the
+    other edges; ``inclusion_probabilities``) the node inclusion
+    probability is p_v = 1 - prod_{e incident to v} (1 - p_e); then
+    alpha = p_e / p_v per arc and lambda = p_v. This describes the
+    drawn edge set only: an arc that node induction adds (both
+    endpoints drawn through other edges) is not counted, so alpha here
+    is below the induced p_uv / p_v that ``estimate_coeffs`` returns
+    for ``edge_independent``. lambda is the same. The checks that use
+    it draw edge sets, not induced subgraphs.
     """
     p_e = inclusion_probabilities(g, m, edge_weights(g))
     u, v = g.edge_endpoints[:, 0], g.edge_endpoints[:, 1]

@@ -55,6 +55,17 @@ class TestTrainCommand:
             assert line.match(entry)
         assert log[-1].startswith("test_f1 ")
 
+    def test_reports_skipped_batches(self, dataset_dir, tmp_path, capsys):
+        code = main([
+            "train", "--data", str(dataset_dir), "--sampler", "node", "--n", "1",
+            "--hidden", "8", "--epochs", "12", "--seed", "3", "--out", str(tmp_path / "run"),
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        nan_epochs = sum(" loss nan " in line for line in out.splitlines())
+        assert nan_epochs > 0  # one batch per epoch: a skipped batch leaves its epoch no loss
+        assert f"skipped {nan_epochs} batches with no training node" in out
+
     def test_cli_matches_library_call(self, dataset_dir, tmp_path):
         from subgcn import TrainConfig, load_dataset, train
 
@@ -182,6 +193,7 @@ class TestExitCodes:
         pytest.param(["variance-check", "--m", "5", "--layers", "0"], "--layers", id="variance-check layers 0"),
         pytest.param(["variance-check", "--m", "5", "--layers", "-4"], "--layers", id="variance-check layers -4"),
         pytest.param(["variance-check", "--m", "5", "--hidden", "0"], "--hidden", id="variance-check hidden 0"),
+        pytest.param(["variance-check", "--m", "5", "--trials", "1"], "--trials", id="variance-check trials 1"),
         pytest.param(["train", "--sampler", "edge", "--m", "30", "--layers", "0"], "--layers", id="train layers 0"),
         pytest.param(["train", "--sampler", "edge", "--m", "30", "--hidden", "0"], "--hidden", id="train hidden 0"),
         pytest.param(["--threads", "-3", "sample", "--sampler", "edge", "--m", "2", "--count", "1"], "--threads",

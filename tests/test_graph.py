@@ -50,8 +50,8 @@ class TestBuildGraph:
         with pytest.raises(ValueError):
             build_graph([(-1, 0)], 3)
 
-    def test_self_loop_flag(self):
-        g = build_graph([(0, 1)], 2, self_loops=True)
+    def test_self_loop_on_every_node(self):
+        g = build_graph([(0, 1), (0, 0), (1, 1)], 2)
         assert np.array_equal(g.col_indices[g.row_offsets[0] : g.row_offsets[1]], [0, 1])
         assert np.array_equal(g.col_indices[g.row_offsets[1] : g.row_offsets[2]], [0, 1])
         # loop arcs stored once: 1 undirected edge + 2 loops = 4 arcs
@@ -100,9 +100,9 @@ class TestBuildGraph:
             triangle.norm_values[0] = 9.0
 
 
-def adjacency_oracle(pairs, num_nodes: int, self_loops: bool) -> dict[int, set[int]]:
+def adjacency_oracle(pairs, num_nodes: int) -> dict[int, set[int]]:
     """Neighbour sets of the undirected graph on ``pairs``, by brute force."""
-    adj = {v: {v} if self_loops else set() for v in range(num_nodes)}
+    adj = {v: set() for v in range(num_nodes)}
     for u, v in pairs.tolist():
         adj[u].add(v)
         adj[v].add(u)
@@ -158,7 +158,7 @@ class TestInducedSubgraph:
             induced_subgraph(triangle, [0, 7])
 
     def test_induction_keeps_self_loops(self):
-        g = build_graph([(0, 1), (1, 2)], 3, self_loops=True)
+        g = build_graph([(0, 1), (1, 2), (0, 0), (1, 1), (2, 2)], 3)
         sub = induced_subgraph(g, [0, 2])
         # non-adjacent pair: only the two loop arcs survive
         assert subgraph_arcs_original(sub) == {(0, 0), (2, 2)}

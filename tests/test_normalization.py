@@ -27,10 +27,21 @@ def star_graph(leaves: int):
 
 
 def analytic_reference(g, m):
-    """Independent per-edge oracle evaluated with plain python loops."""
+    """Independent per-edge oracle evaluated with plain python loops:
+    p_e proportional to w_e, capped at 1, and water-filled (edges that
+    reach the cap take 1 each, and the rest share what is left of m)."""
     w = {tuple(e): 1.0 / g.degrees[e[0]] + 1.0 / g.degrees[e[1]] for e in g.edge_endpoints.tolist()}
-    total = sum(w.values())
-    p_e = {e: min(1.0, m * we / total) for e, we in w.items()}
+    p_e, free, budget = {}, dict(w), m
+    while free:
+        total = sum(free.values())
+        capped = [e for e, we in free.items() if budget * we / total >= 1.0]
+        if not capped:
+            p_e.update((e, budget * we / total) for e, we in free.items())
+            break
+        for e in capped:
+            p_e[e] = 1.0
+            del free[e]
+        budget -= len(capped)
     p_v = {}
     for v in range(g.num_nodes):
         miss = 1.0

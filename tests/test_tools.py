@@ -15,6 +15,7 @@ GROUPS = [
     "exact",
     "caches",
     "cli.train",
+    "train.skips",
     "forward",
     "grads",
     "edge_aggregates.f_16",

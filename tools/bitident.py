@@ -23,6 +23,10 @@ imports ``subgcn`` from ``<checkout>/src`` and prints one line
   kind's draws and of a ``save_coeffs`` -> ``load_coeffs`` round trip;
 - ``cli.train``: ``metrics.log`` and the reloaded checkpoint arrays of
   two ``subgcn train`` runs (edge sampler; rw sampler with dropout);
+- ``train.skips``: the same, also with ``--num-norm-subgraphs 8``, for
+  two ``subgcn train`` runs that skip batches with no training node
+  (edge_independent sampler with m 1 and dropout; node sampler with
+  n 2);
 - ``forward``: ``forward_full`` scores;
 - ``grads``: the loss and weight gradients of ``loss_and_grad`` on one
   edge-sampler batch with exact coefficients and dropout, for a model
@@ -36,6 +40,9 @@ imports ``subgcn`` from ``<checkout>/src`` and prints one line
   estimates follow on a ``#`` line, since a change of summation order
   may move them in the last bits.
 
+Every ``subgcn train`` digest also holds the number of skipped batches
+that the run prints, whatever the wording of that line.
+
 Run it on two checkouts and diff the outputs. The dataset is a 2-block
 SBM made in memory, or the text dataset in ``--data`` (for example a
 benchmark input written by ``perfbench/gen.py``).
@@ -48,6 +55,7 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -135,8 +143,9 @@ def _caches(subgcn, g, seed: int, coeffs, work: Path) -> str:
 
 
 def _cli_train(data_dir: Path, work: Path, runs=("edge", "rw"), norm=("--num-norm-subgraphs", "8")) -> str:
-    """Digest of ``metrics.log`` and the reloaded checkpoints of the
-    named ``subgcn train`` runs, each given the ``norm`` flags."""
+    """Digest of ``metrics.log``, the reloaded checkpoints and the
+    printed skip count of the named ``subgcn train`` runs, each given
+    the ``norm`` flags."""
     from subgcn import data_io
     from subgcn.cli import main
 
@@ -145,16 +154,20 @@ def _cli_train(data_dir: Path, work: Path, runs=("edge", "rw"), norm=("--num-nor
         "edge": ["--sampler", "edge", "--m", str(max(1, ds.graph.num_edges // 20)), "--layers", "3"],
         "rw": ["--sampler", "rw", "--r", str(max(1, ds.graph.num_nodes // 20)), "--h", "2",
                "--layers", "2", "--dropout", "0.2"],
+        "edge_independent": ["--sampler", "edge-independent", "--m", "1", "--layers", "2", "--dropout", "0.2"],
+        "node": ["--sampler", "node", "--n", "2", "--layers", "2"],
     }
     d = Digest()
     for name in runs:
         out = work / name
         argv = ["train", "--data", str(data_dir), *flags[name], "--hidden", "16", "--epochs", "4",
                 "--batches-per-epoch", "3", *norm, "--seed", "7", "--out", str(out)]
-        with contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
             code = main(argv)
         if code != 0:
             raise SystemExit(f"subgcn {' '.join(argv)} exited {code}")
+        skipped = re.search(r"^skipped (\d+) ", stdout.getvalue(), re.MULTILINE)
+        d.add(int(skipped.group(1)) if skipped else 0)
         d.add((out / "metrics.log").read_bytes())
         for ckpt in ("final.ckpt", "best.ckpt"):
             d.add(data_io.load_checkpoint(out / ckpt, ds.graph))
@@ -192,6 +205,7 @@ def digests(subgcn, data_dir: Path, seed: int = 3) -> tuple[dict[str, str], list
         out["exact"] = d.hexdigest()
         out["caches"] = _caches(subgcn, g, seed, coeffs, Path(work))
         out["cli.train"] = _cli_train(data_dir, Path(work))
+        out["train.skips"] = _cli_train(data_dir, Path(work) / "skips", runs=("edge_independent", "node"))
 
     model = engine.init_model((feats.shape[1], 32, 32, ds.num_classes), "softmax", samplers.make_rng(seed, 0))
     d = Digest()
