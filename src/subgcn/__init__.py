@@ -21,6 +21,7 @@ from .samplers import (
     Categorical,
     SamplerConfig,
     SubgraphProducer,
+    draw_plan,
     edge_weights,
     make_rng,
     node_weights,
@@ -77,6 +78,7 @@ __all__ = [
     "make_rng",
     "node_weights",
     "edge_weights",
+    "draw_plan",
     "sample",
     "sample_node",
     "sample_edge_approx",

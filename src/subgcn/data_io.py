@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .engine import HEADS, Checkpoint
-from .graph import Graph, Subgraph, build_graph, empty_subgraph, induced_subgraph
+from .graph import Graph, Subgraph, build_graph, induced_subgraph
 from .normalization import NormCoeffs
 from .samplers import SamplerConfig, make_rng
 
@@ -436,7 +436,7 @@ def load_subgraphs(path, g: Graph) -> tuple[SamplerConfig, list[Subgraph]]:
                 raise DataFormatError(
                     path, None, f"subgraph {i}: nodes must be strictly increasing in [0, {g.num_nodes})"
                 )
-            subs.append(induced_subgraph(g, nodes) if nodes.size else empty_subgraph())
+            subs.append(induced_subgraph(g, nodes))
     return cfg, subs
 
 

@@ -30,7 +30,7 @@ from scipy.special import expit
 
 from .graph import Graph, Subgraph
 from .normalization import NormCoeffs, estimate_coeffs
-from .samplers import SamplerConfig, SubgraphProducer, make_rng
+from .samplers import SamplerConfig, SubgraphProducer, _check_seed, make_rng
 
 __all__ = [
     "Model",
@@ -391,6 +391,7 @@ class TrainConfig:
             raise ValueError("workers must be non-negative")
         if self.num_norm_subgraphs is not None and self.num_norm_subgraphs < 1:
             raise ValueError("num_norm_subgraphs must be positive")
+        _check_seed(self.seed)
 
 
 @dataclass
@@ -416,7 +417,6 @@ class Checkpoint:
 class TrainResult:
     model: Model
     log: list[str]
-    best_val_f1: float
     test_f1: float
     coeffs: NormCoeffs
     checkpoint: Checkpoint
@@ -593,7 +593,6 @@ def train(
     return TrainResult(
         model=best_model,
         log=log,
-        best_val_f1=best_val,
         test_f1=test_f1,
         coeffs=coeffs,
         checkpoint=checkpoint,

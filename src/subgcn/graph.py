@@ -23,7 +23,6 @@ __all__ = [
     "build_graph",
     "induced_subgraph",
     "arc_source_nodes",
-    "empty_subgraph",
 ]
 
 
@@ -169,7 +168,8 @@ def induced_subgraph(g: Graph, node_ids: Iterable[int] | np.ndarray) -> Subgraph
     """Extract the subgraph induced by a multiset of node IDs.
 
     The local CSR contains exactly the parent arcs with both endpoints
-    in the set; repeated IDs count once.
+    in the set; repeated IDs count once. An empty set induces the
+    subgraph of no nodes (a sampler draw that selected nothing).
 
     Each call allocates O(|V|) scratch memory of its own: a boolean
     membership mask and an uninitialized global-to-local ID map (only
@@ -178,13 +178,11 @@ def induced_subgraph(g: Graph, node_ids: Iterable[int] | np.ndarray) -> Subgraph
     Raises
     ------
     ValueError
-        On an empty node set or an out-of-range ID.
+        On an out-of-range ID.
     """
     ids = np.asarray(list(node_ids) if not isinstance(node_ids, np.ndarray) else node_ids)
     ids = ids.ravel().astype(np.int64, copy=False)
-    if ids.size == 0:
-        raise ValueError("cannot induce a subgraph from an empty node set")
-    if ids.min() < 0 or ids.max() >= g.num_nodes:
+    if ids.size and (ids.min() < 0 or ids.max() >= g.num_nodes):
         raise ValueError("node ID out of range")
     inset = np.zeros(g.num_nodes, dtype=bool)
     inset[ids] = True
@@ -209,14 +207,6 @@ def induced_subgraph(g: Graph, node_ids: Iterable[int] | np.ndarray) -> Subgraph
 
     _freeze(nodes, row_offsets, local_cols, arc_origin)
     return Subgraph(nodes=nodes, row_offsets=row_offsets, col_indices=local_cols, arc_origin=arc_origin)
-
-
-def empty_subgraph() -> Subgraph:
-    """Subgraph with no nodes (a sampler draw that selected nothing)."""
-    z = np.zeros(0, dtype=np.int64)
-    off = np.zeros(1, dtype=np.int64)
-    _freeze(z, off)
-    return Subgraph(nodes=z, row_offsets=off, col_indices=z, arc_origin=z)
 
 
 def arc_source_nodes(g: Graph) -> np.ndarray:

@@ -31,13 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, Subgraph, arc_source_nodes
-from .samplers import (
-    SamplerConfig,
-    SubgraphProducer,
-    edge_weights,
-    inclusion_probabilities,
-    node_weights,
-)
+from .samplers import SamplerConfig, SubgraphProducer, draw_plan
 
 __all__ = [
     "NormCoeffs",
@@ -138,7 +132,8 @@ def _covered_by_draws(k: int, s_u, s_v, t):
 
 def _exact_coeffs(g: Graph, cfg: SamplerConfig) -> NormCoeffs:
     """Exact induced coefficients of the node, edge, edge_independent
-    and full samplers.
+    and full samplers, from the distribution their draws read
+    (``draw_plan``).
 
     A node is in V_s iff a draw covers it, and an arc (u, v) iff both
     endpoints are. With q the probability of missing a node or a pair:
@@ -162,19 +157,20 @@ def _exact_coeffs(g: Graph, cfg: SamplerConfig) -> NormCoeffs:
         p_pair = np.ones(g.num_edges)
     else:
         u, v = g.edge_endpoints[:, 0], g.edge_endpoints[:, 1]
+        plan = draw_plan(g, cfg)
         with np.errstate(divide="ignore", invalid="ignore"):
             if cfg.kind == "node":
-                pi = node_weights(g).probabilities()
+                pi = plan.probabilities()
                 p_v = -np.expm1(cfg.n * np.log1p(-pi))
                 p_pair = _covered_by_draws(cfg.n, pi[u], pi[v], np.zeros(g.num_edges))
             elif cfg.kind == "edge":
-                t = edge_weights(g).probabilities()
+                t = plan.probabilities()
                 # rounding can lift a hub's incident mass past 1
                 s = np.minimum(_incident_sum(g, t), 1.0)
                 p_v = -np.expm1(cfg.m * np.log1p(-s))
                 p_pair = _covered_by_draws(cfg.m, s[u], s[v], t)
             else:
-                p_e = inclusion_probabilities(g, cfg.m, edge_weights(g))
+                p_e = plan
                 log_keep = np.log1p(-p_e)
                 log_q = _incident_sum(g, log_keep)  # log P(v has no drawn edge)
                 p_v = -np.expm1(log_q)

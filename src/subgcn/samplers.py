@@ -17,6 +17,9 @@ Five samplers produce node multisets that are induced into subgraphs:
 A degenerate ``full`` kind returns the whole graph and backs full-batch
 baselines and normalization sanity checks.
 
+A producer computes each kind's distribution once per (graph, config),
+as its ``draw_plan``; the exact normalization coefficients read the same.
+
 Every draw is a pure function of (graph, config, stream index): stream
 i uses a counter-based Philox generator keyed by (seed, i), so parallel
 producers yield bit-identical streams regardless of scheduling.
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, Subgraph, empty_subgraph, induced_subgraph
+from .graph import Graph, Subgraph, induced_subgraph
 
 __all__ = [
     "SamplerConfig",
@@ -40,6 +43,7 @@ __all__ = [
     "node_weights",
     "edge_weights",
     "budget_probabilities",
+    "draw_plan",
     "sample_node",
     "sample_edge_approx",
     "sample_edge_independent",
@@ -60,14 +64,26 @@ def make_rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _is_int(value) -> bool:
+    """True for a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_seed(seed) -> None:
+    """ValueError naming ``seed`` unless it is a non-negative integer."""
+    if not (_is_int(seed) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, found {seed!r:.40}")
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     """Tagged sampler choice with its budgets.
 
     ``n`` is the node budget (node, mrw), ``m`` the edge budget (edge,
     edge_independent), ``r`` the root count (rw, mrw) and ``h`` the walk
-    length in hops (rw). Budgets are upper bounds on the subgraph size,
-    not exact sizes.
+    length in hops (rw). Budgets are integers (not bools) and upper
+    bounds on the subgraph size, not exact sizes; ``seed`` is a
+    non-negative integer.
     """
 
     kind: str
@@ -88,10 +104,13 @@ class SamplerConfig:
             "mrw": ("n", "r"),
             "full": (),
         }[self.kind]
-        for name in need:
+        for name in ("n", "m", "r", "h"):
             value = getattr(self, name)
-            if value is None or value < 1:
+            if value is not None and not _is_int(value):
+                raise ValueError(f"sampler budget {name!r} must be an integer, found {value!r:.40}")
+            if name in need and (value is None or value < 1):
                 raise ValueError(f"sampler {self.kind!r} requires positive budget {name!r}")
+        _check_seed(self.seed)
         if self.kind == "mrw" and not self.r < self.n:
             raise ValueError("mrw requires r < n")
 
@@ -103,19 +122,27 @@ class Categorical:
 
     ``total`` is ``weights.sum()``, not ``cumulative[-1]``: the pairwise
     and the running sum differ in the last bits, and every draw scales
-    by ``total``.
+    by ``total``. A uniform that lands in that gap maps to ``last``, the
+    last index of positive weight, not one past the end.
     """
 
     weights: np.ndarray
     cumulative: np.ndarray
     total: float
+    last: int
+
+    @classmethod
+    def of(cls, w: np.ndarray) -> Categorical:
+        """The distribution of non-negative ``w`` with a positive weight."""
+        last = int(np.flatnonzero(w)[-1])
+        return cls(weights=w, cumulative=np.cumsum(w), total=float(w.sum()), last=last)
 
     def probabilities(self) -> np.ndarray:
         return self.weights / self.total
 
     def draw(self, rng: np.random.Generator, k: int) -> np.ndarray:
         u = rng.random(k) * self.total
-        return np.searchsorted(self.cumulative, u, side="right")
+        return np.minimum(np.searchsorted(self.cumulative, u, side="right"), self.last)
 
 
 def node_weights(g: Graph) -> Categorical:
@@ -125,10 +152,9 @@ def node_weights(g: Graph) -> Categorical:
     Raises ValueError when every node is isolated (total weight zero).
     """
     w = np.bincount(g.col_indices, weights=g.norm_values**2, minlength=g.num_nodes)
-    total = float(w.sum())
-    if total <= 0.0:
+    if not w.sum() > 0.0:
         raise ValueError("node distribution undefined: all nodes are isolated")
-    return Categorical(weights=w, cumulative=np.cumsum(w), total=total)
+    return Categorical.of(w)
 
 
 def edge_weights(g: Graph) -> Categorical:
@@ -141,26 +167,21 @@ def edge_weights(g: Graph) -> Categorical:
     w = np.bincount(g.arc_to_edge, weights=g.norm_values, minlength=g.num_edges)
     loops = g.edge_endpoints[:, 0] == g.edge_endpoints[:, 1]
     w[loops] *= 2.0
-    return Categorical(weights=w, cumulative=np.cumsum(w), total=float(w.sum()))
+    return Categorical.of(w)
 
 
-def sample_node(
-    g: Graph, n: int, rng: np.random.Generator, weights: Categorical | None = None
-) -> Subgraph:
-    """Draw n nodes i.i.d. from the node distribution and induce."""
+def sample_node(g: Graph, n: int, rng: np.random.Generator, dist: Categorical) -> Subgraph:
+    """Draw n nodes i.i.d. from ``dist`` (:func:`node_weights`) and induce."""
     if n < 1:
         raise ValueError("node budget must be positive")
-    dist = weights if weights is not None else node_weights(g)
     return induced_subgraph(g, dist.draw(rng, n))
 
 
-def sample_edge_approx(
-    g: Graph, m: int, rng: np.random.Generator, weights: Categorical | None = None
-) -> Subgraph:
-    """Draw m edges with replacement and induce over their endpoints."""
+def sample_edge_approx(g: Graph, m: int, rng: np.random.Generator, dist: Categorical) -> Subgraph:
+    """Draw m edges with replacement from ``dist`` (:func:`edge_weights`)
+    and induce over their endpoints."""
     if m < 1:
         raise ValueError("edge budget must be positive")
-    dist = weights if weights is not None else edge_weights(g)
     eids = dist.draw(rng, m)
     return induced_subgraph(g, g.edge_endpoints[eids].ravel())
 
@@ -194,30 +215,19 @@ def budget_probabilities(weights: np.ndarray, m: float) -> np.ndarray:
     return np.minimum(p, 1.0)
 
 
-def inclusion_probabilities(g: Graph, m: int, weights: Categorical | None = None) -> np.ndarray:
-    """Per-edge Bernoulli probabilities: the edge weights water-filled
-    to the budget m (:func:`budget_probabilities`)."""
-    dist = weights if weights is not None else edge_weights(g)
-    return budget_probabilities(dist.weights, m)
-
-
 def sample_edge_independent(
-    g: Graph, m: int, rng: np.random.Generator, weights: Categorical | None = None
+    g: Graph, p: np.ndarray, rng: np.random.Generator
 ) -> tuple[Subgraph, np.ndarray]:
-    """Independent per-edge Bernoulli sampling with expected count
-    min(m, |E|).
+    """Independent per-edge Bernoulli sampling with per-edge rates ``p``
+    (the edge weights water-filled to the budget by
+    :func:`budget_probabilities`).
 
     Returns the subgraph induced over the endpoints of the selected
     edges together with the realized boolean inclusion mask (needed by
     the variance analysis, which reasons about the pre-induction edge
-    set). A draw that selects no edge yields an empty subgraph.
+    set). A draw that selects no edge induces the subgraph of no nodes.
     """
-    if m < 1:
-        raise ValueError("edge budget must be positive")
-    p = inclusion_probabilities(g, m, weights)
     mask = rng.random(p.shape[0]) < p
-    if not mask.any():
-        return empty_subgraph(), mask
     return induced_subgraph(g, g.edge_endpoints[mask].ravel()), mask
 
 
@@ -273,30 +283,31 @@ def sample_mrw(g: Graph, n: int, r: int, rng: np.random.Generator) -> Subgraph:
     return induced_subgraph(g, visits)
 
 
-def _precompute(g: Graph, cfg: SamplerConfig) -> Categorical | None:
-    """The configured sampler's distribution, or None if it has none."""
+def draw_plan(g: Graph, cfg: SamplerConfig) -> Categorical | np.ndarray | None:
+    """What each draw of ``cfg``'s sampler on ``g`` reads, as do the exact
+    coefficients: the ``node_weights`` or ``edge_weights`` distribution
+    (``node``, ``edge``), the edge weights water-filled to m by
+    ``budget_probabilities`` (``edge_independent``), or None."""
     if cfg.kind == "node":
         return node_weights(g)
-    if cfg.kind in ("edge", "edge_independent"):
+    if cfg.kind == "edge":
         return edge_weights(g)
+    if cfg.kind == "edge_independent":
+        return budget_probabilities(edge_weights(g).weights, cfg.m)
     return None
 
 
 def sample(
-    g: Graph, cfg: SamplerConfig, rng: np.random.Generator, dist: Categorical | None = None
+    g: Graph, cfg: SamplerConfig, rng: np.random.Generator, plan: Categorical | np.ndarray | None
 ) -> Subgraph:
-    """Dispatch one draw of the configured sampler.
-
-    ``dist`` is the sampler's precomputed distribution; None computes it.
-    """
-    if dist is None:
-        dist = _precompute(g, cfg)
+    """Dispatch one draw of the configured sampler; ``plan`` is
+    ``draw_plan(g, cfg)``."""
     if cfg.kind == "node":
-        return sample_node(g, cfg.n, rng, dist)
+        return sample_node(g, cfg.n, rng, plan)
     if cfg.kind == "edge":
-        return sample_edge_approx(g, cfg.m, rng, dist)
+        return sample_edge_approx(g, cfg.m, rng, plan)
     if cfg.kind == "edge_independent":
-        return sample_edge_independent(g, cfg.m, rng, dist)[0]
+        return sample_edge_independent(g, plan, rng)[0]
     if cfg.kind == "rw":
         return sample_rw(g, cfg.r, cfg.h, rng)
     if cfg.kind == "mrw":
@@ -321,7 +332,7 @@ class SubgraphProducer:
     def __init__(self, graph: Graph, cfg: SamplerConfig, workers: int = 0, start: int = 0):
         self._graph = graph
         self._cfg = cfg
-        self._dist = _precompute(graph, cfg)
+        self._plan = draw_plan(graph, cfg)
         self._next = start
         self._ahead = 2 * workers
         self._pool = (
@@ -332,7 +343,7 @@ class SubgraphProducer:
     def _subgraph_at(self, index: int) -> Subgraph:
         """Draw stream element ``index`` directly."""
         rng = make_rng(self._cfg.seed, index)
-        return sample(self._graph, self._cfg, rng, self._dist)
+        return sample(self._graph, self._cfg, rng, self._plan)
 
     def take(self) -> Subgraph:
         """Next subgraph in stream order."""

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from subgcn import build_graph
 from subgcn.graph import arc_source_nodes
-from subgcn.samplers import edge_weights, inclusion_probabilities
+from subgcn.samplers import budget_probabilities, edge_weights
 
 
 @pytest.fixture
@@ -134,7 +134,7 @@ def analytic_coeffs_edge(g, m: int) -> EdgeMaskCoeffs:
 
     With p_e the edge weights w_e water-filled to the budget m
     (proportional to w_e, capped at 1, the excess refilled into the
-    other edges; ``inclusion_probabilities``) the node inclusion
+    other edges; ``budget_probabilities``) the node inclusion
     probability is p_v = 1 - prod_{e incident to v} (1 - p_e); then
     alpha = p_e / p_v per arc and lambda = p_v. This describes the
     drawn edge set only: an arc that node induction adds (both
@@ -143,7 +143,7 @@ def analytic_coeffs_edge(g, m: int) -> EdgeMaskCoeffs:
     for ``edge_independent``. lambda is the same. The checks that use
     it draw edge sets, not induced subgraphs.
     """
-    p_e = inclusion_probabilities(g, m, edge_weights(g))
+    p_e = budget_probabilities(edge_weights(g).weights, m)
     u, v = g.edge_endpoints[:, 0], g.edge_endpoints[:, 1]
     nonloop = u != v  # a self-loop counts once
     with np.errstate(divide="ignore"):

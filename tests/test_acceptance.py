@@ -42,7 +42,7 @@ from subgcn.data_io import (
 )
 from subgcn.graph import arc_source_nodes
 from conftest import analytic_coeffs_edge
-from subgcn.samplers import SubgraphProducer, inclusion_probabilities, sample_edge_independent
+from subgcn.samplers import SubgraphProducer, sample_edge_independent
 from subgcn.variance import budget_probabilities
 
 
@@ -77,7 +77,7 @@ class TestCriterion1Unbiasedness:
         g, features, w = er_50_instance()
         m = 20
         coeffs = analytic_coeffs_edge(g, m)
-        p_e = inclusion_probabilities(g, m)
+        p_e = budget_probabilities(edge_weights(g).weights, m)
         xt = features @ w
         d = xt.shape[1]
         n = g.num_nodes
@@ -133,7 +133,7 @@ class TestCriterion2LossNormalization:
         g, features, _ = er_50_instance()
         m = 20
         coeffs = analytic_coeffs_edge(g, m)
-        p_e = inclusion_probabilities(g, m)
+        p_e = budget_probabilities(edge_weights(g).weights, m)
 
         # fixed random classifier: per-node softmax cross-entropy losses
         rng = np.random.default_rng(3)
@@ -311,11 +311,11 @@ class TestCriterion6SamplerDistributions:
             ok &= self._binomial_ok(counts[e] / self.TRIALS, p)
 
         # independent inclusion rates on the same graph at m = 1
-        p_e = inclusion_probabilities(sq, 1)
+        p_e = budget_probabilities(edge_weights(sq).weights, 1)
         rng = make_rng(24, 0)
         hits = np.zeros(4)
         for _ in range(self.TRIALS):
-            hits += sample_edge_independent(sq, 1, rng)[1]
+            hits += sample_edge_independent(sq, p_e, rng)[1]
         for e in range(4):
             ok &= self._binomial_ok(hits[e] / self.TRIALS, p_e[e])
 

@@ -205,6 +205,12 @@ class TestExitCodes:
         assert f"argument {flag}: must be at least" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_negative_seed_is_1(self, dataset_dir, tmp_path, capsys):
+        assert main(["train", "--data", str(dataset_dir), "--sampler", "edge", "--m", "30",
+                     "--epochs", "1", "--seed", "-1", "--out", str(tmp_path / "run")]) == 1
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_unknown_sampler_flag_combination_is_1(self, dataset_dir, tmp_path):
         # rw without --h is a config validation error
         assert main(["sample", "--data", str(dataset_dir), "--sampler", "rw", "--r", "2",

@@ -33,7 +33,6 @@ from subgcn import (
 )
 from subgcn import data_io
 from subgcn.engine import Checkpoint
-from subgcn.graph import empty_subgraph
 from subgcn.data_io import (
     CacheMismatchError,
     DataFormatError,
@@ -623,6 +622,8 @@ class TestContainerValidation:
             ("subgraphs", "sampler", {"kind": "bogus"}),
             ("subgraphs", "sampler", {"kind": "edge", "m": "6"}),
             ("subgraphs", "sampler", {"kind": "edge", "m": 6, "extra": 1}),
+            ("subgraphs", "sampler", {"kind": "edge", "m": 2.5}),
+            ("subgraphs", "sampler", {"kind": "edge", "m": 6, "seed": -1}),
         ],
     )
     def test_wrongly_typed_key_rejected(self, containers, kind, key, value, tmp_path):
@@ -710,9 +711,9 @@ class TestCacheValidation:
     def test_valid_subgraphs_load(self, square_chord, square_sub, tmp_path):
         cfg = SamplerConfig(kind="node", n=3)
         no_arcs = induced_subgraph(square_chord, [0, 2])
-        save_subgraphs(tmp_path / "subs", square_chord, cfg, [square_sub, no_arcs, empty_subgraph()])
+        save_subgraphs(tmp_path / "subs", square_chord, cfg, [square_sub, no_arcs, induced_subgraph(square_chord, [])])
         _, loaded = load_subgraphs(tmp_path / "subs", square_chord)
-        for want, got in zip([square_sub, no_arcs, empty_subgraph()], loaded, strict=True):
+        for want, got in zip([square_sub, no_arcs, induced_subgraph(square_chord, [])], loaded, strict=True):
             for name in ("nodes", "row_offsets", "col_indices", "arc_origin"):
                 assert getattr(got, name).dtype == np.int64
                 assert getattr(got, name).tolist() == getattr(want, name).tolist()

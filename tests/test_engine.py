@@ -23,8 +23,8 @@ from subgcn.engine import (
     build_batch,
     graph_adjacency,
 )
-from subgcn.graph import arc_source_nodes, empty_subgraph
-from subgcn.samplers import inclusion_probabilities
+from subgcn.graph import arc_source_nodes
+from subgcn.samplers import budget_probabilities, edge_weights
 
 from conftest import analytic_coeffs_edge, random_graph, random_pairs_graph
 
@@ -294,7 +294,7 @@ class TestLossAndGrad:
         feats = np.random.default_rng(9).standard_normal((3, 2))
         labels = np.array([0, 1, 0])
         split = np.array([1, 2, 1]) if nodes else np.zeros(3, dtype=np.int64)
-        sub = induced_subgraph(triangle, nodes) if nodes else empty_subgraph()
+        sub = induced_subgraph(triangle, nodes)
         batch = build_batch(triangle, sub, feats, labels, split, None)
         model = init_model((2, 3, 2), "softmax", make_rng(0, 0))
         scores, caches = forward_subgraph(model, batch, dropout=0.5, rng=make_rng(0, 1))
@@ -426,7 +426,7 @@ class TestTrainLoop:
         tcfg = TrainConfig(hidden_dims=(4,), epochs=8, seed=5)
         result = train(g, feats, labels, split, scfg, tcfg, num_classes=2)
         vals = [float(line.split()[5]) for line in result.log if line.startswith("iter")]
-        assert result.best_val_f1 == max(vals)
+        assert result.checkpoint.best_val_f1 == max(vals)
 
     def test_non_finite_loss_aborts_with_diagnostic(self):
         from subgcn.engine import NumericError
@@ -555,7 +555,8 @@ class TestTrainLoop:
         for a, b in zip(result.checkpoint.weights, fresh.weights):
             assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("field, value", [("workers", -1), ("num_norm_subgraphs", 0)])
+    @pytest.mark.parametrize("field, value", [("workers", -1), ("num_norm_subgraphs", 0), ("seed", -1),
+                                              ("seed", 1.5), ("seed", True)])
     def test_config_rejects_out_of_range_counts(self, field, value):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
@@ -698,7 +699,7 @@ class TestEstimatorConsistency:
         y = rng.integers(0, c, n)
         onehot = np.eye(c)[y]
         coeffs = analytic_coeffs_edge(g, m)
-        p_e = inclusion_probabilities(g, m)
+        p_e = budget_probabilities(edge_weights(g).weights, m)
         rows = arc_source_nodes(g)
         vals = g.norm_values / coeffs.alpha
         xw = feats @ w

@@ -149,9 +149,14 @@ class TestInducedSubgraph:
         assert np.array_equal(sub.nodes, [0, 1, 2])
         assert sub.num_arcs == 6  # full triangle
 
-    def test_empty_set_rejected(self, triangle):
-        with pytest.raises(ValueError):
-            induced_subgraph(triangle, [])
+    def test_empty_set_induces_no_node_subgraph(self, triangle):
+        # an empty list, and the endpoints of no drawn edge
+        for empty in ([], triangle.edge_endpoints[np.zeros(3, dtype=bool)].ravel()):
+            sub = induced_subgraph(triangle, empty)
+            assert sub.num_nodes == 0 and sub.num_arcs == 0
+            assert sub.row_offsets.tolist() == [0]
+            for a in (sub.nodes, sub.row_offsets, sub.col_indices, sub.arc_origin):
+                assert a.dtype == np.int64 and not a.flags.writeable
 
     def test_out_of_range_rejected(self, triangle):
         with pytest.raises(ValueError):

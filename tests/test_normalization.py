@@ -17,7 +17,7 @@ from subgcn import (
 )
 from subgcn.engine import batch_adjacency
 from subgcn.graph import arc_source_nodes, induced_subgraph
-from subgcn.samplers import edge_weights, inclusion_probabilities, node_weights
+from subgcn.samplers import budget_probabilities, draw_plan, edge_weights, node_weights
 
 from conftest import analytic_coeffs_edge, random_graph, random_pairs_graph, small_graphs
 
@@ -177,7 +177,7 @@ def enumerated_probabilities(g, cfg):
         for seq in itertools.product(range(g.num_edges), repeat=cfg.m):
             outcomes.append((float(np.prod(t[list(seq)])), {x for e in seq for x in edges[e]}))
     else:
-        p = inclusion_probabilities(g, cfg.m)
+        p = budget_probabilities(edge_weights(g).weights, cfg.m)
         for bits in itertools.product((False, True), repeat=g.num_edges):
             prob = float(np.prod([p[e] if b else 1.0 - p[e] for e, b in enumerate(bits)]))
             outcomes.append((prob, {x for e, b in enumerate(bits) if b for x in edges[e]}))
@@ -236,11 +236,25 @@ class TestExactCoeffs:
         coeffs, _ = estimate_coeffs(g, SamplerConfig(kind="node", n=1))
         assert np.all(coeffs.alpha == 1.0)
         # m = 5 saturates edge (0, 1): both endpoints are always present
-        p = inclusion_probabilities(g, 5)
+        p = budget_probabilities(edge_weights(g).weights, 5)
         assert p[0] == 1.0 and p[1] < 1.0
         coeffs, _ = estimate_coeffs(g, SamplerConfig(kind="edge_independent", m=5))
         assert coeffs.lam[0] == coeffs.lam[1] == 1.0
         assert coeffs.alpha[g.row_offsets[0]] == 1.0
+
+    def test_edge_independent_lambda_reads_the_draw_plan(self):
+        # lambda_v = 1 - prod over the edges at v of (1 - p_e), with p_e the
+        # rates the draws use; a self-loop counts once
+        g = build_graph(np.random.default_rng(12).integers(0, 40, size=(90, 2)), 40)  # loops kept
+        cfg = SamplerConfig(kind="edge_independent", m=9)
+        p = draw_plan(g, cfg)
+        log_keep = np.zeros(g.num_nodes)
+        for (u, v), lk in zip(g.edge_endpoints, np.log1p(-p)):
+            log_keep[u] += lk
+            if v != u:
+                log_keep[v] += lk
+        coeffs, _ = estimate_coeffs(g, cfg)
+        np.testing.assert_allclose(coeffs.lam, -np.expm1(log_keep), rtol=1e-14, atol=0.0)
 
     def test_full_sampler_is_exactly_one(self):
         g = five_nodes()
@@ -425,7 +439,7 @@ class TestUnbiasedness:
     def test_conditional_aggregation_matches_full_graph(self):
         g, feats, w, m = self._setup(seed=25)
         coeffs = analytic_coeffs_edge(g, m)
-        p_e = inclusion_probabilities(g, m)
+        p_e = budget_probabilities(edge_weights(g).weights, m)
         xt = feats @ w
         rows = arc_source_nodes(g)
         vals = g.norm_values / coeffs.alpha
@@ -467,7 +481,7 @@ class TestUnbiasedness:
     def test_loss_normalization_is_unbiased(self):
         g, feats, w, m = self._setup(seed=31)
         coeffs = analytic_coeffs_edge(g, m)
-        p_e = inclusion_probabilities(g, m)
+        p_e = budget_probabilities(edge_weights(g).weights, m)
         rng = np.random.default_rng(7)
         losses = rng.uniform(0.1, 2.0, size=g.num_nodes)  # fixed per-node losses
 
@@ -501,7 +515,7 @@ class TestEmpiricalMatchesAnalytic:
         # exceeds the pre-induction p_e
         g = build_graph([(i, (i + 1) % 12) for i in range(12)], 12)
         m = 3
-        p_e = inclusion_probabilities(g, m)
+        p_e = budget_probabilities(edge_weights(g).weights, m)
         cfg = SamplerConfig(kind="edge_independent", m=m, seed=10)
         emp, _ = estimate_coeffs(g, cfg, num_subgraphs=20_000)
         rates = emp.edge_counts / emp.num_subgraphs

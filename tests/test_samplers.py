@@ -11,6 +11,7 @@ from subgcn import (
     SubgraphProducer,
     TrainConfig,
     build_graph,
+    draw_plan,
     edge_weights,
     generate_sbm,
     make_rng,
@@ -24,7 +25,7 @@ from subgcn import (
     samplers,
     train,
 )
-from subgcn.samplers import inclusion_probabilities
+from subgcn.samplers import budget_probabilities
 
 from conftest import brute_force_induce, random_graph, subgraph_arcs_original
 
@@ -106,6 +107,33 @@ class TestEdgeWeights:
             edge_weights(build_graph([], 3))
 
 
+class _TopUniform:
+    """Stub generator whose every uniform is the largest double below 1."""
+
+    def random(self, k):
+        return np.full(k, 1.0 - 2.0**-53)
+
+
+class TestCategoricalDraw:
+    @staticmethod
+    def gapped_graph(num_nodes):
+        """300 nodes with random edges, whose weights' pairwise sum
+        exceeds their running sum; nodes past 300 are isolated."""
+        pairs = np.random.default_rng(6).integers(0, 300, size=(1500, 2))
+        return build_graph(pairs[pairs[:, 0] != pairs[:, 1]], num_nodes)
+
+    def test_top_uniform_maps_to_last_index(self):
+        g = self.gapped_graph(300)
+        for dist in (edge_weights(g), node_weights(g)):
+            assert dist.total > dist.cumulative[-1]
+            assert np.array_equal(dist.draw(_TopUniform(), 2), [len(dist.weights) - 1] * 2)
+
+    def test_top_uniform_skips_trailing_zero_weights(self):
+        dist = node_weights(self.gapped_graph(301))
+        assert dist.weights[-1] == 0.0 and dist.total > dist.cumulative[-1]
+        assert np.array_equal(dist.draw(_TopUniform(), 2), [299, 299])
+
+
 class TestDrawFrequencies:
     TRIALS = 10_000
 
@@ -126,18 +154,19 @@ class TestDrawFrequencies:
             assert abs(counts[e] / self.TRIALS - p) <= 3 * sigma
 
     def test_single_node_draw_frequency_on_path(self, path3):
+        dist = node_weights(path3)
         hits = sum(
-            sample_node(path3, 1, make_rng(7, i)).nodes[0] == 1 for i in range(1000)
+            sample_node(path3, 1, make_rng(7, i), dist).nodes[0] == 1 for i in range(1000)
         )
         assert abs(hits / 1000 - 0.8) <= 0.05
 
     def test_independent_inclusion_rates_and_correlation(self, square_chord):
         m = 1
-        p = inclusion_probabilities(square_chord, m)
+        p = budget_probabilities(edge_weights(square_chord).weights, m)
         rng = make_rng(3, 0)
         masks = np.zeros((self.TRIALS, square_chord.num_edges), dtype=bool)
         for t in range(self.TRIALS):
-            masks[t] = sample_edge_independent(square_chord, m, rng)[1]
+            masks[t] = sample_edge_independent(square_chord, p, rng)[1]
         rates = masks.mean(axis=0)
         for e in range(square_chord.num_edges):
             sigma = np.sqrt(p[e] * (1 - p[e]) / self.TRIALS)
@@ -150,24 +179,24 @@ class TestDrawFrequencies:
 class TestNodeSampler:
     def test_complete_graph_budget(self):
         k4 = build_graph([(i, j) for i in range(4) for j in range(i + 1, 4)], 4)
-        sub = sample_node(k4, 4, make_rng(0, 0))
+        sub = sample_node(k4, 4, make_rng(0, 0), node_weights(k4))
         assert sub.num_nodes <= 4
         assert subgraph_arcs_original(sub) <= set((u, v) for u in range(4) for v in range(4) if u != v)
 
     def test_budget_one_gives_single_node(self, triangle):
-        sub = sample_node(triangle, 1, make_rng(5, 0))
+        sub = sample_node(triangle, 1, make_rng(5, 0), node_weights(triangle))
         assert sub.num_nodes == 1
         assert sub.num_arcs == 0
 
 
 class TestEdgeSamplers:
     def test_approx_single_edge_graph(self, single_edge):
-        sub = sample_edge_approx(single_edge, 3, make_rng(0, 0))
+        sub = sample_edge_approx(single_edge, 3, make_rng(0, 0), edge_weights(single_edge))
         assert np.array_equal(sub.nodes, [0, 1])
         assert sub.num_arcs == 2
 
     def test_approx_triangle_one_edge(self, triangle):
-        sub = sample_edge_approx(triangle, 1, make_rng(2, 0))
+        sub = sample_edge_approx(triangle, 1, make_rng(2, 0), edge_weights(triangle))
         assert sub.num_nodes == 2
         assert sub.num_arcs == 2
 
@@ -179,22 +208,25 @@ class TestEdgeSamplers:
 
     def test_independent_saturation_returns_full_graph(self):
         g = build_graph([(i, (i + 1) % 6) for i in range(6)], 6)  # regular
-        sub, mask = sample_edge_independent(g, g.num_edges, make_rng(0, 0))
+        p = budget_probabilities(edge_weights(g).weights, g.num_edges)
+        sub, mask = sample_edge_independent(g, p, make_rng(0, 0))
         assert mask.all()
         assert np.array_equal(sub.nodes, np.arange(6))
         assert sub.num_arcs == g.num_arcs
 
     def test_independent_single_edge_always_selected(self, single_edge):
+        p = budget_probabilities(edge_weights(single_edge).weights, 1)
         for i in range(10):
-            sub, mask = sample_edge_independent(single_edge, 1, make_rng(i, 0))
+            sub, mask = sample_edge_independent(single_edge, p, make_rng(i, 0))
             assert mask.all()
             assert np.array_equal(sub.nodes, [0, 1])
 
     def test_independent_empty_draw_gives_empty_subgraph(self, square_chord):
         # with m=1 the inclusion probabilities sum to 1, so all-miss draws exist
+        p = budget_probabilities(edge_weights(square_chord).weights, 1)
         seen_empty = False
         for i in range(200):
-            sub, mask = sample_edge_independent(square_chord, 1, make_rng(i, 0))
+            sub, mask = sample_edge_independent(square_chord, p, make_rng(i, 0))
             if not mask.any():
                 assert sub.num_nodes == 0
                 assert sub.num_arcs == 0
@@ -204,7 +236,7 @@ class TestEdgeSamplers:
 
     def test_expected_count_bounded_by_budget(self, square_chord):
         for m in (1, 2, 3, 4, 10):
-            p = inclusion_probabilities(square_chord, m)
+            p = budget_probabilities(edge_weights(square_chord).weights, m)
             assert np.all(p <= 1.0)
             assert p.sum() <= m + 1e-12
 
@@ -220,7 +252,7 @@ class TestEdgeSamplers:
         dist = edge_weights(g)
         per_draw = dist.probabilities()
         appear_approx = 1.0 - (1.0 - per_draw) ** m
-        p_independent = inclusion_probabilities(g, m, dist)
+        p_independent = budget_probabilities(dist.weights, m)
         assert np.all(np.abs(appear_approx / p_independent - 1.0) < 0.02)
 
         # and the approximate sampler empirically hits its analytic curve
@@ -310,7 +342,7 @@ class TestSamplerContracts:
         rng = np.random.default_rng(17)
         for _ in range(6):
             g = random_graph(rng, max_nodes=200)
-            sub = sample(g, cfg, make_rng(cfg.seed, 0))
+            sub = sample(g, cfg, make_rng(cfg.seed, 0), draw_plan(g, cfg))
             if sub.num_nodes == 0:
                 continue
             assert np.all(np.diff(sub.nodes) > 0)  # sorted unique
@@ -325,8 +357,8 @@ class TestSamplerContracts:
     def test_determinism(self, cfg):
         rng = np.random.default_rng(23)
         g = random_graph(rng, max_nodes=100)
-        a = sample(g, cfg, make_rng(cfg.seed, 5))
-        b = sample(g, cfg, make_rng(cfg.seed, 5))
+        a = sample(g, cfg, make_rng(cfg.seed, 5), draw_plan(g, cfg))
+        b = sample(g, cfg, make_rng(cfg.seed, 5), draw_plan(g, cfg))
         assert np.array_equal(a.nodes, b.nodes)
         assert np.array_equal(a.col_indices, b.col_indices)
         assert np.array_equal(a.arc_origin, b.arc_origin)
@@ -334,8 +366,8 @@ class TestSamplerContracts:
     def test_budget_bounds(self):
         rng = np.random.default_rng(29)
         g = random_graph(rng, max_nodes=150)
-        assert sample_node(g, 7, make_rng(0, 1)).num_nodes <= 7
-        assert sample_edge_approx(g, 5, make_rng(0, 2)).num_nodes <= 10
+        assert sample_node(g, 7, make_rng(0, 1), node_weights(g)).num_nodes <= 7
+        assert sample_edge_approx(g, 5, make_rng(0, 2), edge_weights(g)).num_nodes <= 10
         assert sample_mrw(g, 9, 3, make_rng(0, 3)).num_nodes <= 9
 
 
@@ -407,3 +439,37 @@ class TestSubgraphProducer:
             SamplerConfig(kind="node")  # missing budget
         with pytest.raises(ValueError):
             SamplerConfig(kind="rw", r=2)  # missing h
+
+    @pytest.mark.parametrize("kwargs, named", [
+        ({"kind": "node", "n": 2.5}, "'n'"),
+        ({"kind": "node", "n": True}, "'n'"),
+        ({"kind": "edge", "m": 3.0}, "'m'"),
+        ({"kind": "rw", "r": 2, "h": "2"}, "'h'"),
+        ({"kind": "node", "n": 3, "m": 1.5}, "'m'"),  # a budget the kind does not use
+        ({"kind": "node", "n": 3, "seed": -1}, "seed"),
+        ({"kind": "node", "n": 3, "seed": 1.5}, "seed"),
+        ({"kind": "node", "n": 3, "seed": False}, "seed"),
+    ])
+    def test_config_rejects_non_integer_budget_or_seed(self, kwargs, named):
+        with pytest.raises(ValueError, match=named):
+            SamplerConfig(**kwargs)
+
+    def test_config_accepts_numpy_integers(self):
+        g = build_graph([(0, 1)], 2)
+        cfg = SamplerConfig(kind="node", n=np.int64(3), seed=np.uint32(4))
+        assert sample(g, cfg, make_rng(cfg.seed, 0), draw_plan(g, cfg)).num_nodes >= 1
+
+    def test_plan_rates_water_filled_once_per_producer(self, monkeypatch):
+        g = random_graph(np.random.default_rng(8), max_nodes=40)
+        calls = []
+        real = samplers.budget_probabilities
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(samplers, "budget_probabilities", counted)
+        with SubgraphProducer(g, SamplerConfig(kind="edge_independent", m=4, seed=1)) as producer:
+            for _ in range(20):
+                producer.take()
+        assert len(calls) == 1
