@@ -73,36 +73,53 @@ def edge_aggregates(g: Graph, features: np.ndarray, model: Model) -> EdgeAggrega
     one sparse product per hidden layer. The layer inputs equal those of
     ``forward_full`` where every hidden layer narrows the width, and
     agree with them to rounding otherwise.
+
+    The edge terms and norms are formed in chunks of edges written into
+    the result, so besides the result it holds about 2 MiB
+    (``_BLOCK_BYTES``) of chunk scratch, two coefficients per edge and
+    the (|V| x d) layer products.
     """
     out_dims = {w.shape[1] for w in model.weights}
     if len(out_dims) != 1:
         raise ValueError("edge aggregates require all layers to share one output dimension")
 
+    num_edges, dim = g.num_edges, out_dims.pop()
     u = g.edge_endpoints[:, 0]
     v = g.edge_endpoints[:, 1]
     # Coefficient on the u-side term is the adjacency entry of row v.
     coef_u = 1.0 / g.degrees[v]
     coef_v = 1.0 / g.degrees[u]
 
-    adjacency = graph_adjacency(g)
+    layer_sum = np.empty((num_edges, dim))
+    norms = np.empty(num_edges)
+    # Edges per chunk: the two side terms and np.linalg.norm's squares are
+    # three (rows x d) float64 arrays.
+    step = max(_BLOCK_BYTES // (24 * dim), 1)
+    term = np.empty((min(step, num_edges), dim))
+    v_side = np.empty_like(term)
     last = model.num_layers - 1
+    adjacency = graph_adjacency(g) if last else None
     x = features
-    layer_sum = None
     for l, w in enumerate(model.weights):
         xt = x @ w
-        term = xt[u]
-        term *= coef_u[:, None]
-        v_side = xt[v]
-        v_side *= coef_v[:, None]
-        term += v_side
-        if layer_sum is None:
-            layer_sum = term
-        else:
-            layer_sum += term
+        for start in range(0, num_edges, step):
+            rows = slice(start, min(start + step, num_edges))
+            # The first layer's terms go straight into the result.
+            t = term[: rows.stop - start] if l else layer_sum[rows]
+            vs = v_side[: rows.stop - start]
+            # The indices are in range; mode "raise" would buffer ``out``.
+            np.take(xt, u[rows], axis=0, out=t, mode="clip")
+            t *= coef_u[rows, None]
+            np.take(xt, v[rows], axis=0, out=vs, mode="clip")
+            vs *= coef_v[rows, None]
+            t += vs
+            if l:
+                layer_sum[rows] += t
+            if l == last:
+                norms[rows] = np.linalg.norm(layer_sum[rows], axis=1)
         if l < last:
             x = adjacency @ xt
             np.maximum(x, 0.0, out=x)
-    norms = np.linalg.norm(layer_sum, axis=1)
     return EdgeAggregates(layer_sum=layer_sum, norms=norms)
 
 
@@ -222,18 +239,23 @@ def variance_monte_carlo(
     a class, candidates over the trial-major (trial, edge) slots are
     placed by geometric skips with rate r and accepted with probability
     p_e / r >= 1/2, so a trial costs O(sum p) draws, not O(|E|). A
-    block's trial sums are, per class, a sparse (block rows x class
-    edges) 0/1 matrix times the class's b_e / p_e rows.
+    block's trial sums are, per class, a sparse (block rows x |E|) 0/1
+    matrix on the class's edge columns times the b_e / p_e rows.
 
     Trials are drawn in blocks of at most ``chunk`` rows (a cap, not a
     block size), and of at most as many rows as keep the block's
     expected candidate scratch and its (rows x d) sums within
-    ``_BLOCK_BYTES`` (2 MiB), but at least one. So the scratch memory
-    stays about 2 MiB whatever ``trials`` is, besides the per-edge
-    arrays. The estimate depends on the seed, ``trials`` and ``chunk``.
+    ``_BLOCK_BYTES`` (2 MiB), but at least one. So the block scratch
+    stays about 2 MiB whatever ``trials`` is. The estimate depends on
+    the seed, ``trials`` and ``chunk``.
 
     ``aggregates`` may pass ``edge_aggregates(g, features, model)`` when
-    the caller already has it; it is computed here otherwise.
+    the caller already has it, which saves the recompute; it is computed
+    here otherwise. Besides its blocks and per-edge vectors, the
+    estimator holds one scaled (|E| x d) array of b_e / p_e: a copy of
+    the given aggregates, which it never writes, or else its own
+    aggregates scaled in place, so no array beyond them. The rows of the
+    p = 1 edges are also gathered once, for the constant.
 
     Accumulation is centered on the exact mean (the sum of layer sums),
     which keeps the two-pass variance stable when streamed in blocks.
@@ -243,15 +265,19 @@ def variance_monte_carlo(
     if chunk < 1:
         raise ValueError("chunk must be positive")
     p = _checked_probs(probs, g.num_edges)
-    if aggregates is None:
+    given = aggregates is not None
+    if not given:
         aggregates = edge_aggregates(g, features, model)
     layer_sum = aggregates.layer_sum
     if layer_sum.shape[0] != g.num_edges:
         raise ValueError(f"aggregates must have {g.num_edges} rows, got {layer_sum.shape[0]}")
     dim = layer_sum.shape[1]
     base = layer_sum[p == 1.0].sum(axis=0) - layer_sum.sum(axis=0)
+    # b_e / p_e of the drawn edges, in one copy of the caller's aggregates
+    # or in place in the estimator's own.
+    scaled = layer_sum.astype(np.float64) if given else layer_sum
+    np.divide(scaled, p[:, None], out=scaled, where=((p > 0.0) & (p < 1.0))[:, None])
     classes = _rate_classes(p)
-    scaled = [layer_sum[c.edges] / p[c.edges, None] for c in classes]
     candidates_per_trial = sum(c.r * c.edges.shape[0] for c in classes)
 
     row_bytes = _CANDIDATE_BYTES * candidates_per_trial + 16 * dim
@@ -262,10 +288,10 @@ def variance_monte_carlo(
     while done < trials:
         k = min(rows, trials - done)
         dev = np.tile(base, (k, 1))
-        for (trial, col), c, sc in zip(_kept_slots(classes, k, rng), classes, scaled):
+        for (trial, col), c in zip(_kept_slots(classes, k, rng), classes):
             indptr = np.zeros(k + 1, dtype=np.int64)
             np.cumsum(np.bincount(trial, minlength=k), out=indptr[1:])
-            dev += sp.csr_matrix((np.ones(col.shape[0]), col, indptr), shape=(k, c.edges.shape[0])) @ sc
+            dev += sp.csr_matrix((np.ones(col.shape[0]), c.edges[col], indptr), shape=(k, g.num_edges)) @ scaled
         s1 += dev.sum(axis=0)
         s2 += (dev**2).sum(axis=0)
         done += k

@@ -23,6 +23,7 @@ GROUPS = [
     "edge_aggregates.f_16_16_16",
     "variance.closed_form",
     "monte_carlo",
+    "monte_carlo.given_aggregates",
 ]
 
 

@@ -12,11 +12,19 @@ from subgcn import (
     make_rng,
     optimal_edge_probs,
     survival_probability,
+    variance,
     variance_closed_form,
     variance_monte_carlo,
 )
 from subgcn.engine import graph_adjacency
-from subgcn.variance import EdgeAggregates, _candidate_slots, _kept_slots, _rate_classes, budget_probabilities
+from subgcn.variance import (
+    _BLOCK_BYTES,
+    EdgeAggregates,
+    _candidate_slots,
+    _kept_slots,
+    _rate_classes,
+    budget_probabilities,
+)
 
 from conftest import random_graph, random_pairs_graph
 
@@ -24,6 +32,31 @@ from conftest import random_graph, random_pairs_graph
 def synthetic_aggregates(layer_sums: np.ndarray) -> EdgeAggregates:
     layer_sums = np.asarray(layer_sums, dtype=np.float64)
     return EdgeAggregates(layer_sum=layer_sums, norms=np.linalg.norm(layer_sums, axis=1))
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc sees while ``fn()`` runs."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def large_instance():
+    """A 1-layer, 16-wide instance whose (|E| x d) aggregates take over
+    8 MiB, and the peak its aggregates may cost: the result, plus one
+    ``_BLOCK_BYTES`` of chunk scratch, 32 bytes per edge (its norm and
+    two adjacency coefficients, 24 bytes) and 16 d bytes per node (the
+    layer product x @ W, 8 d bytes)."""
+    g, feats, model = mc_instance(20_000, 70_000, seed=9)
+    dim = model.weights[-1].shape[1]
+    result = 8 * dim * g.num_edges
+    assert result >= 8 << 20
+    return g, feats, model, result + _BLOCK_BYTES + 32 * g.num_edges + 16 * dim * g.num_nodes
 
 
 def random_instance(seed, max_edges=20, dim=4):
@@ -113,6 +146,23 @@ class TestEdgeAggregates:
         old = layer_sum(lambda x, w, xt: adj @ xt if w.shape[1] < w.shape[0] else (adj @ x) @ w)
         np.testing.assert_allclose(agg.layer_sum, old, rtol=1e-12, atol=1e-12 * np.abs(old).max())
         np.testing.assert_allclose(agg.norms, np.linalg.norm(old, axis=1), rtol=1e-12)
+
+    @pytest.mark.parametrize("dims", [(16, 16), (16, 16, 16, 16)])
+    def test_chunk_boundaries_change_no_bits(self, dims, monkeypatch):
+        g = random_pairs_graph(60, 180, seed=5)
+        feats = np.random.default_rng(5).standard_normal((g.num_nodes, 16))
+        model = init_model(dims, "softmax", make_rng(5, 0))
+        whole = edge_aggregates(g, feats, model)
+        rows = 7
+        monkeypatch.setattr(variance, "_BLOCK_BYTES", 24 * 16 * rows)
+        assert g.num_edges > 3 * rows and g.num_edges % rows  # several chunks, the last one ragged
+        chunked = edge_aggregates(g, feats, model)
+        assert chunked.layer_sum.tobytes() == whole.layer_sum.tobytes()
+        assert chunked.norms.tobytes() == whole.norms.tobytes()
+
+    def test_peak_memory_is_one_result_plus_scratch(self):
+        g, feats, model, bound = large_instance()
+        assert traced_peak(lambda: edge_aggregates(g, feats, model)) <= bound
 
     def test_mixed_output_dims_rejected(self, triangle):
         model = Model(weights=[np.zeros((2, 3)), np.zeros((3, 2))], head="softmax")
@@ -352,10 +402,13 @@ class TestMonteCarloBlocks:
         g, feats, model, probs = blocks_instance()
         given_rng, computed_rng = make_rng(5, 1), make_rng(5, 1)
         agg = edge_aggregates(g, feats, model)
+        before = agg.layer_sum.tobytes(), agg.norms.tobytes()
         given = variance_monte_carlo(g, feats, model, probs, 1000, given_rng, 64, aggregates=agg)
         computed = variance_monte_carlo(g, feats, model, probs, 1000, computed_rng, 64)
         assert given == computed
         assert given_rng.random() == computed_rng.random()
+        # the caller's aggregates are read, never scaled in place
+        assert (agg.layer_sum.tobytes(), agg.norms.tobytes()) == before
 
     def test_aggregates_of_another_graph_rejected(self):
         g, feats, model, probs = blocks_instance()
@@ -377,6 +430,11 @@ class TestMonteCarloBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 32 << 20
+
+    def test_peak_memory_is_one_aggregate_plus_scratch(self):
+        g, feats, model, bound = large_instance()
+        probs = optimal_edge_probs(edge_aggregates(g, feats, model), g.num_edges / 8)
+        assert traced_peak(lambda: variance_monte_carlo(g, feats, model, probs, 64, make_rng(0, 1))) <= bound
 
     def test_zero_chunk_rejected(self):
         g, feats, model = random_instance(seed=1)

@@ -39,6 +39,10 @@ imports ``subgcn`` from ``<checkout>/src`` and prints one line
   digits, and the generator state after each call. The unrounded
   estimates follow on a ``#`` line, since a change of summation order
   may move them in the last bits.
+- ``monte_carlo.given_aggregates``: the same estimates with
+  ``aggregates=`` passed, as ``subgcn variance-check`` does, as exact
+  bytes (``float.hex``), the generator state after each call, and the
+  passed aggregates after the calls.
 
 Every ``subgcn train`` digest also holds the number of skipped batches
 that the run prints, whatever the wording of that line.
@@ -244,6 +248,15 @@ def digests(subgcn, data_dir: Path, seed: int = 3) -> tuple[dict[str, str], list
             d.add(f"{estimates[-1]:.11e}")
             d.add(rng.bit_generator.state)
     out["monte_carlo"] = d.hexdigest()
+
+    d = Digest()
+    for chunk in (64, 20_000):
+        rng = samplers.make_rng(seed, 1)
+        for p in probs:
+            d.add(variance.variance_monte_carlo(g, feats, model, p, 2_000, rng, chunk, aggregates=agg).hex())
+            d.add(rng.bit_generator.state)
+    d.add(agg)
+    out["monte_carlo.given_aggregates"] = d.hexdigest()
     return out, estimates
 
 
