@@ -44,9 +44,12 @@ __all__ = [
 # 0.5-4 MiB. Below 2 MiB the per-class, per-block calls dominate; 4 MiB is
 # no faster and keeps twice the memory resident.
 _BLOCK_BYTES = 2 << 20
-# Peak scratch per expected candidate slot: its skip, position, uniform and
-# column. tracemalloc on the 2.1k-edge input gave 23-25 bytes besides the
-# row sums, so 32 bounds it.
+# Bytes per expected candidate slot, which with the (rows x d) sums set a
+# block's rows; the estimate depends on the rows, so this value stays.
+# The candidate scratch (``_Scratch``) takes 33 bytes per slot of the
+# largest class's first draw in a full block, which is a share of the
+# block's expected candidates over all classes, so 32 bounds it unless
+# one class holds almost all of them.
 _CANDIDATE_BYTES = 32
 
 
@@ -176,47 +179,116 @@ def _rate_classes(p: np.ndarray) -> list[_RateClass]:
     return classes
 
 
-def _candidate_slots(r: float, slots: int, rng: np.random.Generator) -> np.ndarray:
+def _draw_size(left: float) -> int:
+    """Skips to draw for ``left`` expected candidates still to place:
+    four standard deviations above that, so one draw almost always ends
+    the class."""
+    return int(left + 4.0 * math.sqrt(left)) + 1
+
+
+class _Scratch:
+    """The candidate buffers of one ``variance_monte_carlo`` call, reused
+    by every class of every block: 33 bytes per slot.
+
+    - ``draw``: a draw's standard exponentials, then the class's
+      uniforms, then (as int64) the trials it keeps;
+    - ``pos``: the candidate positions, then their trials, then (as
+      float64) the ones of the CSR matrix;
+    - ``col``: the candidates' columns, then the kept edge IDs;
+    - ``accept``: the candidates' acceptance ratios, then (as int64)
+      the kept columns;
+    - ``keep``: the keep mask.
+    """
+
+    def __init__(self, size: int) -> None:
+        self._allocate(size)
+
+    def _allocate(self, size: int) -> None:
+        self.draw = np.empty(size)
+        self.pos = np.empty(size, dtype=np.int64)
+        self.col = np.empty(size, dtype=np.int64)
+        self.accept = np.empty(size)
+        self.keep = np.empty(size, dtype=bool)
+
+    def reserve(self, size: int, filled: int) -> None:
+        """Hold at least ``size`` slots, keeping the first ``filled``
+        positions. Only a class whose first draw fell short of its slots
+        can need more than the call's first size."""
+        if size > self.pos.shape[0]:
+            pos = self.pos[:filled]
+            self._allocate(size)
+            self.pos[:filled] = pos
+
+
+def _candidate_slots(r: float, slots: int, rng: np.random.Generator, scratch: _Scratch) -> np.ndarray:
     """Ascending slots of 0 .. slots-1, each present independently with
-    probability r < 1, placed by geometric skips."""
-    parts = []
+    probability r < 1, placed by geometric skips; a view of
+    ``scratch.pos``.
+
+    Below r = 1/3, numpy's ``Generator.geometric`` inverts one standard
+    exponential E per skip, as ceil(E / -log1p(-r)). The skips here are
+    drawn that way, with the logarithm taken once, so they equal
+    ``rng.geometric(r)``'s and leave the generator in the same state. At
+    r = 1/2 numpy searches instead, so that class keeps
+    ``rng.geometric``.
+    """
+    scale = -math.log1p(-r)
+    filled = 0  # positions drawn so far
     end = 0  # one past the last candidate so far
     while True:
-        left = (slots - end) * r  # expected candidates still to place
-        # Four standard deviations above that, so one call almost always ends the class.
-        gaps = rng.geometric(r, size=int(left + 4.0 * math.sqrt(left)) + 1)
-        # Geometric draws saturate near 2^63 for tiny r. A gap of slots + 1
-        # passes the last slot from any start, so clipping there keeps the
-        # draw exact and the cumulative sum from wrapping.
-        np.minimum(gaps, slots + 1, out=gaps)
+        size = _draw_size((slots - end) * r)
+        scratch.reserve(filled + size, filled)
+        gaps = scratch.pos[filled : filled + size]
+        # A gap of slots + 1 passes the last slot from any start, so
+        # clipping there keeps the draw exact and the cumulative sum from
+        # wrapping.
+        if r >= 1.0 / 3.0:
+            np.minimum(rng.geometric(r, size=size), slots + 1, out=gaps)
+        else:
+            skips = scratch.draw[:size]
+            rng.standard_exponential(out=skips)
+            with np.errstate(over="ignore"):  # inf for subnormal r
+                skips /= scale
+            np.ceil(skips, out=skips)
+            # Clipped while float64, so the cast into gaps is exact.
+            np.minimum(skips, slots + 1, out=skips)
+            gaps[...] = skips
         np.cumsum(gaps, out=gaps)
         gaps += end - 1
-        parts.append(gaps)
+        filled += size
         if gaps[-1] >= slots:
             break
         end = int(gaps[-1]) + 1
-    pos = np.concatenate(parts) if len(parts) > 1 else parts[0]
+    pos = scratch.pos[:filled]
     return pos[: np.searchsorted(pos, slots)]
 
 
-def _kept_slots(classes: list[_RateClass], k: int, rng: np.random.Generator) -> list[tuple[np.ndarray, np.ndarray]]:
-    """One block of k trials: per rate class, the (trial, index into
-    ``class.edges``) pairs the trials keep, in trial order.
+def _kept_slots(c: _RateClass, k: int, rng: np.random.Generator, scratch: _Scratch) -> tuple[np.ndarray, np.ndarray]:
+    """One block of k trials of class ``c``: the (trial, index into
+    ``c.edges``) pairs the trials keep, in trial order. Below r = 1 both
+    are views of ``scratch``, valid until its next use.
 
-    Edge e of a class is kept in each trial independently with
+    Edge e of the class is kept in each trial independently with
     probability r * p_e / r = p_e: a candidate with probability r,
     accepted with probability p_e / r.
     """
-    kept = []
-    for c in classes:
-        n = c.edges.shape[0]
-        if c.r == 1.0:  # every slot is a candidate
-            kept.append(np.nonzero(rng.random((k, n)) < c.accept))
-            continue
-        pos = _candidate_slots(c.r, k * n, rng)
-        pos = pos[rng.random(pos.shape[0]) < c.accept[pos % n]]
-        kept.append(np.divmod(pos, n))
-    return kept
+    n = c.edges.shape[0]
+    if c.r == 1.0:  # every slot is a candidate
+        return np.nonzero(rng.random((k, n)) < c.accept)
+    trial = _candidate_slots(c.r, k * n, rng, scratch)
+    size = trial.shape[0]
+    col = scratch.col[:size]
+    np.divmod(trial, n, out=(trial, col))
+    uniform = scratch.draw[:size]
+    rng.random(out=uniform)
+    # The indices are in range; mode "raise" would buffer ``out``.
+    accept = np.take(c.accept, col, out=scratch.accept[:size], mode="clip")
+    kept = np.flatnonzero(np.less(uniform, accept, out=scratch.keep[:size]))
+    # Into the buffers of the uniforms and ratios, which np.less consumed.
+    return (
+        np.take(trial, kept, out=scratch.draw.view(np.int64)[: kept.shape[0]], mode="clip"),
+        np.take(col, kept, out=scratch.accept.view(np.int64)[: kept.shape[0]], mode="clip"),
+    )
 
 
 def variance_monte_carlo(
@@ -238,16 +310,24 @@ def variance_monte_carlo(
     none. The rest are grouped by r = 2^e with p_e in [r/2, r). Within
     a class, candidates over the trial-major (trial, edge) slots are
     placed by geometric skips with rate r and accepted with probability
-    p_e / r >= 1/2, so a trial costs O(sum p) draws, not O(|E|). A
-    block's trial sums are, per class, a sparse (block rows x |E|) 0/1
-    matrix on the class's edge columns times the b_e / p_e rows.
+    p_e / r >= 1/2, so a trial costs O(sum p) draws, not O(|E|). Below
+    r = 1/3 a skip is ceil(E / -log1p(-r)) of one standard exponential
+    E, numpy's own inversion, so the skips and the generator's state
+    equal those of ``rng.geometric``, which the r = 1/2 class still
+    calls. A block's trial sums are, per class, a sparse (block rows x
+    |E|) 0/1 matrix on the class's edge columns times the b_e / p_e
+    rows, added class by class.
 
     Trials are drawn in blocks of at most ``chunk`` rows (a cap, not a
     block size), and of at most as many rows as keep the block's
     expected candidate scratch and its (rows x d) sums within
     ``_BLOCK_BYTES`` (2 MiB), but at least one. So the block scratch
     stays about 2 MiB whatever ``trials`` is. The estimate depends on
-    the seed, ``trials`` and ``chunk``.
+    the seed, ``trials`` and ``chunk``. The candidate scratch is
+    allocated once per call and reused by every class and block: four
+    8-byte buffers and one mask, 33 bytes per slot of the largest
+    class's first draw in a full block. It grows only for a class whose
+    first draw falls short, about four standard deviations out.
 
     ``aggregates`` may pass ``edge_aggregates(g, features, model)`` when
     the caller already has it, which saves the recompute; it is computed
@@ -282,18 +362,28 @@ def variance_monte_carlo(
 
     row_bytes = _CANDIDATE_BYTES * candidates_per_trial + 16 * dim
     rows = min(max(int(_BLOCK_BYTES // row_bytes), 1), chunk, trials)
+    # A class's first draw in a full block is its largest; an r = 1 class
+    # keeps at most its rows x n slots, which this also covers.
+    scratch = _Scratch(max((_draw_size(rows * c.edges.shape[0] * c.r) for c in classes), default=0))
+    indptr = np.zeros(rows + 1, dtype=np.int64)
+    dev_rows = np.empty((rows, dim))
     s1 = np.zeros(dim)
     s2 = np.zeros(dim)
     done = 0
     while done < trials:
         k = min(rows, trials - done)
-        dev = np.tile(base, (k, 1))
-        for (trial, col), c in zip(_kept_slots(classes, k, rng), classes):
-            indptr = np.zeros(k + 1, dtype=np.int64)
-            np.cumsum(np.bincount(trial, minlength=k), out=indptr[1:])
-            dev += sp.csr_matrix((np.ones(col.shape[0]), c.edges[col], indptr), shape=(k, g.num_edges)) @ scaled
+        dev = dev_rows[:k]
+        dev[...] = base
+        for c in classes:
+            trial, col = _kept_slots(c, k, rng, scratch)
+            kept = col.shape[0]
+            np.cumsum(np.bincount(trial, minlength=k), out=indptr[1 : k + 1])
+            edge = np.take(c.edges, col, out=scratch.col[:kept], mode="clip")
+            ones = scratch.pos.view(np.float64)[:kept]
+            ones.fill(1.0)
+            dev += sp.csr_matrix((ones, edge, indptr[: k + 1]), shape=(k, g.num_edges)) @ scaled
         s1 += dev.sum(axis=0)
-        s2 += (dev**2).sum(axis=0)
+        s2 += np.multiply(dev, dev, out=dev).sum(axis=0)
         done += k
     if trials == 1:
         return 0.0

@@ -1,6 +1,8 @@
 """Variance analysis: aggregates, optimal probabilities, closed form,
 Monte-Carlo agreement, survival probability."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,9 @@ from subgcn.engine import graph_adjacency
 from subgcn.variance import (
     _BLOCK_BYTES,
     EdgeAggregates,
+    _Scratch,
     _candidate_slots,
+    _draw_size,
     _kept_slots,
     _rate_classes,
     budget_probabilities,
@@ -431,6 +435,20 @@ class TestMonteCarloBlocks:
             tracemalloc.stop()
         assert peak < 32 << 20
 
+    def test_peak_memory_on_the_sparse_path_is_bounded(self):
+        # The variance-lab shape: optimal probabilities at m = 50 fall in
+        # classes r <= 1/8, so every class takes the skip draw.
+        g, feats, model = mc_instance(400, 2100, seed=1)
+        agg = edge_aggregates(g, feats, model)
+        probs = optimal_edge_probs(agg, 50)
+        assert max(c.r for c in _rate_classes(probs)) < 0.5
+        # The scaled copy, one block's scratch and 64 bytes per edge for
+        # the per-edge vectors (probability masks, class members and
+        # ratios). Candidate scratch that grows by doubling exceeds it.
+        bound = agg.layer_sum.nbytes + _BLOCK_BYTES + 64 * g.num_edges
+        run = lambda: variance_monte_carlo(g, feats, model, probs, 20_000, make_rng(0, 1), aggregates=agg)  # noqa: E731
+        assert traced_peak(run) <= bound
+
     def test_peak_memory_is_one_aggregate_plus_scratch(self):
         g, feats, model, bound = large_instance()
         probs = optimal_edge_probs(edge_aggregates(g, feats, model), g.num_edges / 8)
@@ -455,13 +473,34 @@ class TestMonteCarloBlocks:
             variance_monte_carlo(g, feats, model, np.full(g.num_edges + 1, 0.5), 10, make_rng(0, 0))
 
 
+def geometric_slots(r, slots, rng):
+    """The candidate slots as drawn with ``rng.geometric`` skips, the
+    reference for the estimator's own skips."""
+    parts = []
+    end = 0
+    while True:
+        left = (slots - end) * r
+        gaps = rng.geometric(r, size=int(left + 4.0 * math.sqrt(left)) + 1)
+        np.minimum(gaps, slots + 1, out=gaps)
+        np.cumsum(gaps, out=gaps)
+        gaps += end - 1
+        parts.append(gaps)
+        if gaps[-1] >= slots:
+            break
+        end = int(gaps[-1]) + 1
+    pos = np.concatenate(parts)
+    return pos[: np.searchsorted(pos, slots)]
+
+
 def kept_matrix(p, trials, rng):
     """One block's kept (trial, edge) pairs as a trials x |E| 0/1 matrix,
     checking the pairs' order, range and uniqueness on the way."""
     classes = _rate_classes(p)
+    scratch = _Scratch(max((_draw_size(trials * c.edges.shape[0] * c.r) for c in classes), default=0))
     kept = np.zeros((trials, p.shape[0]), dtype=bool)
     pairs = 0
-    for (trial, col), c in zip(_kept_slots(classes, trials, rng), classes):
+    for c in classes:
+        trial, col = _kept_slots(c, trials, rng, scratch)
         assert np.all(np.diff(trial) >= 0)  # trial order, as the CSR rows need
         assert trial.shape == col.shape
         if trial.size:
@@ -515,6 +554,33 @@ class TestSparseDraw:
         n = trials - lag
         assert abs(both - n * q) <= MC_Z * np.sqrt(n * q * (1 - q))
 
+    @pytest.mark.parametrize("r", [0.5, 0.25, 2.0**-5, 2.0**-20, 2.0**-70, 2.0**-1073])
+    @pytest.mark.parametrize("slots", [1, 3, 1000, 200_000])
+    def test_skips_equal_rng_geometric(self, r, slots):
+        # Below r = 1/3 the skips invert standard exponentials as numpy's
+        # geometric does; the same positions and the same next draw pin
+        # that to the installed numpy.
+        for seed in range(40 if slots < 1000 else 2):
+            want_rng, got_rng = make_rng(24, seed), make_rng(24, seed)
+            got = _candidate_slots(r, slots, got_rng, _Scratch(_draw_size(slots * r)))
+            assert np.array_equal(got, geometric_slots(r, slots, want_rng))
+            assert got_rng.random() == want_rng.random()
+
+    def test_short_first_draw_continues_identically(self):
+        # One slot at r = 2^-5 takes one skip, which lands on slot 0 with
+        # probability 1/32; the class then draws again, into grown scratch.
+        grown = 0
+        for seed in range(300):
+            want_rng, got_rng = make_rng(25, seed), make_rng(25, seed)
+            scratch = _Scratch(_draw_size(2.0**-5))
+            got = _candidate_slots(2.0**-5, 1, got_rng, scratch)
+            grown += scratch.pos.shape[0] > 1
+            assert np.array_equal(got, geometric_slots(2.0**-5, 1, want_rng))
+            assert got_rng.random() == want_rng.random()
+        assert grown > 0
+
+    # An unguarded E / -log1p(-r) overflows at subnormal r.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("tiny", [5e-324, 1e-300, 2.0**-70])
     def test_tiny_probabilities_keep_nothing(self, tiny):
         p = np.array([tiny, 0.3, tiny, tiny])
@@ -523,7 +589,7 @@ class TestSparseDraw:
         assert not kept[:, [0, 2, 3]].any()
         assert abs(kept[:, 1].sum() - 0.3 * trials) <= MC_Z * np.sqrt(trials * 0.21)
         r = _rate_classes(p)[-1].r
-        assert r < 2.0**-68 and _candidate_slots(r, trials * 3, make_rng(23, 1)).size == 0
+        assert r < 2.0**-68 and _candidate_slots(r, trials * 3, make_rng(23, 1), _Scratch(1)).size == 0
 
 
 class TestOptimality:

@@ -43,6 +43,10 @@ imports ``subgcn`` from ``<checkout>/src`` and prints one line
   ``aggregates=`` passed, as ``subgcn variance-check`` does, as exact
   bytes (``float.hex``), the generator state after each call, and the
   passed aggregates after the calls.
+- ``monte_carlo.rate_classes``: estimates as exact bytes and the
+  generator state after each call, for a hand-made probability vector
+  that reaches every branch of the draw: p = 0, p = 1, the classes
+  r = 1 and r = 1/2, ordinary classes, 2^-70 and the subnormal 5e-324.
 
 Every ``subgcn train`` digest also holds the number of skipped batches
 that the run prints, whatever the wording of that line.
@@ -69,6 +73,10 @@ import numpy as np
 DRAWS = 12  # subgraphs drawn per sampler kind
 DATASET_FIELDS = ("graph", "features", "labels", "split", "num_classes")
 AGGREGATE_DIMS = ((16,), (2, 2), (16, 16, 16))  # the layer widths after the features
+# Cycled over the edges by ``monte_carlo.rate_classes``: p = 0 and 1, the
+# classes r = 1 (p in [1/2, 1)) and r = 1/2, ordinary classes, and rates
+# far below any one draw.
+RATE_CLASS_PROBS = (0.0, 1.0, 0.7, 0.999, 0.5, 0.3, 0.26, 0.2, 0.1, 0.03, 0.004, 2.0**-70, 5e-324)
 
 
 class Digest:
@@ -257,6 +265,16 @@ def digests(subgcn, data_dir: Path, seed: int = 3) -> tuple[dict[str, str], list
             d.add(rng.bit_generator.state)
     d.add(agg)
     out["monte_carlo.given_aggregates"] = d.hexdigest()
+
+    p = np.resize(np.array(RATE_CLASS_PROBS), g.num_edges)
+    d = Digest()
+    for chunk in (64, 20_000):
+        rng = samplers.make_rng(seed, 1)
+        # b_e / 5e-324 overflows to inf; such an edge is never drawn.
+        with np.errstate(over="ignore"):
+            d.add(variance.variance_monte_carlo(g, feats, model, p, 2_000, rng, chunk, aggregates=agg).hex())
+        d.add(rng.bit_generator.state)
+    out["monte_carlo.rate_classes"] = d.hexdigest()
     return out, estimates
 
 
