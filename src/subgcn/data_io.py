@@ -19,14 +19,16 @@ sizes no array by a header count before the rows confirm it.
 Subgraph caches, coefficient caches and model checkpoints use a binary
 container (magic bytes, version, little-endian 64-bit payloads) bound
 to their graph by a BLAKE2b (8-byte digest) hash over the node and arc
-counts and the CSR arrays. The container is at version 4: a cached
-subgraph is stored as its sorted node IDs and induced again on load.
-Loaders refuse any other version, and files of an older version must
-be regenerated. All writers are byte-deterministic; loaders reject
-malformed input with the offending file and line, and refuse node
-vectors that are not sorted unique node IDs of the graph, coefficients
-that ``NormCoeffs`` rejects, and arrays whose lengths or shapes
-disagree with the graph or with each other.
+counts and the CSR arrays. The hash is computed once per frozen
+``Graph``, on its first container read or write, and recomputed on
+each call for a graph with writable arrays. The container is at
+version 4: a cached subgraph is stored as its sorted node IDs and
+induced again on load. Loaders refuse any other version, and files of
+an older version must be regenerated. All writers are
+byte-deterministic; loaders reject malformed input with the offending
+file and line, and refuse node vectors that are not sorted unique node
+IDs of the graph, coefficients that ``NormCoeffs`` rejects, and arrays
+whose lengths or shapes disagree with the graph or with each other.
 """
 
 from __future__ import annotations
@@ -311,19 +313,38 @@ _MAGIC_CKPT = b"SGCNCKPT"
 _DTYPES = {b"i": "<i8", b"f": "<f8"}
 
 
+def _frozen(arr) -> bool:
+    """Whether ``arr`` and every array it views are read-only, down to
+    one that owns its data."""
+    while arr is not None:
+        if not isinstance(arr, np.ndarray) or arr.flags.writeable:
+            return False
+        arr = arr.base
+    return True
+
+
 def graph_hash(g: Graph) -> int:
     """BLAKE2b (8-byte digest) over the node and arc counts and the CSR
     arrays, read as a little-endian unsigned 64-bit int; binds caches to
-    their graph."""
+    their graph.
+
+    The hash is computed once per frozen graph, on its first call, and
+    kept in the instance ``__dict__`` (not a field, so
+    ``dataclasses.replace`` starts unhashed). A graph with a CSR array
+    that is writable or a view of a writable array, which ``build_graph``
+    never makes, is hashed on every call, so an array changed in place
+    never meets a stale hash."""
+    arrays = ((g.row_offsets, "<i8"), (g.col_indices, "<i8"), (g.norm_values, "<f8"), (g.degrees, "<i8"))
+    frozen = all(_frozen(arr) for arr, _ in arrays)
+    if frozen and "_graph_hash" in g.__dict__:
+        return g.__dict__["_graph_hash"]
     h = hashlib.blake2b(struct.pack("<2Q", g.num_nodes, g.num_arcs), digest_size=8)
-    for arr, code in (
-        (g.row_offsets, "<i8"),
-        (g.col_indices, "<i8"),
-        (g.norm_values, "<f8"),
-        (g.degrees, "<i8"),
-    ):
+    for arr, code in arrays:
         h.update(np.ascontiguousarray(arr, dtype=code))
-    return int.from_bytes(h.digest(), "little")
+    value = int.from_bytes(h.digest(), "little")
+    if frozen:
+        g.__dict__["_graph_hash"] = value  # the dataclass is frozen; its __dict__ is not
+    return value
 
 
 def _write_array(f, arr: np.ndarray) -> None:
@@ -372,8 +393,9 @@ def _read_header(f, magic: bytes, path, g: Graph) -> dict:
         raise DataFormatError(
             path, None, f"unsupported container version {version} (expected {_VERSION}); regenerate the file"
         )
+    blob = _read_exact(f, meta_len, path)  # outside the try: its DataFormatError is a ValueError too
     try:
-        meta = json.loads(_read_exact(f, meta_len, path).decode())
+        meta = json.loads(blob.decode())
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too many digits, too deep
         raise DataFormatError(path, None, f"malformed container header: {exc}") from None
     if not isinstance(meta, dict):

@@ -7,7 +7,9 @@ adjacency (each row divided by the node degree), so the value matrix is
 row-stochastic on non-isolated nodes but not symmetric.
 
 All arrays are frozen after construction; a Graph may be shared freely
-across threads.
+across threads. ``data_io.graph_hash`` relies on this rule: it hashes
+a graph with frozen CSR arrays only once and keeps the value on the
+instance.
 """
 
 from __future__ import annotations

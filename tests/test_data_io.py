@@ -8,6 +8,7 @@ import struct
 import tempfile
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -584,7 +585,106 @@ class TestGraphHash:
         assert graph_hash(shifted) != graph_hash(square_chord)
 
 
+@pytest.fixture
+def blake2b_calls(monkeypatch):
+    """A list that gains one entry per ``hashlib.blake2b`` constructed by ``data_io``."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return hashlib.blake2b(*args, **kwargs)
+
+    monkeypatch.setattr(data_io, "hashlib", SimpleNamespace(blake2b=counting))
+    return calls
+
+
+class TestGraphHashMemo:
+    """A frozen graph is hashed once; a writable or replaced one is not trusted to a stored value."""
+
+    def test_container_io_hashes_each_graph_once(self, tmp_path, monkeypatch, blake2b_calls):
+        ds = generate_sbm(SbmSpec(blocks=2, block_size=10, p_intra=0.5, p_inter=0.1, noise=0.5, seed=1))
+        save_dataset(ds, tmp_path / "data")
+        cfg = SamplerConfig(kind="edge", m=6, seed=2)
+        other = load_dataset(tmp_path / "data").graph  # same edges, its own memo
+        with SubgraphProducer(other, cfg) as producer:
+            save_subgraphs(tmp_path / "subs", other, cfg, [producer.take() for _ in range(3)])
+        blake2b_calls.clear()
+
+        hash_calls = []
+        original = data_io.graph_hash
+        monkeypatch.setattr(data_io, "graph_hash", lambda g: hash_calls.append(1) or original(g))
+
+        loaded = load_dataset(tmp_path / "data")
+        g = loaded.graph
+        tcfg = TrainConfig(hidden_dims=(3,), epochs=1, seed=3)
+        result = train(g, loaded.features, loaded.labels, loaded.split, cfg, tcfg, num_classes=2)
+        coeffs, _ = estimate_coeffs(g, cfg)
+        assert blake2b_calls == [] and hash_calls == []
+
+        for call in (
+            lambda: save_checkpoint(tmp_path / "final", g, result.checkpoint),
+            lambda: save_checkpoint(tmp_path / "best", g, result.checkpoint),
+            lambda: load_checkpoint(tmp_path / "final", g),
+            lambda: save_coeffs(tmp_path / "coeffs", g, coeffs, cfg),
+            lambda: load_subgraphs(tmp_path / "subs", g),
+        ):
+            before = len(hash_calls)
+            call()
+            assert len(hash_calls) > before  # every container still asks data_io.graph_hash
+        assert len(blake2b_calls) == 1
+        assert graph_hash(g) == graph_hash(other)
+
+    def test_writable_array_changed_in_place_changes_the_hash(self, square_chord, blake2b_calls):
+        g = dataclasses.replace(square_chord, norm_values=square_chord.norm_values.copy())
+        before = graph_hash(g)
+        g.norm_values[3] = np.nextafter(g.norm_values[3], np.inf)
+        assert graph_hash(g) != before
+        assert len(blake2b_calls) == 2
+
+    def test_read_only_view_of_a_writable_array_is_hashed_on_every_call(self, square_chord):
+        values = square_chord.norm_values.copy()
+        view = values.view()
+        view.setflags(write=False)
+        g = dataclasses.replace(square_chord, norm_values=view)
+        before = graph_hash(g)
+        values[3] = np.nextafter(values[3], np.inf)
+        assert graph_hash(g) != before
+
+    def test_array_unfrozen_after_hashing_is_hashed_again(self, square_chord):
+        before = graph_hash(square_chord)
+        square_chord.norm_values.setflags(write=True)
+        square_chord.norm_values[3] = np.nextafter(square_chord.norm_values[3], np.inf)
+        assert graph_hash(square_chord) != before
+
+    def test_replace_does_not_carry_the_stored_hash(self, square_chord):
+        before = graph_hash(square_chord)
+        values = square_chord.norm_values.copy()
+        values[3] = np.nextafter(values[3], np.inf)
+        values.setflags(write=False)
+        moved = dataclasses.replace(square_chord, norm_values=values)
+        assert graph_hash(moved) != before
+
+    def test_stored_hash_equals_a_fresh_build(self, blake2b_calls):
+        for g in (build_graph([(0, 1), (0, 0), (1, 1), (2, 2)], 3), generate_er(30, 0.2, seed=1)):
+            first = graph_hash(g)
+            blake2b_calls.clear()
+            assert graph_hash(g) == first
+            assert blake2b_calls == []  # the second call was answered from the stored value
+            assert graph_hash(build_graph(g.edge_endpoints, g.num_nodes)) == first
+
+
 class TestContainerValidation:
+    @pytest.mark.parametrize("kind", LOADERS)
+    def test_truncated_header_blob_names_the_file_once(self, containers, kind, tmp_path):
+        g, files = containers
+        data = bytearray(files[kind])
+        data[20:24] = (0xFFFFFFFF).to_bytes(4, "little")  # the header blob's length
+        path = tmp_path / kind
+        path.write_bytes(bytes(data))
+        with pytest.raises(DataFormatError) as exc_info:
+            LOADERS[kind](path, g)
+        assert str(exc_info.value) == f"{path}: truncated binary file"
+
     @pytest.mark.parametrize("kind", LOADERS)
     def test_version_3_rejected(self, containers, kind, tmp_path):
         g, files = containers

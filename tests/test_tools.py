@@ -16,6 +16,7 @@ GROUPS = [
     "caches",
     "cli.train",
     "train.skips",
+    "containers.bytes",
     "forward",
     "grads",
     "edge_aggregates.f_16",

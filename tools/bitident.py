@@ -27,6 +27,10 @@ imports ``subgcn`` from ``<checkout>/src`` and prints one line
   two ``subgcn train`` runs that skip batches with no training node
   (edge_independent sampler with m 1 and dropout; node sampler with
   n 2);
+- ``containers.bytes``: the file bytes, the graph hash in each header
+  included, of the ``caches`` group's ``save_subgraphs`` and
+  ``save_coeffs`` files and of the ``final.ckpt`` and ``best.ckpt``
+  that the ``cli.train`` runs write;
 - ``forward``: ``forward_full`` scores;
 - ``grads``: the loss and weight gradients of ``loss_and_grad`` on one
   edge-sampler batch with exact coefficients and dropout, for a model
@@ -139,19 +143,22 @@ def _draws(subgcn, g, seed: int, workers: int) -> str:
     return d.hexdigest()
 
 
-def _caches(subgcn, g, seed: int, coeffs, work: Path) -> str:
+def _caches(subgcn, g, seed: int, coeffs, work: Path) -> tuple[str, Digest]:
+    """Digest of the loaded caches, and a Digest of the written files' bytes."""
     from subgcn import data_io
 
-    d = Digest()
+    d, files = Digest(), Digest()
     path = work / "subgraphs.bin"
     for cfg in _sampler_configs(subgcn, g, seed):
         with subgcn.SubgraphProducer(g, cfg) as producer:
             data_io.save_subgraphs(path, g, cfg, [producer.take() for _ in range(DRAWS)])
+        files.add(path.read_bytes())
         d.add(data_io.load_subgraphs(path, g))
     path = work / "coeffs.bin"
     data_io.save_coeffs(path, g, coeffs)
+    files.add(path.read_bytes())
     d.add(data_io.load_coeffs(path, g))
-    return d.hexdigest()
+    return d.hexdigest(), files
 
 
 def _cli_train(data_dir: Path, work: Path, runs=("edge", "rw"), norm=("--num-norm-subgraphs", "8")) -> str:
@@ -215,9 +222,13 @@ def digests(subgcn, data_dir: Path, seed: int = 3) -> tuple[dict[str, str], list
                 d.add(normalization.estimate_coeffs(g, cfg))
         d.add(_cli_train(data_dir, Path(work) / "exact", runs=("edge",), norm=()))
         out["exact"] = d.hexdigest()
-        out["caches"] = _caches(subgcn, g, seed, coeffs, Path(work))
+        out["caches"], files = _caches(subgcn, g, seed, coeffs, Path(work))
         out["cli.train"] = _cli_train(data_dir, Path(work))
         out["train.skips"] = _cli_train(data_dir, Path(work) / "skips", runs=("edge_independent", "node"))
+        for run in ("edge", "rw"):
+            for ckpt in ("final.ckpt", "best.ckpt"):
+                files.add((Path(work) / run / ckpt).read_bytes())
+        out["containers.bytes"] = files.hexdigest()
 
     model = engine.init_model((feats.shape[1], 32, 32, ds.num_classes), "softmax", samplers.make_rng(seed, 0))
     d = Digest()
