@@ -45,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .engine import HEADS, Checkpoint
-from .graph import Graph, Subgraph, build_graph, induced_subgraph
+from .graph import Graph, Subgraph, build_graph, induced_subgraph, sorted_unique
 from .normalization import NormCoeffs
 from .samplers import SamplerConfig, make_rng
 
@@ -615,7 +615,7 @@ def generate_regular(d: int, n: int, seed: int = 0) -> Graph:
             continue
         lo = np.minimum(pairs[:, 0], pairs[:, 1])
         hi = np.maximum(pairs[:, 0], pairs[:, 1])
-        if np.unique(lo * np.int64(n) + hi).shape[0] != pairs.shape[0]:
+        if sorted_unique(lo * np.int64(n) + hi).shape[0] != pairs.shape[0]:
             continue
         return build_graph(pairs, n)
     raise RuntimeError(f"could not sample a simple {d}-regular graph on {n} nodes")

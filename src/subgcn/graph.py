@@ -102,6 +102,24 @@ def _freeze(*arrays: np.ndarray) -> None:
         a.setflags(write=False)
 
 
+def sorted_unique(a: np.ndarray) -> np.ndarray:
+    """``np.unique(a)`` of a 1-D array by one sort and a neighbour compare.
+
+    Same values and dtype. numpy 2.x routes integer ``np.unique``
+    through a hash table, which costs far more than the sort.
+    """
+    a = np.sort(a)
+    first = np.ones(a.shape[0], dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    return a[first]
+
+
+def _check_integer(what: str, a: np.ndarray) -> None:
+    """Refuse a non-integer dtype (bool included) instead of casting it."""
+    if a.dtype.kind not in "iu":
+        raise ValueError(f"{what} must have an integer dtype, got {a.dtype}")
+
+
 def build_graph(
     edge_list: Iterable[tuple[int, int]] | np.ndarray,
     num_nodes: int,
@@ -112,31 +130,43 @@ def build_graph(
     deduplicated. Loops (v, v) in the input are kept as single-arc
     edges, so a graph with a loop on every node passes every (v, v).
 
+    Cost: one sort of the k input edge keys and one argsort of the
+    arc keys, plus O(k + num_nodes) linear passes.
+
     Parameters
     ----------
     edge_list : iterable of (u, v) pairs or (k, 2) array
+        Integer endpoints. An empty list of any dtype or shape is the
+        graph with no edges.
     num_nodes : int
         Must be positive; all endpoints must lie in [0, num_nodes).
 
     Raises
     ------
     ValueError
-        On an empty graph (num_nodes <= 0) or out-of-range endpoint.
+        On an empty graph (num_nodes <= 0), a non-empty edge list that
+        is not integer (bool included) or not shaped (k, 2), or an
+        out-of-range endpoint.
     """
     if num_nodes <= 0:
         raise ValueError("graph must have at least one node")
     pairs = np.asarray(list(edge_list) if not isinstance(edge_list, np.ndarray) else edge_list)
+    if pairs.size:
+        _check_integer("edge list", pairs)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError(f"edge list must have shape (k, 2), got {pairs.shape}")
     pairs = pairs.reshape(-1, 2).astype(np.int64, copy=False)
     if pairs.size and (pairs.min() < 0 or pairs.max() >= num_nodes):
         bad = pairs[(pairs < 0).any(axis=1) | (pairs >= num_nodes).any(axis=1)][0]
         raise ValueError(f"edge ({bad[0]},{bad[1]}) out of range for {num_nodes} nodes")
 
+    n = np.int64(num_nodes)
     lo = np.minimum(pairs[:, 0], pairs[:, 1])
     hi = np.maximum(pairs[:, 0], pairs[:, 1])
 
     # Dedup + canonical lexicographic edge order via a scalar key.
-    keys = np.unique(lo * np.int64(num_nodes) + hi)
-    lo, hi = keys // num_nodes, keys % num_nodes
+    keys = sorted_unique(lo * n + hi)
+    lo, hi = np.divmod(keys, n)
     num_edges = int(keys.shape[0])
     edge_endpoints = np.stack([lo, hi], axis=1)
 
@@ -145,7 +175,10 @@ def build_graph(
     rows = np.concatenate([lo, hi[nonloop]])
     cols = np.concatenate([hi, lo[nonloop]])
     arc_eid = np.concatenate([edge_ids, edge_ids[nonloop]])
-    order = np.lexsort((cols, rows))
+    # Row-major arc order. Every arc key is unique (a loop has one arc,
+    # and a forward arc u < v never equals a reverse one), so any sort
+    # gives the one permutation that lexsort((cols, rows)) gives.
+    order = np.argsort(rows * n + cols)
     rows, cols, arc_eid = rows[order], cols[order], arc_eid[order]
 
     degrees = np.bincount(rows, minlength=num_nodes).astype(np.int64)
@@ -180,9 +213,12 @@ def induced_subgraph(g: Graph, node_ids: Iterable[int] | np.ndarray) -> Subgraph
     Raises
     ------
     ValueError
-        On an out-of-range ID.
+        On a non-empty ID list that is not integer (bool included), or
+        an out-of-range ID.
     """
     ids = np.asarray(list(node_ids) if not isinstance(node_ids, np.ndarray) else node_ids)
+    if ids.size:
+        _check_integer("node IDs", ids)
     ids = ids.ravel().astype(np.int64, copy=False)
     if ids.size and (ids.min() < 0 or ids.max() >= g.num_nodes):
         raise ValueError("node ID out of range")

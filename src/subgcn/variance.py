@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .engine import Model, graph_adjacency
-from .graph import Graph
+from .graph import Graph, sorted_unique
 from .samplers import budget_probabilities
 
 __all__ = [
@@ -173,7 +173,7 @@ def _rate_classes(p: np.ndarray) -> list[_RateClass]:
     edges = np.flatnonzero((p > 0.0) & (p < 1.0))
     mantissa, exponent = np.frexp(p[edges])  # p = mantissa * 2^exponent, mantissa in [1/2, 1)
     classes = []
-    for x in np.unique(exponent)[::-1]:
+    for x in sorted_unique(exponent)[::-1]:
         member = exponent == x
         classes.append(_RateClass(edges=edges[member], r=float(np.ldexp(1.0, x)), accept=mantissa[member]))
     return classes

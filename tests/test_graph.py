@@ -133,6 +133,95 @@ class TestBuildGraphProperties:
             assert g.edge_endpoints[g.arc_to_edge[a]].tolist() == [min(u, v), max(u, v)]
 
 
+GRAPH_ARRAYS = ("row_offsets", "col_indices", "norm_values", "degrees", "edge_endpoints", "arc_to_edge")
+
+
+def unique_lexsort_reference(pairs, num_nodes: int) -> dict[str, np.ndarray]:
+    """The six Graph arrays by a reference construction: ``np.unique`` of
+    the edge keys and a two-key ``np.lexsort`` of the arcs."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    lo = np.minimum(pairs[:, 0], pairs[:, 1])
+    hi = np.maximum(pairs[:, 0], pairs[:, 1])
+    keys = np.unique(lo * np.int64(num_nodes) + hi)
+    lo, hi = keys // num_nodes, keys % num_nodes
+    nonloop = lo != hi
+    edge_ids = np.arange(keys.shape[0], dtype=np.int64)
+    rows = np.concatenate([lo, hi[nonloop]])
+    cols = np.concatenate([hi, lo[nonloop]])
+    arc_eid = np.concatenate([edge_ids, edge_ids[nonloop]])
+    order = np.lexsort((cols, rows))
+    rows, cols, arc_eid = rows[order], cols[order], arc_eid[order]
+    degrees = np.bincount(rows, minlength=num_nodes).astype(np.int64)
+    row_offsets = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(degrees, out=row_offsets[1:])
+    norm_values = 1.0 / degrees[rows].astype(np.float64) if rows.size else np.zeros(0)
+    return dict(row_offsets=row_offsets, col_indices=cols, norm_values=norm_values, degrees=degrees,
+                edge_endpoints=np.stack([lo, hi], axis=1), arc_to_edge=arc_eid)
+
+
+def assert_matches_reference(pairs, num_nodes: int) -> None:
+    g = build_graph(pairs, num_nodes)
+    want = unique_lexsort_reference(pairs, num_nodes)
+    for name in GRAPH_ARRAYS:
+        got = getattr(g, name)
+        assert got.dtype == want[name].dtype and got.shape == want[name].shape, name
+        assert got.tobytes() == want[name].tobytes(), name
+        assert not got.flags.writeable, name
+
+
+class TestBuildGraphMatchesUniqueLexsort:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=graph_inputs())
+    def test_generated_inputs(self, case):
+        assert_matches_reference(*case)
+
+    @pytest.mark.parametrize(
+        "pairs, num_nodes",
+        [
+            pytest.param([], 4, id="empty"),
+            pytest.param([(v, v) for v in range(5)], 5, id="all-loops"),
+            pytest.param([(0, 2), (2, 5)], 8, id="isolated-nodes"),
+            pytest.param([(0, 1), (1, 0), (0, 1), (2, 1), (1, 2), (1, 2), (2, 2), (2, 2)], 3, id="duplicates"),
+            pytest.param([(4, 0), (3, 1), (2, 2), (0, 1), (4, 3), (1, 0), (0, 4), (3, 0)], 5, id="unsorted"),
+        ],
+    )
+    def test_named_cases(self, pairs, num_nodes):
+        assert_matches_reference(pairs, num_nodes)
+
+
+class TestMalformedInputRejected:
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            pytest.param(np.arange(6).reshape(2, 3), r"shape \(k, 2\), got \(2, 3\)", id="k-by-3"),
+            pytest.param(np.array([0, 1]), r"shape \(k, 2\), got \(2,\)", id="flat"),
+            pytest.param([[0.5, 1.7]], "integer dtype, got float64", id="float"),
+            pytest.param([("0", "1")], "integer dtype, got <U1", id="str"),
+            pytest.param(np.array([[True, False]]), "integer dtype, got bool", id="bool"),
+        ],
+    )
+    def test_build_graph(self, edges, message):
+        with pytest.raises(ValueError, match=message):
+            build_graph(edges, 6)
+
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            pytest.param([0.9, 1.2], "integer dtype, got float64", id="float"),
+            pytest.param(np.array([True, False, True]), "integer dtype, got bool", id="bool"),
+        ],
+    )
+    def test_induced_subgraph(self, triangle, ids, message):
+        with pytest.raises(ValueError, match=message):
+            induced_subgraph(triangle, ids)
+
+    def test_empty_input_of_any_dtype_is_legal(self, triangle):
+        for empty in ([], np.zeros((0, 2)), np.zeros(0, dtype=bool), np.zeros((0, 3), dtype=np.int32)):
+            g = build_graph(empty, 3)
+            assert g.num_edges == 0 and g.row_offsets.tolist() == [0, 0, 0, 0]
+            assert induced_subgraph(triangle, empty).num_nodes == 0
+
+
 class TestInducedSubgraph:
     def test_adjacent_pair(self, triangle):
         sub = induced_subgraph(triangle, [0, 1])

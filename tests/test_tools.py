@@ -9,6 +9,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 GROUPS = [
     "data_io.load_dataset",
+    "graph.build",
     "samplers.serial",
     "samplers.workers2",
     "coeffs",

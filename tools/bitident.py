@@ -10,6 +10,11 @@ imports ``subgcn`` from ``<checkout>/src`` and prints one line
   included), ``features``, ``labels``, ``split`` and ``num_classes`` of
   the loaded ``Dataset``, by name, so that checkouts whose ``Dataset``
   has other fields besides compare alike;
+- ``graph.build``: every ``Graph`` field of ``build_graph`` on random
+  pairs with duplicates, reversed pairs and loops in an unsorted order,
+  and on an empty edge list, and of ``generate_regular(4, 30)``. The
+  loader only ever passes canonical sorted edges, so
+  ``data_io.load_dataset`` does not reach these inputs;
 - ``samplers.serial`` / ``samplers.workers2``: draws of all six sampler
   kinds, serially and from a 2-worker producer;
 - ``coeffs``: every field of the empirical ``NormCoeffs``;
@@ -134,6 +139,18 @@ def _sampler_configs(subgcn, g, seed: int):
     return [subgcn.SamplerConfig(kind=k, seed=seed, **b) for k, b in budgets.items()]
 
 
+def _graph_build(subgcn) -> str:
+    rng = np.random.default_rng(17)
+    pairs = rng.integers(0, 40, size=(200, 2))
+    loops = np.repeat(np.arange(0, 40, 5), 2).reshape(-1, 2)
+    pairs = np.concatenate([pairs, pairs[:60, ::-1], pairs[60:90], loops])
+    d = Digest()
+    d.add(subgcn.build_graph(pairs[rng.permutation(pairs.shape[0])], 40))
+    d.add(subgcn.build_graph(np.zeros((0, 2), dtype=np.int64), 5))
+    d.add(subgcn.generate_regular(4, 30))
+    return d.hexdigest()
+
+
 def _draws(subgcn, g, seed: int, workers: int) -> str:
     d = Digest()
     for cfg in _sampler_configs(subgcn, g, seed):
@@ -205,6 +222,7 @@ def digests(subgcn, data_dir: Path, seed: int = 3) -> tuple[dict[str, str], list
         d.add(getattr(ds, name))
     out = {
         "data_io.load_dataset": d.hexdigest(),
+        "graph.build": _graph_build(subgcn),
         "samplers.serial": _draws(subgcn, g, seed, workers=0),
         "samplers.workers2": _draws(subgcn, g, seed, workers=2),
     }
