@@ -45,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .engine import HEADS, Checkpoint
-from .graph import Graph, Subgraph, build_graph, induced_subgraph, sorted_unique
+from .graph import Graph, Subgraph, build_graph, induced_subgraph, memoized, sorted_unique
 from .normalization import NormCoeffs
 from .samplers import SamplerConfig, make_rng
 
@@ -313,38 +313,24 @@ _MAGIC_CKPT = b"SGCNCKPT"
 _DTYPES = {b"i": "<i8", b"f": "<f8"}
 
 
-def _frozen(arr) -> bool:
-    """Whether ``arr`` and every array it views are read-only, down to
-    one that owns its data."""
-    while arr is not None:
-        if not isinstance(arr, np.ndarray) or arr.flags.writeable:
-            return False
-        arr = arr.base
-    return True
-
-
 def graph_hash(g: Graph) -> int:
     """BLAKE2b (8-byte digest) over the node and arc counts and the CSR
     arrays, read as a little-endian unsigned 64-bit int; binds caches to
     their graph.
 
-    The hash is computed once per frozen graph, on its first call, and
-    kept in the instance ``__dict__`` (not a field, so
-    ``dataclasses.replace`` starts unhashed). A graph with a CSR array
-    that is writable or a view of a writable array, which ``build_graph``
-    never makes, is hashed on every call, so an array changed in place
-    never meets a stale hash."""
-    arrays = ((g.row_offsets, "<i8"), (g.col_indices, "<i8"), (g.norm_values, "<f8"), (g.degrees, "<i8"))
-    frozen = all(_frozen(arr) for arr, _ in arrays)
-    if frozen and "_graph_hash" in g.__dict__:
-        return g.__dict__["_graph_hash"]
-    h = hashlib.blake2b(struct.pack("<2Q", g.num_nodes, g.num_arcs), digest_size=8)
-    for arr, code in arrays:
-        h.update(np.ascontiguousarray(arr, dtype=code))
-    value = int.from_bytes(h.digest(), "little")
-    if frozen:
-        g.__dict__["_graph_hash"] = value  # the dataclass is frozen; its __dict__ is not
-    return value
+    Computed once per frozen graph, on its first call, and kept on the
+    instance (``graph.memoized``). A graph with an array that is
+    writable or a view of a writable array, which ``build_graph`` never
+    makes, is hashed on every call, so an array changed in place never
+    meets a stale hash."""
+
+    def digest() -> int:
+        h = hashlib.blake2b(struct.pack("<2Q", g.num_nodes, g.num_arcs), digest_size=8)
+        for arr, code in ((g.row_offsets, "<i8"), (g.col_indices, "<i8"), (g.norm_values, "<f8"), (g.degrees, "<i8")):
+            h.update(np.ascontiguousarray(arr, dtype=code))
+        return int.from_bytes(h.digest(), "little")
+
+    return memoized(g, "_graph_hash", digest)
 
 
 def _write_array(f, arr: np.ndarray) -> None:

@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from .graph import Graph, Subgraph
+from .graph import Graph, Subgraph, _freeze, index_dtype, memoized
 from .normalization import NormCoeffs, estimate_coeffs
 from .samplers import SamplerConfig, SubgraphProducer, _check_seed, make_rng
 
@@ -126,10 +126,27 @@ class Batch:
 
 
 def graph_adjacency(g: Graph) -> sp.csr_matrix:
-    """Full-graph row-normalized adjacency as a scipy CSR matrix."""
-    return sp.csr_matrix(
-        (g.norm_values, g.col_indices, g.row_offsets), shape=(g.num_nodes, g.num_nodes)
-    )
+    """Full-graph row-normalized adjacency as a scipy CSR matrix.
+
+    Built once per frozen graph and shared by every later call
+    (``graph.memoized``): each full forward and each variance
+    propagation multiplies by the same matrix. Its data is
+    ``g.norm_values`` itself and its index arrays are int32 copies
+    (int64 only past 2^31 arcs), all read-only, so the shared matrix
+    cannot be changed in place. A graph with writable arrays gets a new
+    matrix on each call.
+    """
+
+    def build() -> sp.csr_matrix:
+        idx = index_dtype(max(g.num_arcs, g.num_nodes))
+        adjacency = sp.csr_matrix(
+            (g.norm_values, g.col_indices.astype(idx), g.row_offsets.astype(idx)),
+            shape=(g.num_nodes, g.num_nodes),
+        )
+        _freeze(adjacency.data, adjacency.indices, adjacency.indptr)
+        return adjacency
+
+    return memoized(g, "_adjacency", build)
 
 
 def batch_adjacency(g: Graph, sub: Subgraph, coeffs: NormCoeffs | None) -> sp.csr_matrix:
@@ -235,7 +252,8 @@ def forward_subgraph(
 
 
 def forward_full(model: Model, g: Graph, features: np.ndarray) -> np.ndarray:
-    """Full-graph inference scores (alpha == 1, no dropout)."""
+    """Full-graph inference scores (alpha == 1, no dropout), through the
+    graph's shared :func:`graph_adjacency`."""
     return _forward(graph_adjacency(g), features, model)[0]
 
 

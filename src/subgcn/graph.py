@@ -7,15 +7,20 @@ adjacency (each row divided by the node degree), so the value matrix is
 row-stochastic on non-isolated nodes but not symmetric.
 
 All arrays are frozen after construction; a Graph may be shared freely
-across threads. ``data_io.graph_hash`` relies on this rule: it hashes
-a graph with frozen CSR arrays only once and keeps the value on the
-instance.
+across threads. Values derived from a graph's arrays rely on this rule
+(:func:`memoized`): on a frozen graph, its hash (``data_io.graph_hash``),
+full-graph adjacency (``engine.graph_adjacency``) and edge-incidence
+matrix (used by ``variance.edge_aggregates``) are each computed once and
+kept on the instance. A graph with a writable array, or a read-only view
+of a writable one, recomputes them on every call, so an array changed in
+place never meets a stale value.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from typing import TypeVar
 
 import numpy as np
 
@@ -26,6 +31,10 @@ __all__ = [
     "induced_subgraph",
     "arc_source_nodes",
 ]
+
+T = TypeVar("T")
+
+_INT32_MAX = np.iinfo(np.int32).max
 
 
 @dataclass(frozen=True)
@@ -100,6 +109,43 @@ class Subgraph:
 def _freeze(*arrays: np.ndarray) -> None:
     for a in arrays:
         a.setflags(write=False)
+
+
+def _frozen(arr) -> bool:
+    """Whether ``arr`` and every array it views are read-only, down to
+    one that owns its data."""
+    while arr is not None:
+        if not isinstance(arr, np.ndarray) or arr.flags.writeable:
+            return False
+        arr = arr.base
+    return True
+
+
+_GRAPH_ARRAYS = ("row_offsets", "col_indices", "norm_values", "degrees", "edge_endpoints", "arc_to_edge")
+
+
+def memoized(g: Graph, key: str, build: Callable[[], T]) -> T:
+    """``build()``, computed once per frozen graph and kept on it.
+
+    A graph is frozen when every array field is read-only down to the
+    array that owns its data, as ``build_graph`` leaves them. Then the
+    first call stores the value in the instance ``__dict__`` under
+    ``key`` (not a field, so ``dataclasses.replace`` starts without it)
+    and later calls return that object. Otherwise each call builds anew.
+    Two threads racing on the first call may each build; both values
+    are identical, and the last one stored stays.
+    """
+    if not all(_frozen(getattr(g, name)) for name in _GRAPH_ARRAYS):
+        return build()
+    if key not in g.__dict__:
+        g.__dict__[key] = build()  # the dataclass is frozen; its __dict__ is not
+    return g.__dict__[key]
+
+
+def index_dtype(size: int) -> type[np.integer]:
+    """int32, the index type scipy's sparse kernels take without a
+    copy, when every index and count up to ``size`` fits; else int64."""
+    return np.int32 if size <= _INT32_MAX else np.int64
 
 
 def sorted_unique(a: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .engine import Model, graph_adjacency
-from .graph import Graph, sorted_unique
+from .graph import Graph, _freeze, index_dtype, memoized, sorted_unique
 from .samplers import budget_probabilities
 
 __all__ = [
@@ -67,62 +67,97 @@ class EdgeAggregates:
     norms: np.ndarray
 
 
-def edge_aggregates(g: Graph, features: np.ndarray, model: Model) -> EdgeAggregates:
-    """Layer-summed aggregate vectors for every undirected edge.
+def _edge_incidence(g: Graph) -> sp.csr_matrix:
+    """The (|E| x |V|) matrix whose row e = (u, v), u <= v, holds
+    A[v, u] = 1/deg(v) at column u, then A[u, v] = 1/deg(u) at column v,
+    so ``incidence @ xt`` is every edge's aggregate of ``xt``.
 
-    Propagates over the full graph itself: each layer forms
-    ``xt = x @ W_l`` and adds its edge terms, and every layer but the
-    last then sets ``x = relu(A @ xt)``. That is one gemm per layer and
-    one sparse product per hidden layer. The layer inputs equal those of
-    ``forward_full`` where every hidden layer narrows the width, and
-    agree with them to rounding otherwise.
-
-    The edge terms and norms are formed in chunks of edges written into
-    the result, so besides the result it holds about 2 MiB
-    (``_BLOCK_BYTES``) of chunk scratch, two coefficients per edge and
-    the (|V| x d) layer products.
+    Every row holds two entries (a self-loop both in one column, which
+    the product adds), so ``indptr`` is 0, 2, 4, ... and rows s..t-1 are
+    the entries 2s..2t-1. Built once per frozen graph
+    (``graph.memoized``), on the first call: two float64 values, two
+    int32 columns and one int32 row pointer per edge, 28 bytes, all
+    read-only.
     """
+
+    def build() -> sp.csr_matrix:
+        num_edges = g.num_edges
+        idx = index_dtype(max(2 * num_edges, g.num_nodes))
+        data = np.empty(2 * num_edges)
+        # Coefficient on the u-side term is the adjacency entry of row v.
+        np.divide(1.0, g.degrees[g.edge_endpoints[:, 1]], out=data[0::2])
+        np.divide(1.0, g.degrees[g.edge_endpoints[:, 0]], out=data[1::2])
+        columns = np.ascontiguousarray(g.edge_endpoints, dtype=idx).reshape(-1)
+        indptr = np.arange(0, 2 * num_edges + 1, 2, dtype=idx)
+        incidence = sp.csr_matrix((data, columns, indptr), shape=(num_edges, g.num_nodes))
+        _freeze(incidence.data, incidence.indices, incidence.indptr)
+        return incidence
+
+    return memoized(g, "_incidence", build)
+
+
+def _chunk_edges(dim: int) -> int:
+    """Edges per chunk whose (rows x dim) float64 block fills ``_BLOCK_BYTES``."""
+    return max(_BLOCK_BYTES // (8 * dim), 1)
+
+
+def _layer_sum(g: Graph, features: np.ndarray, model: Model) -> np.ndarray:
+    """The (|E| x d) layer sum of the edge terms ``incidence @ xt``
+    (see :func:`edge_aggregates`), without norms."""
     out_dims = {w.shape[1] for w in model.weights}
     if len(out_dims) != 1:
         raise ValueError("edge aggregates require all layers to share one output dimension")
-
-    num_edges, dim = g.num_edges, out_dims.pop()
-    u = g.edge_endpoints[:, 0]
-    v = g.edge_endpoints[:, 1]
-    # Coefficient on the u-side term is the adjacency entry of row v.
-    coef_u = 1.0 / g.degrees[v]
-    coef_v = 1.0 / g.degrees[u]
-
-    layer_sum = np.empty((num_edges, dim))
-    norms = np.empty(num_edges)
-    # Edges per chunk: the two side terms and np.linalg.norm's squares are
-    # three (rows x d) float64 arrays.
-    step = max(_BLOCK_BYTES // (24 * dim), 1)
-    term = np.empty((min(step, num_edges), dim))
-    v_side = np.empty_like(term)
+    step = _chunk_edges(out_dims.pop())
+    incidence = _edge_incidence(g)
     last = model.num_layers - 1
     adjacency = graph_adjacency(g) if last else None
     x = features
     for l, w in enumerate(model.weights):
         xt = x @ w
-        for start in range(0, num_edges, step):
-            rows = slice(start, min(start + step, num_edges))
-            # The first layer's terms go straight into the result.
-            t = term[: rows.stop - start] if l else layer_sum[rows]
-            vs = v_side[: rows.stop - start]
-            # The indices are in range; mode "raise" would buffer ``out``.
-            np.take(xt, u[rows], axis=0, out=t, mode="clip")
-            t *= coef_u[rows, None]
-            np.take(xt, v[rows], axis=0, out=vs, mode="clip")
-            vs *= coef_v[rows, None]
-            t += vs
-            if l:
-                layer_sum[rows] += t
-            if l == last:
-                norms[rows] = np.linalg.norm(layer_sum[rows], axis=1)
+        if l == 0:
+            layer_sum = incidence @ xt
+        else:
+            for start in range(0, g.num_edges, step):
+                stop = min(start + step, g.num_edges)
+                # Rows start..stop-1 as views: every row holds two entries.
+                rows = sp.csr_matrix(
+                    (incidence.data[2 * start : 2 * stop], incidence.indices[2 * start : 2 * stop],
+                     incidence.indptr[: stop - start + 1]),
+                    shape=(stop - start, g.num_nodes),
+                )
+                layer_sum[start:stop] += rows @ xt
         if l < last:
             x = adjacency @ xt
             np.maximum(x, 0.0, out=x)
+    return layer_sum
+
+
+def edge_aggregates(g: Graph, features: np.ndarray, model: Model) -> EdgeAggregates:
+    """Layer-summed aggregate vectors for every undirected edge.
+
+    Propagates over the full graph itself: each layer forms
+    ``xt = x @ W_l`` and its edge terms ``incidence @ xt``, one sparse
+    product with the (|E| x |V|) edge-incidence matrix (two entries a
+    row, A[v, u] and A[u, v] for edge (u, v)), and every layer but the
+    last then sets ``x = relu(A @ xt)`` with the shared
+    ``graph_adjacency``. The layer inputs equal those of ``forward_full``
+    where every hidden layer narrows the width, and agree with them to
+    rounding otherwise. Each row's sum is formed as
+    ``(0 + A[v, u] * xt[u]) + A[u, v] * xt[v]``, so it equals the
+    explicit per-edge formula bit for bit.
+
+    The first layer's product is the result; each later layer adds its
+    product into it in chunks of edges, and the norms are taken in
+    chunks too. Besides the result it holds about 2 MiB
+    (``_BLOCK_BYTES``) of chunk scratch, the norms, the (|V| x d) layer
+    products and, built on the graph's first call and kept with it, the
+    incidence matrix (28 bytes per edge).
+    """
+    layer_sum = _layer_sum(g, features, model)
+    step = _chunk_edges(layer_sum.shape[1])
+    norms = np.empty(g.num_edges)
+    for start in range(0, g.num_edges, step):
+        norms[start : start + step] = np.linalg.norm(layer_sum[start : start + step], axis=1)
     return EdgeAggregates(layer_sum=layer_sum, norms=norms)
 
 
@@ -169,8 +204,8 @@ class _RateClass:
 
 def _rate_classes(p: np.ndarray) -> list[_RateClass]:
     """The edges with 0 < p < 1 grouped by the power of two above p,
-    highest rate first."""
-    edges = np.flatnonzero((p > 0.0) & (p < 1.0))
+    highest rate first. Edge IDs are int32 below 2^31 edges."""
+    edges = np.flatnonzero((p > 0.0) & (p < 1.0)).astype(index_dtype(p.shape[0]))
     mantissa, exponent = np.frexp(p[edges])  # p = mantissa * 2^exponent, mantissa in [1/2, 1)
     classes = []
     for x in sorted_unique(exponent)[::-1]:
@@ -194,7 +229,8 @@ class _Scratch:
       uniforms, then (as int64) the trials it keeps;
     - ``pos``: the candidate positions, then their trials, then (as
       float64) the ones of the CSR matrix;
-    - ``col``: the candidates' columns, then the kept edge IDs;
+    - ``col``: the candidates' columns, then (with the class edges'
+      dtype, int32 below 2^31 edges) the kept edge IDs;
     - ``accept``: the candidates' acceptance ratios, then (as int64)
       the kept columns;
     - ``keep``: the keep mask.
@@ -330,12 +366,16 @@ def variance_monte_carlo(
     first draw falls short, about four standard deviations out.
 
     ``aggregates`` may pass ``edge_aggregates(g, features, model)`` when
-    the caller already has it, which saves the recompute; it is computed
-    here otherwise. Besides its blocks and per-edge vectors, the
-    estimator holds one scaled (|E| x d) array of b_e / p_e: a copy of
-    the given aggregates, which it never writes, or else its own
-    aggregates scaled in place, so no array beyond them. The rows of the
-    p = 1 edges are also gathered once, for the constant.
+    the caller already has it, which saves the recompute. Otherwise the
+    estimator computes the layer sums alone, through the graph's shared
+    adjacency and incidence matrices, without the norms it never reads.
+    Besides its blocks and per-edge vectors, it holds one scaled
+    (|E| x d) array of b_e / p_e: a new array divided from the given
+    aggregates, which it never writes, or else its own layer sums scaled
+    in place, so no array beyond them. The rows of the p = 1 edges are
+    also gathered once, for the constant. The trial matrices take int32
+    edge IDs and row pointers below 2^31 edges, which scipy uses without
+    a scan or a copy.
 
     Accumulation is centered on the exact mean (the sum of layer sums),
     which keeps the two-pass variance stable when streamed in blocks.
@@ -346,17 +386,17 @@ def variance_monte_carlo(
         raise ValueError("chunk must be positive")
     p = _checked_probs(probs, g.num_edges)
     given = aggregates is not None
-    if not given:
-        aggregates = edge_aggregates(g, features, model)
-    layer_sum = aggregates.layer_sum
+    layer_sum = aggregates.layer_sum if given else _layer_sum(g, features, model)
     if layer_sum.shape[0] != g.num_edges:
         raise ValueError(f"aggregates must have {g.num_edges} rows, got {layer_sum.shape[0]}")
     dim = layer_sum.shape[1]
     base = layer_sum[p == 1.0].sum(axis=0) - layer_sum.sum(axis=0)
-    # b_e / p_e of the drawn edges, in one copy of the caller's aggregates
-    # or in place in the estimator's own.
-    scaled = layer_sum.astype(np.float64) if given else layer_sum
-    np.divide(scaled, p[:, None], out=scaled, where=((p > 0.0) & (p < 1.0))[:, None])
+    # b_e / p_e, into a new array for the caller's aggregates or in place
+    # in the estimator's own. Rows with p = 1 divide by 1 and keep their
+    # bits; rows with p = 0 turn inf or NaN, but no trial matrix has
+    # their column, so none is read.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = np.divide(layer_sum, p[:, None], out=None if given else layer_sum)
     classes = _rate_classes(p)
     candidates_per_trial = sum(c.r * c.edges.shape[0] for c in classes)
 
@@ -365,7 +405,11 @@ def variance_monte_carlo(
     # A class's first draw in a full block is its largest; an r = 1 class
     # keeps at most its rows x n slots, which this also covers.
     scratch = _Scratch(max((_draw_size(rows * c.edges.shape[0] * c.r) for c in classes), default=0))
-    indptr = np.zeros(rows + 1, dtype=np.int64)
+    # The trial matrices' indices have the class edges' dtype, int32
+    # below 2^31 edges, which scipy takes as they are; int64 ones it
+    # would scan and copy in every matrix.
+    idx = index_dtype(g.num_edges)
+    indptr = np.zeros(rows + 1, dtype=idx)
     dev_rows = np.empty((rows, dim))
     s1 = np.zeros(dim)
     s2 = np.zeros(dim)
@@ -378,7 +422,7 @@ def variance_monte_carlo(
             trial, col = _kept_slots(c, k, rng, scratch)
             kept = col.shape[0]
             np.cumsum(np.bincount(trial, minlength=k), out=indptr[1 : k + 1])
-            edge = np.take(c.edges, col, out=scratch.col[:kept], mode="clip")
+            edge = np.take(c.edges, col, out=scratch.col.view(idx)[:kept], mode="clip")
             ones = scratch.pos.view(np.float64)[:kept]
             ones.fill(1.0)
             dev += sp.csr_matrix((ones, edge, indptr[: k + 1]), shape=(k, g.num_edges)) @ scaled

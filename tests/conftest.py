@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
@@ -94,6 +94,13 @@ def random_pairs_graph(num_nodes: int, num_pairs: int, seed: int):
     rng = np.random.default_rng(seed)
     pairs = rng.integers(0, num_nodes, size=(num_pairs, 2))
     return build_graph(pairs[pairs[:, 0] != pairs[:, 1]], num_nodes)
+
+
+def writable_copy(g):
+    """``g`` with writable copies of all its arrays: a graph on which no
+    derived value is memoized."""
+    arrays = {f.name: getattr(g, f.name).copy() for f in fields(g) if isinstance(getattr(g, f.name), np.ndarray)}
+    return replace(g, **arrays)
 
 
 @pytest.fixture

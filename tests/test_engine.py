@@ -1,5 +1,7 @@
 """GCN engine: forwards, exact gradients, Adam, F1, training loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ from subgcn.engine import (
 from subgcn.graph import arc_source_nodes
 from subgcn.samplers import budget_probabilities, edge_weights
 
-from conftest import analytic_coeffs_edge, random_graph, random_pairs_graph
+from conftest import analytic_coeffs_edge, random_graph, random_pairs_graph, writable_copy
 
 
 def full_batch(g, features, labels, lam=None, train_mask=None):
@@ -742,3 +744,48 @@ class TestEstimatorConsistency:
             / (np.linalg.norm(grad_mc) * np.linalg.norm(grad_full))
         )
         assert cos >= 0.99
+
+
+class TestGraphAdjacencyMemo:
+    """One shared, read-only full-graph adjacency per frozen graph; a
+    fresh one per call on a graph with writable arrays."""
+
+    def test_frozen_graph_shares_one_matrix(self, square_chord):
+        first = graph_adjacency(square_chord)
+        assert graph_adjacency(square_chord) is first
+        assert np.shares_memory(first.data, square_chord.norm_values)  # no copy of the values
+        assert first.indices.dtype == first.indptr.dtype == np.int32
+        assert first.indices.tolist() == square_chord.col_indices.tolist()
+        assert first.indptr.tolist() == square_chord.row_offsets.tolist()
+
+    def test_writable_graph_builds_a_matrix_per_call(self, square_chord):
+        g = writable_copy(square_chord)
+        first = graph_adjacency(g)
+        assert graph_adjacency(g) is not first
+        g.norm_values[0] = 0.25
+        assert graph_adjacency(g).data[0] == 0.25  # no stale matrix
+        assert "_adjacency" not in g.__dict__
+
+    def test_replace_starts_without_the_matrix(self, square_chord):
+        first = graph_adjacency(square_chord)
+        g = dataclasses.replace(square_chord)
+        assert "_adjacency" not in g.__dict__
+        assert graph_adjacency(g) is not first
+
+    @pytest.mark.parametrize("field", ["data", "indices", "indptr"])
+    def test_shared_matrix_is_read_only(self, square_chord, field):
+        adjacency = graph_adjacency(square_chord)
+        before = getattr(adjacency, field).copy()
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(adjacency, field)[0] += 1
+        with pytest.raises(ValueError, match="read-only"):
+            adjacency *= 2
+        assert np.array_equal(getattr(graph_adjacency(square_chord), field), before)
+
+    def test_forward_full_repeats_and_equals_a_writable_copy(self):
+        g = random_pairs_graph(50, 150, seed=21)
+        feats = np.random.default_rng(21).standard_normal((g.num_nodes, 6))
+        model = init_model((6, 8, 3, 3), "softmax", make_rng(21, 0))
+        first, second = forward_full(model, g, feats), forward_full(model, g, feats)
+        assert second.tobytes() == first.tobytes()
+        assert forward_full(model, writable_copy(g), feats).tobytes() == first.tobytes()

@@ -26,6 +26,7 @@ GROUPS = [
     "variance.closed_form",
     "monte_carlo",
     "monte_carlo.given_aggregates",
+    "monte_carlo.hidden",
     "monte_carlo.rate_classes",
 ]
 

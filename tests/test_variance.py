@@ -1,19 +1,24 @@
 """Variance analysis: aggregates, optimal probabilities, closed form,
 Monte-Carlo agreement, survival probability."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from subgcn import (
     Model,
+    SamplerConfig,
+    TrainConfig,
     build_graph,
     edge_aggregates,
     init_model,
     make_rng,
     optimal_edge_probs,
     survival_probability,
+    train,
     variance,
     variance_closed_form,
     variance_monte_carlo,
@@ -30,7 +35,7 @@ from subgcn.variance import (
     budget_probabilities,
 )
 
-from conftest import random_graph, random_pairs_graph
+from conftest import random_graph, random_pairs_graph, writable_copy
 
 
 def synthetic_aggregates(layer_sums: np.ndarray) -> EdgeAggregates:
@@ -158,7 +163,7 @@ class TestEdgeAggregates:
         model = init_model(dims, "softmax", make_rng(5, 0))
         whole = edge_aggregates(g, feats, model)
         rows = 7
-        monkeypatch.setattr(variance, "_BLOCK_BYTES", 24 * 16 * rows)
+        monkeypatch.setattr(variance, "_BLOCK_BYTES", 8 * 16 * rows)
         assert g.num_edges > 3 * rows and g.num_edges % rows  # several chunks, the last one ragged
         chunked = edge_aggregates(g, feats, model)
         assert chunked.layer_sum.tobytes() == whole.layer_sum.tobytes()
@@ -168,10 +173,128 @@ class TestEdgeAggregates:
         g, feats, model, bound = large_instance()
         assert traced_peak(lambda: edge_aggregates(g, feats, model)) <= bound
 
+    def test_three_layer_peak_memory_is_one_result_plus_scratch(self):
+        # The first call on a graph, so the incidence and the adjacency
+        # are built inside it. Besides the result: one _BLOCK_BYTES chunk
+        # product, plus 24 bytes per chunk row of the rows' value and
+        # column copies; 48 bytes per edge (its norm 8, the incidence 28,
+        # the adjacency's int32 columns 8 for two arcs, 4 to spare); and
+        # 24 d + 4 bytes per node (the layer input, the old and the new
+        # x @ W while one layer's input becomes the next's, and the
+        # adjacency's row pointers).
+        g, feats, _ = mc_instance(20_000, 70_000, seed=9)
+        model = init_model((16, 16, 16, 16), "softmax", make_rng(9, 0))
+        dim, step = 16, _BLOCK_BYTES // (8 * 16)
+        result = 8 * dim * g.num_edges
+        bound = result + _BLOCK_BYTES + 24 * step + 48 * g.num_edges + (24 * dim + 4) * g.num_nodes
+        assert traced_peak(lambda: edge_aggregates(g, feats, model)) <= bound
+
     def test_mixed_output_dims_rejected(self, triangle):
         model = Model(weights=[np.zeros((2, 3)), np.zeros((3, 2))], head="softmax")
         with pytest.raises(ValueError):
             edge_aggregates(triangle, np.zeros((3, 2)), model)
+
+
+def loops_and_isolated_graph():
+    """90 nodes: random pairs over nodes 0-79 with loops kept, a loop on
+    every fifth node, and nodes 80-89 isolated."""
+    rng = np.random.default_rng(12)
+    pairs = np.concatenate([rng.integers(0, 80, size=(240, 2)), np.repeat(np.arange(0, 80, 5), 2).reshape(-1, 2)])
+    g = build_graph(pairs, 90)
+    loops = g.edge_endpoints[:, 0] == g.edge_endpoints[:, 1]
+    assert loops.sum() >= 16 and np.all(g.degrees[80:] == 0)
+    return g
+
+
+class TestEdgeIncidenceProduct:
+    """Each layer's edge terms are one product with the edge-incidence
+    matrix, bit for bit the per-edge formula."""
+
+    @pytest.mark.parametrize("dims", [(5, 4), (5, 4, 4, 4)])
+    def test_matches_explicit_formula_with_loops_and_isolated_nodes(self, dims):
+        g = loops_and_isolated_graph()
+        feats = np.random.default_rng(13).standard_normal((g.num_nodes, 5))
+        model = init_model(dims, "softmax", make_rng(13, 0))
+        # The adjacency as built before it was memoized: int64 indices.
+        adj = sp.csr_matrix((g.norm_values, g.col_indices, g.row_offsets), shape=(g.num_nodes, g.num_nodes))
+        u, v = g.edge_endpoints[:, 0], g.edge_endpoints[:, 1]
+        x, want = feats, None
+        for w in model.weights:
+            xt = x @ w
+            term = xt[u] * (1.0 / g.degrees[v])[:, None] + xt[v] * (1.0 / g.degrees[u])[:, None]
+            want = term if want is None else want + term
+            x = np.maximum(adj @ xt, 0.0)
+        agg = edge_aggregates(g, feats, model)
+        assert agg.layer_sum.tobytes() == want.tobytes()
+        assert agg.norms.tobytes() == np.linalg.norm(want, axis=1).tobytes()
+
+    def test_incidence_rows(self, square_chord):
+        # edges (0,1), (1,2), (1,3), (2,3); degrees 1, 3, 2, 2
+        incidence = variance._edge_incidence(square_chord)
+        assert incidence.shape == (4, 4)
+        assert incidence.indptr.tolist() == [0, 2, 4, 6, 8]
+        assert incidence.indices.tolist() == [0, 1, 1, 2, 1, 3, 2, 3]
+        assert incidence.data.tolist() == [1 / 3, 1.0, 1 / 2, 1 / 3, 1 / 2, 1 / 3, 1 / 2, 1 / 2]
+        assert incidence.indices.dtype == incidence.indptr.dtype == np.int32
+
+    def test_self_loop_row_holds_both_entries(self):
+        g = build_graph([(0, 0), (0, 1)], 2)  # degrees 2, 1
+        incidence = variance._edge_incidence(g)
+        assert incidence.indices[:2].tolist() == [0, 0]
+        assert incidence.data[:2].tolist() == [0.5, 0.5]
+        xt = np.array([[3.0], [5.0]])
+        # loop: 3/2 + 3/2; edge (0, 1): 3/deg(1) + 5/deg(0)
+        assert (incidence @ xt).ravel().tolist() == [3.0, 3.0 + 2.5]
+
+
+class TestEdgeIncidenceMemo:
+    """One shared, read-only incidence per frozen graph, built by the
+    first variance call; a fresh one per call on a writable graph."""
+
+    def test_frozen_graph_shares_one_incidence(self, square_chord):
+        assert "_incidence" not in square_chord.__dict__
+        edge_aggregates(square_chord, np.ones((4, 2)), init_model((2, 2), "softmax", make_rng(0, 0)))
+        first = square_chord.__dict__["_incidence"]
+        assert variance._edge_incidence(square_chord) is first
+        assert variance._edge_incidence(square_chord) is first
+
+    def test_writable_graph_builds_an_incidence_per_call(self, square_chord):
+        g = writable_copy(square_chord)
+        first = variance._edge_incidence(g)
+        assert variance._edge_incidence(g) is not first
+        assert "_incidence" not in g.__dict__
+
+    def test_replace_starts_without_the_incidence(self, square_chord):
+        first = variance._edge_incidence(square_chord)
+        g = dataclasses.replace(square_chord)
+        assert "_incidence" not in g.__dict__
+        assert variance._edge_incidence(g) is not first
+
+    @pytest.mark.parametrize("field", ["data", "indices", "indptr"])
+    def test_shared_incidence_is_read_only(self, square_chord, field):
+        incidence = variance._edge_incidence(square_chord)
+        before = getattr(incidence, field).copy()
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(incidence, field)[0] += 1
+        assert np.array_equal(getattr(variance._edge_incidence(square_chord), field), before)
+
+    def test_repeated_calls_equal_a_writable_copy(self):
+        g = loops_and_isolated_graph()
+        feats = np.random.default_rng(14).standard_normal((g.num_nodes, 5))
+        model = init_model((5, 4, 4, 4), "softmax", make_rng(14, 0))
+        first, second = edge_aggregates(g, feats, model), edge_aggregates(g, feats, model)
+        fresh = edge_aggregates(writable_copy(g), feats, model)
+        for agg in (second, fresh):
+            assert agg.layer_sum.tobytes() == first.layer_sum.tobytes()
+            assert agg.norms.tobytes() == first.norms.tobytes()
+
+    def test_training_builds_no_incidence(self):
+        g = build_graph([(0, 1), (1, 2), (2, 3), (1, 3)], 4)
+        split = np.array([0, 0, 1, 2])
+        cfg = SamplerConfig(kind="edge", m=2, seed=1)
+        train(g, np.ones((4, 2)), np.array([0, 1, 0, 1]), split, cfg, TrainConfig(hidden_dims=(2,), epochs=2, seed=1),
+              num_classes=2)
+        assert "_adjacency" in g.__dict__ and "_incidence" not in g.__dict__
 
 
 class TestOptimalProbs:

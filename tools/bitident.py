@@ -52,6 +52,10 @@ imports ``subgcn`` from ``<checkout>/src`` and prints one line
   ``aggregates=`` passed, as ``subgcn variance-check`` does, as exact
   bytes (``float.hex``), the generator state after each call, and the
   passed aggregates after the calls.
+- ``monte_carlo.hidden``: estimates without ``aggregates=`` on a
+  16-16-16 model, as exact bytes, and the generator state after each
+  call. That path propagates through hidden layers and sums the later
+  layers' edge terms in chunks, which no other Monte-Carlo group does.
 - ``monte_carlo.rate_classes``: estimates as exact bytes and the
   generator state after each call, for a hand-made probability vector
   that reaches every branch of the draw: p = 0, p = 1, the classes
@@ -294,6 +298,16 @@ def digests(subgcn, data_dir: Path, seed: int = 3) -> tuple[dict[str, str], list
             d.add(rng.bit_generator.state)
     d.add(agg)
     out["monte_carlo.given_aggregates"] = d.hexdigest()
+
+    deep = engine.init_model((feats.shape[1], 16, 16, 16), "softmax", samplers.make_rng(seed, 0))
+    deep_probs = [variance.optimal_edge_probs(variance.edge_aggregates(g, feats, deep), m), probs[1]]
+    d = Digest()
+    for chunk in (64, 20_000):
+        rng = samplers.make_rng(seed, 1)
+        for p in deep_probs:
+            d.add(variance.variance_monte_carlo(g, feats, deep, p, 2_000, rng, chunk).hex())
+            d.add(rng.bit_generator.state)
+    out["monte_carlo.hidden"] = d.hexdigest()
 
     p = np.resize(np.array(RATE_CLASS_PROBS), g.num_edges)
     d = Digest()
