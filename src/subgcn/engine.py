@@ -6,6 +6,9 @@ adjacency divided per-arc by the aggregator normalization (restricted to
 the minibatch subgraph during training, alpha == 1 on the full graph at
 inference), doing the sparse product on the narrower side of W:
 A_hat @ (X @ W) when W narrows the width, (A_hat @ X) @ W otherwise.
+A minibatch carries its A_hat^T for the backward pass as a second CSR
+matrix (``Batch.adjacency_t``), so no step multiplies by scipy's
+transposed view.
 The final layer is linear; the head (softmax cross-entropy
 for single-label, per-class sigmoid binary cross-entropy for
 multi-label) lives in the loss. The minibatch loss is the sum of
@@ -20,6 +23,7 @@ finite differences in the test suite.
 
 from __future__ import annotations
 
+import copy
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -28,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from .graph import Graph, Subgraph, _freeze, index_dtype, memoized
+from .graph import Graph, Subgraph, _freeze, frozen_graph, index_dtype, memoized, reverse_arcs
 from .normalization import NormCoeffs, estimate_coeffs
 from .samplers import SamplerConfig, SubgraphProducer, _check_seed, make_rng
 
@@ -42,7 +46,6 @@ __all__ = [
     "NumericError",
     "init_model",
     "graph_adjacency",
-    "batch_adjacency",
     "build_batch",
     "forward_subgraph",
     "forward_full",
@@ -114,7 +117,12 @@ class Batch:
 
     ``lam`` holds the loss normalization lambda_v = P(v in V_s) per
     local node (0 excludes the node from the loss); ``adjacency`` is the
-    local sparse matrix with entries norm_value / alpha.
+    local sparse matrix with entries norm_value / alpha, and
+    ``adjacency_t`` its transpose, which the backward pass multiplies
+    by. Both are CSR matrices on the same read-only int32 index arrays
+    (int64 past 2^31): an induced subgraph holds the reverse of each of
+    its arcs, so the transpose has the adjacency's sparsity pattern,
+    with each arc holding its reverse arc's value.
     """
 
     subgraph: Subgraph
@@ -123,6 +131,7 @@ class Batch:
     lam: np.ndarray
     train_mask: np.ndarray
     adjacency: sp.csr_matrix
+    adjacency_t: sp.csr_matrix
 
 
 def graph_adjacency(g: Graph) -> sp.csr_matrix:
@@ -149,13 +158,29 @@ def graph_adjacency(g: Graph) -> sp.csr_matrix:
     return memoized(g, "_adjacency", build)
 
 
-def batch_adjacency(g: Graph, sub: Subgraph, coeffs: NormCoeffs | None) -> sp.csr_matrix:
-    """Local adjacency of a subgraph: norm_values / alpha (alpha = 1 if ``coeffs`` is None)."""
-    vals = g.norm_values[sub.arc_origin]
-    if coeffs is not None:
-        vals /= coeffs.alpha[sub.arc_origin]
-    k = sub.num_nodes
-    return sp.csr_matrix((vals, sub.col_indices, sub.row_offsets), shape=(k, k))
+def _arc_values(g: Graph, coeffs: NormCoeffs | None) -> tuple[np.ndarray, np.ndarray]:
+    """Every parent arc's batch value norm_values / alpha (alpha = 1 if
+    ``coeffs`` is None), and the value of its reverse arc: a batch's
+    adjacency and its transpose gather their data from these two tables
+    by ``arc_origin``. Dividing first and gathering later gives the bits
+    of gathering first and dividing later.
+
+    The tables are read-only and built once per frozen graph and
+    coefficients: kept on the graph without coefficients, else on the
+    (read-only) coefficients next to the graph they were built for, so
+    another graph, or one with a writable array, gets tables of its own.
+    """
+    if coeffs is None:
+        return memoized(g, "_arc_values", lambda: (g.norm_values, g.norm_values[reverse_arcs(g)]))
+    memo = coeffs.__dict__.get("_arc_values")
+    if memo is not None and memo[0] is g:
+        return memo[1]
+    vals = g.norm_values / coeffs.alpha
+    tables = vals, vals[reverse_arcs(g)]
+    _freeze(*tables)
+    if frozen_graph(g):
+        coeffs.__dict__["_arc_values"] = (g, tables)  # the dataclass is frozen; its __dict__ is not
+    return tables
 
 
 def build_batch(
@@ -166,14 +191,28 @@ def build_batch(
     split: np.ndarray,
     coeffs: NormCoeffs | None,
 ) -> Batch:
-    lam = coeffs.lam[sub.nodes] if coeffs is not None else np.ones(sub.num_nodes)
+    """The minibatch of subgraph ``sub``: its rows of ``features``,
+    ``labels`` and ``split``, its lambda (1 if ``coeffs`` is None), and
+    its local adjacency and transpose (see :class:`Batch`)."""
+    vals, vals_t = _arc_values(g, coeffs)
+    k = sub.num_nodes
+    idx = index_dtype(max(sub.num_arcs, k))
+    indices, indptr = sub.col_indices.astype(idx), sub.row_offsets.astype(idx)
+    _freeze(indices, indptr)  # shared by both matrices
+    adjacency = sp.csr_matrix((vals[sub.arc_origin], indices, indptr), shape=(k, k))
+    # The transpose differs only in its data: a shallow copy shares the
+    # checked index arrays instead of running scipy's checks again.
+    adjacency_t = copy.copy(adjacency)
+    adjacency_t.data = vals_t[sub.arc_origin]
+    lam = coeffs.lam[sub.nodes] if coeffs is not None else np.ones(k)
     return Batch(
         subgraph=sub,
         features=features[sub.nodes],
         labels=labels[sub.nodes],
         lam=lam,
         train_mask=split[sub.nodes] == TRAIN,
-        adjacency=batch_adjacency(g, sub, coeffs),
+        adjacency=adjacency,
+        adjacency_t=adjacency_t,
     )
 
 
@@ -299,6 +338,9 @@ def loss_and_grad(
     (``A @ (X @ W)``) first forms ``u = A^T dz``, as narrow as its
     output, then ``grad = X^T u`` and ``dX = u W^T``. ``X`` is the
     dropped-out input, and ``dX`` is masked by the same dropout mask.
+    ``A^T`` is ``batch.adjacency_t``: its CSR product sums each row over
+    ascending columns from zero, as scipy's product with the transposed
+    view ``batch.adjacency.T`` does, so both give the same bits.
     """
     contributing = _contributing(batch)
     node_w = np.zeros(scores.shape[0])
@@ -316,12 +358,12 @@ def loss_and_grad(
         dz = dout if l == last else dout * (out > 0.0)
         flipped = _narrows(w)
         if flipped:
-            dz = batch.adjacency.T @ dz  # now the gradient of X @ W
+            dz = batch.adjacency_t @ dz  # now the gradient of X @ W
         grads[l] = left.T @ dz
         if l > 0:
             dxd = dz @ w.T
             if not flipped:
-                dxd = batch.adjacency.T @ dxd
+                dxd = batch.adjacency_t @ dxd
             dout = dxd * mask if mask is not None else dxd
     return loss, grads
 

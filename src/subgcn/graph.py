@@ -9,11 +9,12 @@ row-stochastic on non-isolated nodes but not symmetric.
 All arrays are frozen after construction; a Graph may be shared freely
 across threads. Values derived from a graph's arrays rely on this rule
 (:func:`memoized`): on a frozen graph, its hash (``data_io.graph_hash``),
-full-graph adjacency (``engine.graph_adjacency``) and edge-incidence
-matrix (used by ``variance.edge_aggregates``) are each computed once and
-kept on the instance. A graph with a writable array, or a read-only view
-of a writable one, recomputes them on every call, so an array changed in
-place never meets a stale value.
+full-graph adjacency (``engine.graph_adjacency``), reverse-arc table
+(:func:`reverse_arcs`, which gives each training batch its transpose) and
+edge-incidence matrix (used by ``variance.edge_aggregates``) are each
+computed once and kept on the instance. A graph with a writable array,
+or a read-only view of a writable one, recomputes them on every call, so
+an array changed in place never meets a stale value.
 """
 
 from __future__ import annotations
@@ -124,18 +125,23 @@ def _frozen(arr) -> bool:
 _GRAPH_ARRAYS = ("row_offsets", "col_indices", "norm_values", "degrees", "edge_endpoints", "arc_to_edge")
 
 
+def frozen_graph(g: Graph) -> bool:
+    """Whether every array field of ``g`` is read-only down to the array
+    that owns its data, as ``build_graph`` leaves them."""
+    return all(_frozen(getattr(g, name)) for name in _GRAPH_ARRAYS)
+
+
 def memoized(g: Graph, key: str, build: Callable[[], T]) -> T:
     """``build()``, computed once per frozen graph and kept on it.
 
-    A graph is frozen when every array field is read-only down to the
-    array that owns its data, as ``build_graph`` leaves them. Then the
-    first call stores the value in the instance ``__dict__`` under
-    ``key`` (not a field, so ``dataclasses.replace`` starts without it)
-    and later calls return that object. Otherwise each call builds anew.
+    On a frozen graph (:func:`frozen_graph`) the first call stores the
+    value in the instance ``__dict__`` under ``key`` (not a field, so
+    ``dataclasses.replace`` starts without it) and later calls return
+    that object. Otherwise each call builds anew.
     Two threads racing on the first call may each build; both values
     are identical, and the last one stored stays.
     """
-    if not all(_frozen(getattr(g, name)) for name in _GRAPH_ARRAYS):
+    if not frozen_graph(g):
         return build()
     if key not in g.__dict__:
         g.__dict__[key] = build()  # the dataclass is frozen; its __dict__ is not
@@ -146,6 +152,25 @@ def index_dtype(size: int) -> type[np.integer]:
     """int32, the index type scipy's sparse kernels take without a
     copy, when every index and count up to ``size`` fits; else int64."""
     return np.int32 if size <= _INT32_MAX else np.int64
+
+
+def reverse_arcs(g: Graph) -> np.ndarray:
+    """Index of the reverse arc (v, u) of every arc (u, v); a self-loop
+    arc is its own reverse. Read-only, in ``index_dtype``, and computed
+    once per frozen graph (:func:`memoized`).
+
+    Arcs are stored row-major, so a stable sort by column lists them
+    column-major: its k-th arc (v, u) is the reverse of arc k, whose key
+    (u, v) has the same rank among the row-major keys. The permutation
+    is an involution, so that sort is the table itself.
+    """
+
+    def build() -> np.ndarray:
+        rev = np.argsort(g.col_indices, kind="stable").astype(index_dtype(g.num_arcs))
+        _freeze(rev)
+        return rev
+
+    return memoized(g, "_reverse_arcs", build)
 
 
 def sorted_unique(a: np.ndarray) -> np.ndarray:
@@ -252,9 +277,13 @@ def induced_subgraph(g: Graph, node_ids: Iterable[int] | np.ndarray) -> Subgraph
     in the set; repeated IDs count once. An empty set induces the
     subgraph of no nodes (a sampler draw that selected nothing).
 
-    Each call allocates O(|V|) scratch memory of its own: a boolean
-    membership mask and an uninitialized global-to-local ID map (only
-    the entries of selected nodes are written or read).
+    Cost: one pass over the candidate arcs (every parent arc of a
+    selected row) finds the kept ones; the row offsets are a binary
+    search of the candidate-row boundaries among the kept positions,
+    and only the kept columns are localized. Each call also allocates
+    O(|V|) scratch memory of its own: a boolean membership mask and an
+    uninitialized global-to-local ID map (only the entries of selected
+    nodes are written or read).
 
     Raises
     ------
@@ -272,22 +301,24 @@ def induced_subgraph(g: Graph, node_ids: Iterable[int] | np.ndarray) -> Subgraph
     inset[ids] = True
     nodes = np.flatnonzero(inset)  # sorted and unique, like np.unique(ids)
 
-    starts = g.row_offsets[nodes]
-    counts = g.row_offsets[nodes + 1] - starts
+    k = nodes.shape[0]
+    counts = g.degrees[nodes]
+    ends = np.cumsum(counts)  # where each selected row's candidates end
+    total = int(ends[-1]) if k else 0
     # Concatenate the parent arc ranges of all selected rows.
-    shift = np.zeros(nodes.shape[0], dtype=np.int64)
-    np.cumsum(counts[:-1], out=shift[1:])
-    arc_idx = np.repeat(starts - shift, counts) + np.arange(int(counts.sum()), dtype=np.int64)
+    first = g.row_offsets[nodes]
+    first -= ends - counts
+    arc_idx = np.arange(total, dtype=np.int64)
+    arc_idx += np.repeat(first, counts)
     cols = g.col_indices[arc_idx]
-    keep = inset[cols]
+    kept = np.flatnonzero(inset[cols])  # candidate positions, ascending
+    # Local row i ends after the kept candidates before its row's end.
+    row_offsets = np.zeros(k + 1, dtype=np.int64)
+    row_offsets[1:] = np.searchsorted(kept, ends)
     local = np.empty(g.num_nodes, dtype=np.int64)
-    local[nodes] = np.arange(nodes.shape[0], dtype=np.int64)
-    local_rows = np.repeat(np.arange(nodes.shape[0], dtype=np.int64), counts)[keep]
-    local_cols = local[cols[keep]]
-    arc_origin = arc_idx[keep]
-
-    row_offsets = np.zeros(nodes.shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(local_rows, minlength=nodes.shape[0]), out=row_offsets[1:])
+    local[nodes] = np.arange(k, dtype=np.int64)
+    arc_origin = arc_idx[kept]
+    local_cols = local[cols[kept]]
 
     _freeze(nodes, row_offsets, local_cols, arc_origin)
     return Subgraph(nodes=nodes, row_offsets=row_offsets, col_indices=local_cols, arc_origin=arc_origin)

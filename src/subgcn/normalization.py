@@ -8,7 +8,8 @@ an unbiased estimate of the full-graph sum of training-node losses.
 Every source below uses this one lambda, so their coefficients are
 interchangeable. ``NormCoeffs`` checks what all define on
 construction: one of the two sources below, every alpha finite and
-positive, every lambda in [0, 1].
+positive, every lambda in [0, 1]; it then keeps its arrays read-only,
+so no later write can bypass those checks.
 
 ``estimate_coeffs`` is the entry point. It has two sources:
 
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, Subgraph, arc_source_nodes
+from .graph import Graph, Subgraph, _frozen, arc_source_nodes
 from .samplers import SamplerConfig, SubgraphProducer, draw_plan
 
 __all__ = [
@@ -69,6 +70,11 @@ class NormCoeffs:
     source : str
         "exact" or "empirical".
 
+    The four arrays are read-only from construction on: an array that
+    owns its data is frozen in place, and any other (a view, say) is
+    replaced by a frozen copy, so writing to ``coeffs.alpha`` raises
+    ValueError and the checks below hold for the object's lifetime.
+
     Raises
     ------
     ValueError
@@ -85,6 +91,13 @@ class NormCoeffs:
     source: str
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "lam", "node_counts", "edge_counts"):
+            a = np.asarray(getattr(self, name))
+            if not _frozen(a):
+                if a.base is not None:
+                    a = a.copy()
+                a.setflags(write=False)
+                object.__setattr__(self, name, a)  # the dataclass is frozen
         if self.source not in ("exact", "empirical"):
             raise ValueError(f"source {self.source!r:.40} is not 'exact' or 'empirical'")
         bad_alpha = ~(np.isfinite(self.alpha) & (self.alpha > 0.0))

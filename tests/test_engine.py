@@ -26,6 +26,7 @@ from subgcn.engine import (
     graph_adjacency,
 )
 from subgcn.graph import arc_source_nodes
+from subgcn.normalization import estimate_coeffs
 from subgcn.samplers import budget_probabilities, edge_weights
 
 from conftest import analytic_coeffs_edge, random_graph, random_pairs_graph, writable_copy
@@ -789,3 +790,91 @@ class TestGraphAdjacencyMemo:
         first, second = forward_full(model, g, feats), forward_full(model, g, feats)
         assert second.tobytes() == first.tobytes()
         assert forward_full(model, writable_copy(g), feats).tobytes() == first.tobytes()
+
+
+def loops_and_isolated_graph():
+    """30 nodes: random pairs among the first 25, a self-loop on every
+    third of them, and nodes 25-29 isolated."""
+    rng = np.random.default_rng(31)
+    pairs = rng.integers(0, 25, size=(70, 2))
+    loops = np.repeat(np.arange(0, 25, 3), 2).reshape(-1, 2)
+    return build_graph(np.concatenate([pairs, loops]), 30)
+
+
+def transposed_view_loss_and_grad(model, batch, scores, caches):
+    """``loss_and_grad`` as written before batches carried their
+    transpose: every ``A^T`` product runs on scipy's transposed view
+    ``batch.adjacency.T``. The bitwise reference of the CSR transpose."""
+    contributing = batch.train_mask & (batch.lam > 0.0)
+    node_w = np.zeros(scores.shape[0])
+    node_w[contributing] = 1.0 / batch.lam[contributing]
+    shift = scores - scores.max(axis=1, keepdims=True)
+    log_z = np.log(np.exp(shift).sum(axis=1))
+    losses = log_z - shift[np.arange(scores.shape[0]), batch.labels]
+    dscores = np.exp(shift - log_z[:, None])
+    dscores[np.arange(scores.shape[0]), batch.labels] -= 1.0
+    dout = dscores * node_w[:, None]
+    grads, last = [None] * model.num_layers, model.num_layers - 1
+    for l in range(last, -1, -1):
+        w = model.weights[l]
+        mask, left, out = caches[l]
+        dz = dout if l == last else dout * (out > 0.0)
+        flipped = w.shape[1] < w.shape[0]
+        if flipped:
+            dz = batch.adjacency.T @ dz
+        grads[l] = left.T @ dz
+        if l > 0:
+            dxd = dz @ w.T
+            if not flipped:
+                dxd = batch.adjacency.T @ dxd
+            dout = dxd * mask if mask is not None else dxd
+    return float((losses * node_w).sum()), grads
+
+
+class TestBatchTranspose:
+    """A batch's ``adjacency_t`` is the exact transpose of its adjacency,
+    on the same int32 index arrays, and the backward through it gives
+    the bits of the backward through scipy's transposed view."""
+
+    @pytest.mark.parametrize("coeffs", ["exact", None])
+    def test_transpose_equals_the_transposed_view(self, coeffs):
+        g = loops_and_isolated_graph()
+        c = estimate_coeffs(g, SamplerConfig(kind="edge", m=20, seed=0))[0] if coeffs else None
+        rng = np.random.default_rng(4)
+        feats, labels, split = np.zeros((30, 2)), np.zeros(30, dtype=np.int64), np.zeros(30, dtype=np.int64)
+        for ids in ([], [26], [0, 3], np.arange(30), rng.choice(30, 18), rng.choice(30, 9)):
+            batch = build_batch(g, induced_subgraph(g, ids), feats, labels, split, c)
+            a, at = batch.adjacency, batch.adjacency_t
+            assert at.format == "csr" and at.shape == a.shape
+            assert np.array_equal(at.toarray(), a.T.toarray())
+            assert np.shares_memory(at.indptr, a.indptr)  # one copy of the index arrays
+            assert a.nnz == 0 or np.shares_memory(at.indices, a.indices)
+            assert a.indices.dtype == a.indptr.dtype == np.int32
+            assert not a.indices.flags.writeable and not a.indptr.flags.writeable
+            assert a.indices.tolist() == batch.subgraph.col_indices.tolist()
+            assert a.indptr.tolist() == batch.subgraph.row_offsets.tolist()
+
+    @pytest.mark.parametrize(
+        "dims",
+        [(5, 3), (5, 6), (5, 8, 3), (5, 5, 5), (5, 3, 7, 3), (5, 9, 9, 3), (5, 4, 2, 3)],
+        ids=["1-flipped", "1-unflipped", "2-widen", "2-equal", "3-narrow-widen", "3-widen-equal", "3-narrow"],
+    )
+    @pytest.mark.parametrize("dropout", [0.0, 0.4])
+    def test_loss_and_grad_bytes_match_the_transposed_view(self, dims, dropout):
+        g = loops_and_isolated_graph()
+        coeffs = estimate_coeffs(g, SamplerConfig(kind="edge", m=20, seed=0))[0]
+        rng = np.random.default_rng(len(dims) * 10 + dims[1])
+        feats = rng.standard_normal((30, dims[0]))
+        labels = rng.integers(0, dims[-1], 30)
+        split = rng.integers(0, 3, 30)
+        split[:5] = 0
+        ids = np.concatenate([rng.choice(25, 15), [0, 3, 27, 29]])  # loops and isolated nodes
+        batch = build_batch(g, induced_subgraph(g, ids), feats, labels, split, coeffs)
+        model = init_model(dims, "softmax", make_rng(7, 0))
+        scores, caches = forward_subgraph(model, batch, dropout=dropout, rng=make_rng(7, 2))
+        loss, grads = loss_and_grad(model, batch, scores, caches)
+        want_loss, want_grads = transposed_view_loss_and_grad(model, batch, scores, caches)
+        assert loss.hex() == want_loss.hex()
+        for got, want in zip(grads, want_grads):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()

@@ -6,9 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subgcn import build_graph, induced_subgraph
-from subgcn.graph import arc_source_nodes
+from subgcn.graph import arc_source_nodes, reverse_arcs
 
-from conftest import brute_force_induce, graph_inputs, random_graph, small_graphs, subgraph_arcs_original
+from conftest import (
+    brute_force_induce,
+    graph_inputs,
+    random_graph,
+    small_graphs,
+    subgraph_arcs_original,
+    writable_copy,
+)
 
 
 def dense_norm(g) -> np.ndarray:
@@ -321,3 +328,79 @@ class TestInducedSubgraphProperties:
             row = slice(sub.row_offsets[i], sub.row_offsets[i + 1])
             assert np.all(np.diff(sub.col_indices[row]) > 0)
             assert np.all(np.diff(sub.arc_origin[row]) > 0)
+
+
+def two_pass_induce(g, ids) -> tuple[np.ndarray, ...]:
+    """``induced_subgraph`` as written before its one-pass row offsets
+    (per-candidate row IDs, then a bincount and a cumsum), kept as the
+    byte-level reference: nodes, row_offsets, col_indices, arc_origin."""
+    ids = np.asarray(ids).ravel().astype(np.int64, copy=False)
+    inset = np.zeros(g.num_nodes, dtype=bool)
+    inset[ids] = True
+    nodes = np.flatnonzero(inset)
+    starts = g.row_offsets[nodes]
+    counts = g.row_offsets[nodes + 1] - starts
+    shift = np.zeros(nodes.shape[0], dtype=np.int64)
+    np.cumsum(counts[:-1], out=shift[1:])
+    arc_idx = np.repeat(starts - shift, counts) + np.arange(int(counts.sum()), dtype=np.int64)
+    cols = g.col_indices[arc_idx]
+    keep = inset[cols]
+    local = np.empty(g.num_nodes, dtype=np.int64)
+    local[nodes] = np.arange(nodes.shape[0], dtype=np.int64)
+    local_rows = np.repeat(np.arange(nodes.shape[0], dtype=np.int64), counts)[keep]
+    row_offsets = np.zeros(nodes.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(local_rows, minlength=nodes.shape[0]), out=row_offsets[1:])
+    return nodes, row_offsets, local[cols[keep]], arc_idx[keep]
+
+
+@st.composite
+def graphs_and_any_node_ids(draw):
+    """A small graph (loops and isolated nodes included) and a node ID
+    list that may be empty or repeat IDs, as a list or an array."""
+    g = draw(small_graphs())
+    ids = draw(st.lists(st.integers(0, g.num_nodes - 1), max_size=2 * g.num_nodes + 2))
+    return g, (np.array(ids, dtype=np.int64) if draw(st.booleans()) else ids)
+
+
+class TestInducedSubgraphMatchesTwoPass:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=graphs_and_any_node_ids())
+    def test_generated_inputs(self, case):
+        g, ids = case
+        sub = induced_subgraph(g, ids)
+        for got, want in zip((sub.nodes, sub.row_offsets, sub.col_indices, sub.arc_origin), two_pass_induce(g, ids)):
+            assert got.dtype == want.dtype == np.int64 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+
+    def test_leading_rows_without_arcs(self):
+        # isolated and unselected-neighbour rows first, so the first row
+        # boundaries sit at candidate 0
+        g = build_graph([(3, 4), (4, 4), (2, 5)], 7)
+        for ids in ([0, 1, 3, 4], [0, 2, 4], [6], [0, 1, 6, 3]):
+            sub = induced_subgraph(g, ids)
+            for got, want in zip((sub.nodes, sub.row_offsets, sub.col_indices, sub.arc_origin), two_pass_induce(g, ids)):
+                assert got.tobytes() == want.tobytes()
+
+
+class TestReverseArcs:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(g=small_graphs())
+    def test_maps_each_arc_to_its_reverse(self, g):
+        rev = reverse_arcs(g)
+        rows = arc_source_nodes(g)
+        assert rev.dtype == np.int32 and not rev.flags.writeable
+        assert rows[rev].tolist() == g.col_indices.tolist()
+        assert g.col_indices[rev].tolist() == rows.tolist()
+        assert rev[rev].tolist() == list(range(g.num_arcs))
+
+    def test_one_table_per_frozen_graph(self, square_chord):
+        first = reverse_arcs(square_chord)
+        assert reverse_arcs(square_chord) is first
+
+    def test_writable_copy_rebuilds_the_table(self, square_chord):
+        g = writable_copy(square_chord)
+        first = reverse_arcs(g)
+        assert reverse_arcs(g) is not first
+        assert first.tolist() == reverse_arcs(square_chord).tolist()
+        assert "_reverse_arcs" not in g.__dict__

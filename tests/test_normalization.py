@@ -15,11 +15,11 @@ from subgcn import (
     estimate_coeffs,
     make_rng,
 )
-from subgcn.engine import batch_adjacency
+from subgcn.engine import _arc_values, build_batch
 from subgcn.graph import arc_source_nodes, induced_subgraph
 from subgcn.samplers import budget_probabilities, draw_plan, edge_weights, node_weights
 
-from conftest import analytic_coeffs_edge, random_graph, random_pairs_graph, small_graphs
+from conftest import analytic_coeffs_edge, random_graph, random_pairs_graph, small_graphs, writable_copy
 
 
 def star_graph(leaves: int):
@@ -366,22 +366,41 @@ def coeffs_of(g, alpha, lam, source="exact") -> NormCoeffs:
     )
 
 
+def batch_of(g, nodes, coeffs):
+    """The training batch of the subgraph induced by ``nodes``."""
+    n = g.num_nodes
+    sub = induced_subgraph(g, nodes)
+    return build_batch(g, sub, np.zeros((n, 1)), np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64), coeffs)
+
+
 class TestNormalizedArcValue:
-    """The subgraph adjacency holds norm_values / alpha of each parent arc;
-    NormCoeffs itself refuses an alpha that would make it undefined."""
+    """The batch adjacency holds norm_values / alpha of each parent arc,
+    and its transpose the value of each arc's reverse; NormCoeffs itself
+    refuses an alpha that would make it undefined."""
 
     def test_identity_when_alpha_is_one(self, triangle):
         coeffs, _ = estimate_coeffs(triangle, SamplerConfig(kind="full", seed=0), num_subgraphs=3)
-        sub = induced_subgraph(triangle, [0, 1, 2])
-        assert np.array_equal(batch_adjacency(triangle, sub, coeffs).data, triangle.norm_values[sub.arc_origin])
-        assert np.array_equal(batch_adjacency(triangle, sub, None).data, triangle.norm_values[sub.arc_origin])
+        for c in (coeffs, None):
+            batch = batch_of(triangle, [0, 1, 2], c)
+            assert np.array_equal(batch.adjacency.data, triangle.norm_values[batch.subgraph.arc_origin])
 
     def test_division(self, triangle):
         alpha = np.full(triangle.num_arcs, 0.5)
         alpha[1] = 0.25
-        sub = induced_subgraph(triangle, [0, 1, 2])
-        adjacency = batch_adjacency(triangle, sub, coeffs_of(triangle, alpha, np.ones(3)))
-        assert adjacency.data.tolist() == [1.0, 2.0, 1.0, 1.0, 1.0, 1.0]  # norm_values are all 0.5
+        batch = batch_of(triangle, [0, 1, 2], coeffs_of(triangle, alpha, np.ones(3)))
+        assert batch.adjacency.data.tolist() == [1.0, 2.0, 1.0, 1.0, 1.0, 1.0]  # norm_values are all 0.5
+        # arc 1 is (0, 2); its reverse (2, 0) is arc 4, the transpose's entry (2, 0)
+        assert batch.adjacency_t.data.tolist() == [1.0, 1.0, 1.0, 1.0, 2.0, 1.0]
+        assert batch.adjacency_t.toarray().tolist() == batch.adjacency.toarray().T.tolist()
+
+    def test_transpose_on_a_path_with_unequal_degrees(self, square_chord):
+        alpha = np.linspace(0.3, 0.9, square_chord.num_arcs)
+        batch = batch_of(square_chord, [0, 1, 3], coeffs_of(square_chord, alpha, np.ones(4)))
+        want = np.zeros((3, 3))
+        for a, (u, v) in zip(batch.subgraph.arc_origin, [(0, 1), (1, 0), (1, 2), (2, 1)]):
+            want[u, v] = square_chord.norm_values[a] / alpha[a]
+        assert batch.adjacency.toarray().tolist() == want.tolist()
+        assert batch.adjacency_t.toarray().tolist() == want.T.tolist()
 
     def test_undefined_alpha_signals(self, triangle):
         for bad in (0.0, -1.0, np.nan, np.inf, -np.inf):
@@ -412,6 +431,72 @@ class TestNormCoeffsChecks:
     def test_boundary_values_accepted(self, triangle):
         tiny = np.full(triangle.num_arcs, 5e-324)
         coeffs_of(triangle, tiny, np.array([0.0, 1.0, 0.5]))
+
+
+class TestNormCoeffsFrozen:
+    """NormCoeffs keeps read-only arrays, so its checks hold for its
+    lifetime and the batch value tables kept on it cannot go stale."""
+
+    @pytest.mark.parametrize("field", ["alpha", "lam", "node_counts", "edge_counts"])
+    def test_writes_raise(self, triangle, field):
+        coeffs = estimate_coeffs(triangle, SamplerConfig(kind="edge", m=1, seed=0))[0]
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(coeffs, field)[0] = 2.0
+
+    def test_owned_array_is_frozen_in_place(self, triangle):
+        alpha = np.full(triangle.num_arcs, 0.5)
+        coeffs = coeffs_of(triangle, alpha, np.ones(3))
+        assert coeffs.alpha is alpha and not alpha.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            coeffs.alpha[1] = 0.0  # would bypass the check that alpha > 0
+
+    def test_view_of_a_writable_array_is_copied(self, triangle):
+        base = np.full(2 * triangle.num_arcs, 0.5)
+        coeffs = coeffs_of(triangle, base[: triangle.num_arcs], np.ones(3))
+        base[0] = -1.0  # the caller still holds the writable base
+        assert coeffs.alpha[0] == 0.5 and not coeffs.alpha.flags.writeable
+        assert not np.shares_memory(coeffs.alpha, base)
+
+    def test_loaded_coefficients_are_frozen(self, triangle, tmp_path):
+        from subgcn.data_io import load_coeffs, save_coeffs
+
+        save_coeffs(tmp_path / "c.bin", triangle, estimate_coeffs(triangle, SamplerConfig(kind="node", n=2, seed=0))[0])
+        coeffs = load_coeffs(tmp_path / "c.bin", triangle)
+        assert not any(getattr(coeffs, f).flags.writeable for f in ("alpha", "lam", "node_counts", "edge_counts"))
+
+
+class TestArcValueTables:
+    """The per-arc value tables are built once per frozen graph and
+    coefficients, and never reused for another graph."""
+
+    def test_one_pair_of_tables_per_frozen_graph(self, square_chord):
+        coeffs = estimate_coeffs(square_chord, SamplerConfig(kind="edge", m=2, seed=0))[0]
+        vals, vals_t = _arc_values(square_chord, coeffs)
+        assert _arc_values(square_chord, coeffs)[0] is vals
+        assert vals.tobytes() == (square_chord.norm_values / coeffs.alpha).tobytes()
+        rows = arc_source_nodes(square_chord)
+        for a in range(square_chord.num_arcs):
+            (r,) = np.flatnonzero((rows == square_chord.col_indices[a]) & (square_chord.col_indices == rows[a]))
+            assert vals_t[a] == vals[r]
+        assert not vals.flags.writeable and not vals_t.flags.writeable
+
+    def test_tables_are_not_reused_for_another_graph(self, triangle):
+        path4 = build_graph([(0, 1), (1, 2), (2, 3)], 4)  # 6 arcs, like the triangle
+        alpha = np.linspace(0.2, 0.7, 6)
+        coeffs = coeffs_of(path4, alpha, np.ones(4))
+        for g in (triangle, path4, triangle):
+            batch = batch_of(g, [0, 1, 2], coeffs)
+            origin = batch.subgraph.arc_origin
+            assert batch.adjacency.data.tolist() == (g.norm_values[origin] / alpha[origin]).tolist()
+
+    def test_writable_graph_gets_fresh_tables(self, square_chord):
+        coeffs = estimate_coeffs(square_chord, SamplerConfig(kind="edge", m=2, seed=0))[0]
+        g = writable_copy(square_chord)
+        first = _arc_values(g, coeffs)[0]
+        assert _arc_values(g, coeffs)[0] is not first
+        g.norm_values[0] = 0.125
+        assert batch_of(g, [0, 1], coeffs).adjacency.data[0] == 0.125 / coeffs.alpha[0]  # no stale table
+        assert _arc_values(square_chord, coeffs)[0][0] == square_chord.norm_values[0] / coeffs.alpha[0]
 
 
 class TestUnbiasedness:

@@ -20,6 +20,7 @@ GROUPS = [
     "containers.bytes",
     "forward",
     "grads",
+    "grads.widening",
     "edge_aggregates.f_16",
     "edge_aggregates.f_2_2",
     "edge_aggregates.f_16_16_16",

@@ -40,6 +40,9 @@ imports ``subgcn`` from ``<checkout>/src`` and prints one line
 - ``grads``: the loss and weight gradients of ``loss_and_grad`` on one
   edge-sampler batch with exact coefficients and dropout, for a model
   whose hidden and last layers both narrow;
+- ``grads.widening``: the same for a model with hidden widths 16, 16
+  and 32, whose hidden layers widen or keep their width, so their
+  backward multiplies the transpose by ``dz W^T`` instead of by ``dz``;
 - ``edge_aggregates.f_16``, ``edge_aggregates.f_2_2`` and
   ``edge_aggregates.f_16_16_16``: ``edge_aggregates`` of models with
   those dimensions, f being the feature width;
@@ -86,6 +89,7 @@ import numpy as np
 DRAWS = 12  # subgraphs drawn per sampler kind
 DATASET_FIELDS = ("graph", "features", "labels", "split", "num_classes")
 AGGREGATE_DIMS = ((16,), (2, 2), (16, 16, 16))  # the layer widths after the features
+WIDENING_DIMS = (16, 16, 32)  # hidden widths of ``grads.widening``
 # Cycled over the edges by ``monte_carlo.rate_classes``: p = 0 and 1, the
 # classes r = 1 (p in [1/2, 1)) and r = 1/2, ordinary classes, and rates
 # far below any one draw.
@@ -257,14 +261,15 @@ def digests(subgcn, data_dir: Path, seed: int = 3) -> tuple[dict[str, str], list
     d.add(engine.forward_full(model, g, feats))
     out["forward"] = d.hexdigest()
 
-    model = engine.init_model((feats.shape[1], 32, 8, ds.num_classes), "softmax", samplers.make_rng(seed, 0))
     with subgcn.SubgraphProducer(g, configs[1]) as producer:
         sub = producer.take()
     batch = engine.build_batch(g, sub, feats, ds.labels, ds.split, normalization.estimate_coeffs(g, configs[1])[0])
-    scores, caches = engine.forward_subgraph(model, batch, dropout=0.2, rng=samplers.make_rng(seed, 2))
-    d = Digest()
-    d.add(engine.loss_and_grad(model, batch, scores, caches))
-    out["grads"] = d.hexdigest()
+    for group, hidden in (("grads", (32, 8)), ("grads.widening", WIDENING_DIMS)):
+        model = engine.init_model((feats.shape[1], *hidden, ds.num_classes), "softmax", samplers.make_rng(seed, 0))
+        scores, caches = engine.forward_subgraph(model, batch, dropout=0.2, rng=samplers.make_rng(seed, 2))
+        d = Digest()
+        d.add(engine.loss_and_grad(model, batch, scores, caches))
+        out[group] = d.hexdigest()
 
     for hidden in AGGREGATE_DIMS:
         model = engine.init_model((feats.shape[1], *hidden), "softmax", samplers.make_rng(seed, 0))
