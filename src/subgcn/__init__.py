@@ -11,8 +11,8 @@ The package splits into:
   the training loop
 - :mod:`subgcn.variance`: closed-form and Monte-Carlo variance of the
   edge estimator plus the variance-optimal edge probabilities
-- :mod:`subgcn.data_io`: dataset files, artifact caches, synthetic
-  generators
+- :mod:`subgcn.data_io`: dataset files, artifact caches, the synthetic
+  SBM dataset generator
 - :mod:`subgcn.cli`: the ``subgcn`` command
 """
 
@@ -58,8 +58,6 @@ from .variance import (
 from .data_io import (
     Dataset,
     SbmSpec,
-    generate_er,
-    generate_regular,
     generate_sbm,
     load_dataset,
     save_dataset,
@@ -108,8 +106,6 @@ __all__ = [
     "Dataset",
     "SbmSpec",
     "generate_sbm",
-    "generate_regular",
-    "generate_er",
     "load_dataset",
     "save_dataset",
     "__version__",

@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Subcommands are thin adapters over the library: ``gen`` (synthetic
-datasets), ``sample`` (pre-sampled subgraph caches), ``estimate``
+SBM datasets), ``sample`` (pre-sampled subgraph caches), ``estimate``
 (normalization coefficient caches), ``train`` / ``eval`` (the training
 loop and checkpoint evaluation), and ``variance-check`` (optimal
 versus topology edge probabilities).
@@ -76,16 +76,13 @@ def _build_parser() -> _Parser:
     parser.add_argument("--threads", type=_at_least(0), default=0, help="sampler worker threads (0: serial)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate a synthetic dataset or graph")
-    p.add_argument("--kind", required=True, choices=["sbm", "regular", "er"])
+    p = sub.add_parser("gen", help="generate a synthetic SBM dataset")
+    p.add_argument("--kind", required=True, choices=["sbm"])
     p.add_argument("--blocks", type=int, default=2)
     p.add_argument("--block-size", type=int, default=100)
     p.add_argument("--p-intra", type=float, default=0.05)
     p.add_argument("--p-inter", type=float, default=0.005)
     p.add_argument("--noise", type=float, default=1.0)
-    p.add_argument("--d", type=int, default=2, help="degree (regular)")
-    p.add_argument("--nodes", type=int, default=20, help="node count (regular, er)")
-    p.add_argument("--p", type=float, default=0.1, help="edge probability (er)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
@@ -148,21 +145,15 @@ def _build_parser() -> _Parser:
 
 def _cmd_gen(args) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    if args.kind == "sbm":
-        spec = data_io.SbmSpec(
-            blocks=args.blocks,
-            block_size=args.block_size,
-            p_intra=args.p_intra,
-            p_inter=args.p_inter,
-            noise=args.noise,
-            seed=args.seed,
-        )
-        data_io.save_dataset(data_io.generate_sbm(spec), out)
-    elif args.kind == "regular":
-        data_io.save_graph_txt(out / "graph.txt", data_io.generate_regular(args.d, args.nodes, args.seed))
-    else:
-        data_io.save_graph_txt(out / "graph.txt", data_io.generate_er(args.nodes, args.p, args.seed))
+    spec = data_io.SbmSpec(
+        blocks=args.blocks,
+        block_size=args.block_size,
+        p_intra=args.p_intra,
+        p_inter=args.p_inter,
+        noise=args.noise,
+        seed=args.seed,
+    )
+    data_io.save_dataset(data_io.generate_sbm(spec), out)
     print(f"wrote {args.kind} artifacts to {out}")
     return 0
 

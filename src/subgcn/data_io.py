@@ -1,4 +1,4 @@
-"""Dataset files, artifact caches, and synthetic graph generators.
+"""Dataset files, artifact caches, and the synthetic SBM dataset generator.
 
 Datasets live in a directory of four ASCII text files, chosen for
 desk-scale inspectability. Each line is a row of whitespace-separated
@@ -45,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .engine import HEADS, Checkpoint
-from .graph import Graph, Subgraph, build_graph, induced_subgraph, memoized, sorted_unique
+from .graph import Graph, Subgraph, build_graph, induced_subgraph, memoized
 from .normalization import NormCoeffs
 from .samplers import SamplerConfig, make_rng
 
@@ -56,7 +56,6 @@ __all__ = [
     "CacheMismatchError",
     "load_dataset",
     "save_dataset",
-    "load_graph_txt",
     "save_graph_txt",
     "graph_hash",
     "save_subgraphs",
@@ -66,8 +65,6 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "generate_sbm",
-    "generate_regular",
-    "generate_er",
 ]
 
 
@@ -205,13 +202,6 @@ def _read_graph(path: Path) -> tuple[np.ndarray, int]:
     ascending = (u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))
     _check_rows(path, ascending, 3, lambda i: "edges must be strictly ascending lexicographic")
     return edges, num_nodes
-
-
-def load_graph_txt(path) -> Graph:
-    """Load a ``graph.txt``. Isolated nodes are legal, so this takes
-    O(num_nodes) memory however few edges the file lists; ``load_dataset``
-    first checks that count against the other files' rows."""
-    return build_graph(*_read_graph(Path(path)))
 
 
 def save_graph_txt(path, g: Graph) -> None:
@@ -536,7 +526,7 @@ def _check_layer_shapes(path, weights, adam_m, adam_v, best_weights) -> None:
 
 
 # ----------------------------------------------------------------------
-# Synthetic generators
+# Synthetic generator
 # ----------------------------------------------------------------------
 
 
@@ -578,42 +568,3 @@ def generate_sbm(spec: SbmSpec) -> Dataset:
         split=split,
         num_classes=spec.blocks,
     )
-
-
-# Configuration-model draws generate_regular makes before giving up.
-_REGULAR_TRIES = 2000
-
-
-def generate_regular(d: int, n: int, seed: int = 0) -> Graph:
-    """Simple d-regular graph via the retried configuration model."""
-    if n < 1 or d < 0 or d >= n:
-        raise ValueError("need 0 <= d < n")
-    if (n * d) % 2 != 0:
-        raise ValueError(f"infeasible degree sequence: n*d = {n * d} is odd")
-    if d == 0:
-        return build_graph(np.zeros((0, 2), dtype=np.int64), n)
-    rng = make_rng(seed)
-    for _ in range(_REGULAR_TRIES):
-        stubs = np.repeat(np.arange(n, dtype=np.int64), d)
-        rng.shuffle(stubs)
-        pairs = stubs.reshape(-1, 2)
-        if np.any(pairs[:, 0] == pairs[:, 1]):
-            continue
-        lo = np.minimum(pairs[:, 0], pairs[:, 1])
-        hi = np.maximum(pairs[:, 0], pairs[:, 1])
-        if sorted_unique(lo * np.int64(n) + hi).shape[0] != pairs.shape[0]:
-            continue
-        return build_graph(pairs, n)
-    raise RuntimeError(f"could not sample a simple {d}-regular graph on {n} nodes")
-
-
-def generate_er(n: int, p: float, seed: int = 0) -> Graph:
-    """Erdos-Renyi G(n, p)."""
-    if n < 1:
-        raise ValueError("need at least one node")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    rng = make_rng(seed)
-    iu, iv = np.triu_indices(n, k=1)
-    mask = rng.random(iu.shape[0]) < p
-    return build_graph(np.stack([iu[mask], iv[mask]], axis=1), n)

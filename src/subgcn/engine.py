@@ -158,20 +158,18 @@ def graph_adjacency(g: Graph) -> sp.csr_matrix:
     return memoized(g, "_adjacency", build)
 
 
-def _arc_values(g: Graph, coeffs: NormCoeffs | None) -> tuple[np.ndarray, np.ndarray]:
-    """Every parent arc's batch value norm_values / alpha (alpha = 1 if
-    ``coeffs`` is None), and the value of its reverse arc: a batch's
-    adjacency and its transpose gather their data from these two tables
-    by ``arc_origin``. Dividing first and gathering later gives the bits
-    of gathering first and dividing later.
+def _arc_values(g: Graph, coeffs: NormCoeffs) -> tuple[np.ndarray, np.ndarray]:
+    """Every parent arc's batch value norm_values / alpha, and the value
+    of its reverse arc: a batch's adjacency and its transpose gather
+    their data from these two tables by ``arc_origin``. Dividing first
+    and gathering later gives the bits of gathering first and dividing
+    later.
 
     The tables are read-only and built once per frozen graph and
-    coefficients: kept on the graph without coefficients, else on the
-    (read-only) coefficients next to the graph they were built for, so
-    another graph, or one with a writable array, gets tables of its own.
+    coefficients, kept on the (read-only) coefficients next to the graph
+    they were built for, so another graph, or one with a writable array,
+    gets tables of its own.
     """
-    if coeffs is None:
-        return memoized(g, "_arc_values", lambda: (g.norm_values, g.norm_values[reverse_arcs(g)]))
     memo = coeffs.__dict__.get("_arc_values")
     if memo is not None and memo[0] is g:
         return memo[1]
@@ -189,11 +187,11 @@ def build_batch(
     features: np.ndarray,
     labels: np.ndarray,
     split: np.ndarray,
-    coeffs: NormCoeffs | None,
+    coeffs: NormCoeffs,
 ) -> Batch:
     """The minibatch of subgraph ``sub``: its rows of ``features``,
-    ``labels`` and ``split``, its lambda (1 if ``coeffs`` is None), and
-    its local adjacency and transpose (see :class:`Batch`)."""
+    ``labels`` and ``split``, its lambda, and its local adjacency and
+    transpose (see :class:`Batch`)."""
     vals, vals_t = _arc_values(g, coeffs)
     k = sub.num_nodes
     idx = index_dtype(max(sub.num_arcs, k))
@@ -204,12 +202,11 @@ def build_batch(
     # checked index arrays instead of running scipy's checks again.
     adjacency_t = copy.copy(adjacency)
     adjacency_t.data = vals_t[sub.arc_origin]
-    lam = coeffs.lam[sub.nodes] if coeffs is not None else np.ones(k)
     return Batch(
         subgraph=sub,
         features=features[sub.nodes],
         labels=labels[sub.nodes],
-        lam=lam,
+        lam=coeffs.lam[sub.nodes],
         train_mask=split[sub.nodes] == TRAIN,
         adjacency=adjacency,
         adjacency_t=adjacency_t,
@@ -530,7 +527,10 @@ def train(
     ``resume`` continues from a checkpoint; ``stop_after_epoch`` ends
     the run early at an epoch boundary (the returned checkpoint resumes
     it). A run that would end before the epochs ``resume`` has done
-    (0 without one) raises ValueError. Fixed seeds make the metric log
+    (0 without one) raises ValueError, as does a ``resume`` whose head
+    or layer shapes differ from those that the labels, the feature
+    width, ``hidden_dims`` and ``num_classes`` call for, before any
+    coefficient is estimated. Fixed seeds make the metric log
     reproducible bit for bit.
     A non-finite loss or weight gradient raises :class:`NumericError`
     naming the iteration (and, for a gradient, the layer).
@@ -545,6 +545,14 @@ def train(
     if last_epoch < start_epoch:
         raise ValueError(f"the run would end at epoch {last_epoch}, before the {start_epoch} epochs already done")
 
+    dims = (features.shape[1],) + tuple(train_cfg.hidden_dims) + (num_classes,)
+    if resume is not None:
+        if resume.head != head:
+            raise ValueError("checkpoint head does not match the dataset")
+        found, wanted = [w.shape for w in resume.weights], list(zip(dims, dims[1:]))
+        if found != wanted:
+            raise ValueError(f"checkpoint layer shapes {found} do not match the requested {wanted}")
+
     coeffs, cached = estimate_coeffs(
         g,
         sampler_cfg,
@@ -552,7 +560,6 @@ def train(
         workers=train_cfg.workers,
     )
 
-    dims = (features.shape[1],) + tuple(train_cfg.hidden_dims) + (num_classes,)
     if resume is None:
         model = init_model(dims, head, make_rng(train_cfg.seed, 0))
         state = AdamState.zeros_like(model)
@@ -560,8 +567,6 @@ def train(
         best_weights = [w.copy() for w in model.weights]
         best_val = -1.0
     else:
-        if resume.head != head:
-            raise ValueError("checkpoint head does not match the dataset")
         # copies: adam_step updates the weights and moments in place
         model = Model(weights=[w.copy() for w in resume.weights], head=head)
         state = AdamState(

@@ -244,6 +244,8 @@ def estimate_coeffs(
     Draw i uses RNG stream (cfg.seed, i); ``workers`` > 0 parallelizes
     production without changing the result.
     """
+    if num_subgraphs is not None and num_subgraphs < 1:
+        raise ValueError("num_subgraphs must be positive")
     if num_subgraphs is None and cfg.kind in EXACT_KINDS:
         return _exact_coeffs(g, cfg), []
     node_counts = np.zeros(g.num_nodes, dtype=np.int64)
@@ -253,29 +255,17 @@ def estimate_coeffs(
     # one arc of a self-loop, so counting only arcs with row <= col
     # counts each present edge exactly once.
     canonical = arc_source_nodes(g) <= g.col_indices
-
-    def absorb(sub: Subgraph) -> None:
-        node_counts[sub.nodes] += 1
-        arcs = sub.arc_origin
-        edge_counts[g.arc_to_edge[arcs[canonical[arcs]]]] += 1
-
+    pilot = 10
+    target = pilot if num_subgraphs is None else num_subgraphs
     with SubgraphProducer(g, cfg, workers=workers) as producer:
-        if num_subgraphs is None:
-            pilot = 10
-            target = pilot
-            while len(subgraphs) < target:
-                sub = producer.take()
-                subgraphs.append(sub)
-                absorb(sub)
-                if len(subgraphs) == pilot:
-                    avg = max(1.0, float(np.mean([s.num_nodes for s in subgraphs])))
-                    target = max(pilot, math.ceil(50.0 * g.num_nodes / avg))
-        else:
-            if num_subgraphs < 1:
-                raise ValueError("num_subgraphs must be positive")
-            for _ in range(num_subgraphs):
-                sub = producer.take()
-                subgraphs.append(sub)
-                absorb(sub)
+        while len(subgraphs) < target:
+            sub = producer.take()
+            subgraphs.append(sub)
+            node_counts[sub.nodes] += 1
+            arcs = sub.arc_origin
+            edge_counts[g.arc_to_edge[arcs[canonical[arcs]]]] += 1
+            if num_subgraphs is None and len(subgraphs) == pilot:
+                avg = max(1.0, float(np.mean([s.num_nodes for s in subgraphs])))
+                target = max(pilot, math.ceil(50.0 * g.num_nodes / avg))
 
     return _coeffs_from_counts(g, node_counts, edge_counts, len(subgraphs)), subgraphs

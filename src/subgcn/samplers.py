@@ -113,6 +113,11 @@ class SamplerConfig:
         _check_seed(self.seed)
         if self.kind == "mrw" and not self.r < self.n:
             raise ValueError("mrw requires r < n")
+        # Plain ints: the caches store the config as JSON, which has no numpy integer.
+        for name in ("n", "m", "r", "h", "seed"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, int(value))  # the dataclass is frozen
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from subgcn import build_graph
+from subgcn import SbmSpec, build_graph, generate_sbm
 from subgcn.graph import arc_source_nodes
 from subgcn.samplers import budget_probabilities, edge_weights
 
@@ -86,6 +86,17 @@ def random_graph(rng: np.random.Generator, max_nodes: int = 200):
     if not mask.any():
         mask[rng.integers(iu.shape[0])] = True
     return build_graph(np.stack([iu[mask], iv[mask]], axis=1), n)
+
+
+def er_graph(n: int, p: float, seed: int = 0):
+    """Erdos-Renyi G(n, p): the graph of a one-block SBM."""
+    return generate_sbm(SbmSpec(blocks=1, block_size=n, p_intra=p, p_inter=0.0, seed=seed)).graph
+
+
+def circulant(n: int, offsets):
+    """Graph on n nodes with an edge (i, (i + k) mod n) for each offset k."""
+    ring = np.arange(n)
+    return build_graph(np.concatenate([np.stack([ring, (ring + k) % n], axis=1) for k in offsets]), n)
 
 
 def random_pairs_graph(num_nodes: int, num_pairs: int, seed: int):

@@ -17,8 +17,6 @@ from subgcn import (
     edge_weights,
     estimate_coeffs,
     forward_full,
-    generate_er,
-    generate_regular,
     generate_sbm,
     init_model,
     load_dataset,
@@ -41,7 +39,7 @@ from subgcn.data_io import (
     graph_hash,
 )
 from subgcn.graph import arc_source_nodes
-from conftest import analytic_coeffs_edge
+from conftest import analytic_coeffs_edge, circulant, er_graph
 from subgcn.samplers import SubgraphProducer, sample_edge_independent
 from subgcn.variance import budget_probabilities
 
@@ -55,7 +53,7 @@ def report(name: str, ok: bool, detail: str = "") -> None:
 
 def er_50_instance():
     """Frozen 50-node ER(p=0.15) instance with no isolated node."""
-    g = generate_er(50, 0.15, seed=1)
+    g = er_graph(50, 0.15, seed=1)
     assert g.degrees.min() >= 1
     rng = np.random.default_rng(42)
     features = rng.standard_normal((50, 8))
@@ -224,7 +222,7 @@ class TestCriterion4GradientCorrectness:
             for head in ("softmax", "sigmoid"):
                 for seed in range(20):
                     rng = np.random.default_rng(9000 + 97 * seed + 7 * layers + (head == "sigmoid"))
-                    g = generate_er(10, 0.4, seed=int(rng.integers(1 << 30)))
+                    g = er_graph(10, 0.4, seed=int(rng.integers(1 << 30)))
                     n, f, c = g.num_nodes, 3, 2
                     feats = rng.standard_normal((n, f))
                     labels = (
@@ -232,7 +230,7 @@ class TestCriterion4GradientCorrectness:
                     )
                     sub = induced_subgraph(g, np.arange(n))
                     split = np.zeros(n, dtype=np.int64)
-                    batch = build_batch(g, sub, feats, labels, split, None)
+                    batch = build_batch(g, sub, feats, labels, split, estimate_coeffs(g, SamplerConfig(kind="full"))[0])
                     batch.lam = rng.uniform(0.5, 2.0, n)
                     dims = (f,) + (3,) * (layers - 1) + (c,)
                     model = init_model(dims, head, make_rng(seed, layers))
@@ -331,7 +329,7 @@ class TestCriterion7SurvivalProbability:
         )
 
         # simulate per-layer independent edge sampling on a 2-regular graph
-        g = generate_regular(2, 20, seed=4)
+        g = circulant(20, (1,))
         p, layers = 0.4, 2
         trials = 10_000
         root = 0

@@ -32,10 +32,12 @@ class TestGen:
         for name in ("graph.txt", "features.txt", "labels.txt", "split.txt"):
             assert (out / name).exists()
 
-    def test_regular_graph(self, tmp_path):
+    @pytest.mark.parametrize("kind", ["regular", "er"])
+    def test_graph_only_kinds_are_usage_errors(self, tmp_path, kind, capsys):
         out = tmp_path / "g"
-        assert main(["gen", "--kind", "regular", "--d", "2", "--nodes", "10", "--out", str(out)]) == 0
-        assert (out / "graph.txt").exists()
+        assert main(["gen", "--kind", kind, "--out", str(out)]) == 1
+        assert "invalid choice" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrainCommand:

@@ -24,8 +24,6 @@ from subgcn import (
     edge_weights,
     estimate_coeffs,
     f1_micro,
-    generate_er,
-    generate_regular,
     generate_sbm,
     induced_subgraph,
     load_dataset,
@@ -40,7 +38,6 @@ from subgcn.data_io import (
     graph_hash,
     load_checkpoint,
     load_coeffs,
-    load_graph_txt,
     load_subgraphs,
     save_checkpoint,
     save_coeffs,
@@ -48,6 +45,8 @@ from subgcn.data_io import (
     save_subgraphs,
 )
 from subgcn.samplers import SubgraphProducer
+
+from conftest import circulant, er_graph
 
 
 def minimal_dataset() -> Dataset:
@@ -127,12 +126,12 @@ class TestGrammarErrors:
     def test_unsorted_edges_rejected(self, tmp_path):
         (tmp_path / "graph.txt").write_text("3 2\n1 2\n0 1\n")
         with pytest.raises(DataFormatError, match="ascending"):
-            load_graph_txt(tmp_path / "graph.txt")
+            load_dataset(tmp_path)  # graph.txt alone: it is parsed first
 
     def test_u_not_less_than_v_rejected(self, tmp_path):
         (tmp_path / "graph.txt").write_text("3 1\n2 1\n")
         with pytest.raises(DataFormatError, match="graph.txt:2"):
-            load_graph_txt(tmp_path / "graph.txt")
+            load_dataset(tmp_path)  # graph.txt alone: it is parsed first
 
     def test_feature_row_count_mismatch(self, tmp_path):
         self._write_default(tmp_path)
@@ -208,7 +207,7 @@ class TestTableErrorPath:
 
         monkeypatch.setattr(data_io, "_loadtxt", counting)
         with pytest.raises(DataFormatError, match=f"graph.txt:{n + 1}: invalid integer in '1 x'"):
-            load_graph_txt(tmp_path / "graph.txt")
+            load_dataset(tmp_path)  # graph.txt alone: it is parsed first
         assert len(calls) <= 2 * math.ceil(math.log2(n)) + 2
         assert sum(calls) <= 2 * n + len(calls)  # the header, the table, then halves of what is left
 
@@ -221,7 +220,7 @@ class TestTableErrorPath:
     def test_first_bad_line_is_named(self, tmp_path, bad, message):
         self.write_path_graph(tmp_path / "graph.txt", 10_000, bad)
         with pytest.raises(DataFormatError, match=message):
-            load_graph_txt(tmp_path / "graph.txt")
+            load_dataset(tmp_path)  # graph.txt alone: it is parsed first
 
 
 class TestHostileInput:
@@ -384,7 +383,7 @@ class TestTextWriterBytes:
 
 class TestArtifactCaches:
     def test_subgraph_cache_round_trip(self, tmp_path):
-        g = generate_er(25, 0.2, seed=1)
+        g = er_graph(25, 0.2, seed=1)
         cfg = SamplerConfig(kind="rw", r=3, h=2, seed=5)
         with SubgraphProducer(g, cfg) as producer:
             subs = [producer.take() for _ in range(7)]
@@ -399,8 +398,19 @@ class TestArtifactCaches:
             assert np.array_equal(a.col_indices, b.col_indices)
             assert np.array_equal(a.arc_origin, b.arc_origin)
 
+    def test_numpy_integer_config_is_cached_as_plain_ints(self, tmp_path):
+        g = er_graph(20, 0.25, seed=2)
+        cfg = SamplerConfig(kind="edge", m=np.int64(5), seed=np.int64(3))
+        assert (type(cfg.m), type(cfg.seed)) == (int, int)
+        with SubgraphProducer(g, cfg) as producer:
+            subs = [producer.take() for _ in range(3)]
+        save_subgraphs(tmp_path / "subs.bin", g, cfg, subs)
+        assert load_subgraphs(tmp_path / "subs.bin", g)[0] == SamplerConfig(kind="edge", m=5, seed=3)
+        save_coeffs(tmp_path / "coeffs.bin", g, estimate_coeffs(g, cfg, num_subgraphs=2)[0], cfg)
+        assert load_coeffs(tmp_path / "coeffs.bin", g).num_subgraphs == 2
+
     def test_coeffs_cache_round_trip(self, tmp_path):
-        g = generate_er(20, 0.25, seed=2)
+        g = er_graph(20, 0.25, seed=2)
         cfg = SamplerConfig(kind="edge", m=6, seed=3)
         coeffs, _ = estimate_coeffs(g, cfg, num_subgraphs=15)
         path = tmp_path / "coeffs.bin"
@@ -414,8 +424,8 @@ class TestArtifactCaches:
         assert loaded.source == "empirical"
 
     def test_cache_refused_on_graph_mismatch(self, tmp_path):
-        g1 = generate_er(20, 0.25, seed=2)
-        g2 = generate_er(20, 0.25, seed=3)
+        g1 = er_graph(20, 0.25, seed=2)
+        g2 = er_graph(20, 0.25, seed=3)
         cfg = SamplerConfig(kind="edge", m=6, seed=3)
         coeffs, _ = estimate_coeffs(g1, cfg, num_subgraphs=5)
         path = tmp_path / "coeffs.bin"
@@ -424,14 +434,14 @@ class TestArtifactCaches:
             load_coeffs(path, g2)
 
     def test_wrong_magic_rejected(self, tmp_path):
-        g = generate_er(10, 0.3, seed=4)
+        g = er_graph(10, 0.3, seed=4)
         path = tmp_path / "x.bin"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
         with pytest.raises(DataFormatError, match="magic"):
             load_coeffs(path, g)
 
     def _coeffs_file(self, tmp_path):
-        g = generate_er(10, 0.3, seed=4)
+        g = er_graph(10, 0.3, seed=4)
         coeffs, _ = estimate_coeffs(g, SamplerConfig(kind="edge", m=3, seed=1), num_subgraphs=2)
         path = tmp_path / "coeffs.bin"
         save_coeffs(path, g, coeffs)
@@ -559,7 +569,7 @@ def with_header(data: bytes, blob: bytes) -> bytes:
 
 class TestGraphHash:
     def test_matches_blake2b_over_counts_and_csr_bytes(self, square_chord):
-        for g in (square_chord, build_graph([(0, 1), (0, 0), (1, 1), (2, 2)], 3), generate_er(30, 0.2, seed=1)):
+        for g in (square_chord, build_graph([(0, 1), (0, 0), (1, 1), (2, 2)], 3), er_graph(30, 0.2, seed=1)):
             parts = [struct.pack("<2Q", g.num_nodes, g.num_arcs)]
             parts += [a.astype(code).tobytes() for a, code in (
                 (g.row_offsets, "<i8"), (g.col_indices, "<i8"), (g.norm_values, "<f8"), (g.degrees, "<i8"))]
@@ -568,7 +578,7 @@ class TestGraphHash:
 
     def test_is_a_64_bit_unsigned_int(self):
         for seed in range(5):
-            h = graph_hash(generate_er(20, 0.3, seed=seed))
+            h = graph_hash(er_graph(20, 0.3, seed=seed))
             assert type(h) is int
             assert 0 <= h < 2**64
 
@@ -665,7 +675,7 @@ class TestGraphHashMemo:
         assert graph_hash(moved) != before
 
     def test_stored_hash_equals_a_fresh_build(self, blake2b_calls):
-        for g in (build_graph([(0, 1), (0, 0), (1, 1), (2, 2)], 3), generate_er(30, 0.2, seed=1)):
+        for g in (build_graph([(0, 1), (0, 0), (1, 1), (2, 2)], 3), er_graph(30, 0.2, seed=1)):
             first = graph_hash(g)
             blake2b_calls.clear()
             assert graph_hash(g) == first
@@ -993,36 +1003,22 @@ class TestSbmGenerator:
 
 
 class TestGraphGenerators:
-    def test_regular_graph_degrees(self):
-        g = generate_regular(2, 14, seed=1)
-        assert np.all(g.degrees == 2)  # union of cycles
-
-    def test_regular_higher_degree(self):
-        g = generate_regular(4, 20, seed=2)
-        assert np.all(g.degrees == 4)
-        # simple: no duplicate edges by construction
-        assert g.num_edges == 40
-
-    def test_infeasible_degree_sequence_rejected(self):
-        with pytest.raises(ValueError):
-            generate_regular(3, 5, seed=0)  # odd n*d
-        with pytest.raises(ValueError):
-            generate_regular(5, 5, seed=0)  # d >= n
-
     def test_er_full_probability_is_complete(self):
-        g = generate_er(8, 1.0, seed=3)
+        g = er_graph(8, 1.0, seed=3)
         assert g.num_edges == 8 * 7 // 2
 
     def test_regular_graph_feeds_uniform_edge_distribution(self):
-        g = generate_regular(3, 12, seed=4)
+        g = circulant(12, (1, 6))
+        assert np.all(g.degrees == 3)
         p = edge_weights(g).probabilities()
         assert np.allclose(p, 1.0 / g.num_edges, atol=1e-12)
 
     def test_graph_txt_round_trip(self, tmp_path):
-        g = generate_er(15, 0.3, seed=5)
-        save_graph_txt(tmp_path / "graph.txt", g)
-        g2 = load_graph_txt(tmp_path / "graph.txt")
-        assert graph_hash(g) == graph_hash(g2)
+        g = er_graph(15, 0.3, seed=5)
+        ds = Dataset(graph=g, features=np.zeros((15, 1)), labels=np.zeros(15, dtype=np.int64),
+                     split=np.zeros(15, dtype=np.int64), num_classes=1)
+        save_dataset(ds, tmp_path)  # writes graph.txt through save_graph_txt
+        assert graph_hash(load_dataset(tmp_path).graph) == graph_hash(g)
 
     def test_self_loops_not_representable(self, tmp_path):
         g = build_graph([(0, 1), (0, 0), (1, 1)], 2)

@@ -1,6 +1,7 @@
 """GCN engine: forwards, exact gradients, Adam, F1, training loop."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -29,14 +30,19 @@ from subgcn.graph import arc_source_nodes
 from subgcn.normalization import estimate_coeffs
 from subgcn.samplers import budget_probabilities, edge_weights
 
-from conftest import analytic_coeffs_edge, random_graph, random_pairs_graph, writable_copy
+from conftest import analytic_coeffs_edge, er_graph, random_graph, random_pairs_graph, writable_copy
+
+
+def full_coeffs(g):
+    """The exact coefficients of the ``full`` sampler: every alpha and lambda is 1."""
+    return estimate_coeffs(g, SamplerConfig(kind="full"))[0]
 
 
 def full_batch(g, features, labels, lam=None, train_mask=None):
     """Batch covering the whole graph with alpha == 1."""
     sub = induced_subgraph(g, np.arange(g.num_nodes))
     split = np.zeros(g.num_nodes, dtype=np.int64)
-    batch = build_batch(g, sub, features, labels, split, None)
+    batch = build_batch(g, sub, features, labels, split, full_coeffs(g))
     if lam is not None:
         batch.lam = lam
     if train_mask is not None:
@@ -205,7 +211,7 @@ class TestFullGraphForward:
         assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
 
         sub = induced_subgraph(g, np.sort(rng.choice(n, 700, replace=False)))
-        batch = build_batch(g, sub, feats, labels, np.zeros(n, dtype=np.int64), None)
+        batch = build_batch(g, sub, feats, labels, np.zeros(n, dtype=np.int64), full_coeffs(g))
         scores, caches = forward_subgraph(model, batch, dropout=0.3, rng=make_rng(0, 0))
         _, grads = loss_and_grad(model, batch, scores, caches)
         _, want_grads = old_order_loss_grads(
@@ -298,7 +304,7 @@ class TestLossAndGrad:
         labels = np.array([0, 1, 0])
         split = np.array([1, 2, 1]) if nodes else np.zeros(3, dtype=np.int64)
         sub = induced_subgraph(triangle, nodes)
-        batch = build_batch(triangle, sub, feats, labels, split, None)
+        batch = build_batch(triangle, sub, feats, labels, split, full_coeffs(triangle))
         model = init_model((2, 3, 2), "softmax", make_rng(0, 0))
         scores, caches = forward_subgraph(model, batch, dropout=0.5, rng=make_rng(0, 1))
         loss, grads = loss_and_grad(model, batch, scores, caches)
@@ -536,6 +542,26 @@ class TestTrainLoop:
             for a, b in zip(group, saved):
                 assert np.array_equal(a, b)
 
+    def test_resume_refuses_other_layer_shapes(self, monkeypatch):
+        from subgcn import engine
+
+        g, feats, labels, split = small_dataset(seed=16)
+        scfg = SamplerConfig(kind="edge", m=6, seed=2)
+        ckpt = train(g, feats, labels, split, scfg, TrainConfig(hidden_dims=(8,), epochs=2, seed=3),
+                     num_classes=2, stop_after_epoch=1).checkpoint
+
+        def no_estimate(*args, **kwargs):
+            raise AssertionError("coefficients estimated before the checkpoint was checked")
+
+        monkeypatch.setattr(engine, "estimate_coeffs", no_estimate)
+        tcfg = TrainConfig(hidden_dims=(32, 16), epochs=2, seed=3)
+        with pytest.raises(ValueError, match=re.escape("[(4, 8), (8, 2)] do not match the requested "
+                                                       "[(4, 32), (32, 16), (16, 2)]")):
+            train(g, feats, labels, split, scfg, tcfg, num_classes=2, resume=ckpt)
+        with pytest.raises(ValueError, match=re.escape("[(4, 8), (8, 2)] do not match the requested [(4, 8), (8, 3)]")):
+            train(g, feats, labels, split, scfg, dataclasses.replace(tcfg, hidden_dims=(8,)), num_classes=3,
+                  resume=ckpt)
+
     @pytest.mark.parametrize("stop, resume_at", [(0, None), (-1, None), (1, 2)],
                              ids=["zero", "negative", "below resume"])
     def test_stop_after_epoch(self, stop, resume_at):
@@ -691,10 +717,8 @@ class TestEstimatorConsistency:
         with edge coverage, so the budget is set high enough (mean
         inclusion ~0.89) for the direction claim.
         """
-        from subgcn import generate_er
-
         n, f, c, m = 30, 5, 3, 80
-        g = generate_er(n, 0.2, seed=3)
+        g = er_graph(n, 0.2, seed=3)
         assert g.degrees.min() >= 1
         rng = np.random.default_rng(0)
         feats = rng.standard_normal((n, f))
@@ -836,10 +860,10 @@ class TestBatchTranspose:
     on the same int32 index arrays, and the backward through it gives
     the bits of the backward through scipy's transposed view."""
 
-    @pytest.mark.parametrize("coeffs", ["exact", None])
+    @pytest.mark.parametrize("coeffs", ["exact", "full"])
     def test_transpose_equals_the_transposed_view(self, coeffs):
         g = loops_and_isolated_graph()
-        c = estimate_coeffs(g, SamplerConfig(kind="edge", m=20, seed=0))[0] if coeffs else None
+        c = estimate_coeffs(g, SamplerConfig(kind="edge", m=20, seed=0))[0] if coeffs == "exact" else full_coeffs(g)
         rng = np.random.default_rng(4)
         feats, labels, split = np.zeros((30, 2)), np.zeros(30, dtype=np.int64), np.zeros(30, dtype=np.int64)
         for ids in ([], [26], [0, 3], np.arange(30), rng.choice(30, 18), rng.choice(30, 9)):

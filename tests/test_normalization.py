@@ -379,8 +379,8 @@ class TestNormalizedArcValue:
     refuses an alpha that would make it undefined."""
 
     def test_identity_when_alpha_is_one(self, triangle):
-        coeffs, _ = estimate_coeffs(triangle, SamplerConfig(kind="full", seed=0), num_subgraphs=3)
-        for c in (coeffs, None):
+        cfg = SamplerConfig(kind="full", seed=0)
+        for c in (estimate_coeffs(triangle, cfg, num_subgraphs=3)[0], estimate_coeffs(triangle, cfg)[0]):
             batch = batch_of(triangle, [0, 1, 2], c)
             assert np.array_equal(batch.adjacency.data, triangle.norm_values[batch.subgraph.arc_origin])
 

@@ -12,9 +12,11 @@ imports ``subgcn`` from ``<checkout>/src`` and prints one line
   has other fields besides compare alike;
 - ``graph.build``: every ``Graph`` field of ``build_graph`` on random
   pairs with duplicates, reversed pairs and loops in an unsorted order,
-  and on an empty edge list, and of ``generate_regular(4, 30)``. The
-  loader only ever passes canonical sorted edges, so
-  ``data_io.load_dataset`` does not reach these inputs;
+  on an empty edge list, and on the 4-regular circulant on 30 nodes
+  with edges (i, i + 1) and (i, i + 2) mod 30, which lists every edge
+  once in an unsorted order. The loader only ever passes canonical
+  sorted edges, so ``data_io.load_dataset`` does not reach these
+  inputs;
 - ``samplers.serial`` / ``samplers.workers2``: draws of all six sampler
   kinds, serially and from a 2-worker producer;
 - ``coeffs``: every field of the empirical ``NormCoeffs``;
@@ -155,7 +157,8 @@ def _graph_build(subgcn) -> str:
     d = Digest()
     d.add(subgcn.build_graph(pairs[rng.permutation(pairs.shape[0])], 40))
     d.add(subgcn.build_graph(np.zeros((0, 2), dtype=np.int64), 5))
-    d.add(subgcn.generate_regular(4, 30))
+    ring = np.arange(30)
+    d.add(subgcn.build_graph(np.concatenate([np.stack([ring, (ring + k) % 30], axis=1) for k in (1, 2)]), 30))
     return d.hexdigest()
 
 
