@@ -14,7 +14,8 @@ and floats are what ``numpy.loadtxt`` reads, finite only.
 - ``split.txt``: one tag per node from {0=train, 1=val, 2=test}.
 
 Every malformed row is reported as ``file:line``; ``load_dataset``
-sizes no array by a header count before the rows confirm it.
+sizes no array by a header count before the rows confirm it, and
+returns read-only arrays.
 
 Subgraph caches, coefficient caches and model checkpoints use a binary
 container (magic bytes, version, little-endian 64-bit payloads) bound
@@ -27,8 +28,12 @@ induced again on load. Loaders refuse any other version, and files of
 an older version must be regenerated. All writers are
 byte-deterministic; loaders reject malformed input with the offending
 file and line, and refuse node vectors that are not sorted unique node
-IDs of the graph, coefficients that ``NormCoeffs`` rejects, and arrays
-whose lengths or shapes disagree with the graph or with each other.
+IDs of the graph, coefficients that ``NormCoeffs`` rejects, arrays
+whose lengths or shapes disagree with the graph or with each other,
+checkpoints with a non-finite value or a negative Adam second moment,
+and bytes after the last array. A loader (``_Reader``) checks the
+fixed 24-byte prefix first, then reads the rest with one ``read``, so
+its peak memory is about the file size plus the arrays parsed from it.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import struct
 import warnings
 from dataclasses import asdict, dataclass
@@ -257,12 +261,24 @@ def _parse_split(path: Path, num_nodes: int) -> np.ndarray:
 
 def load_dataset(directory) -> Dataset:
     """Load and cross-validate a dataset directory. The graph is built
-    last, once the other files' rows confirm its node count."""
+    last, once the other files' rows confirm its node count.
+
+    ``features``, ``labels`` and ``split`` are read-only, as the graph's
+    arrays are (``build_graph``): an in-place write raises, so values
+    derived from them can be kept. The full-graph forward keeps its
+    layer-0 aggregate ``A @ features`` on the graph
+    (``engine.forward_full``), so every later validation or evaluation
+    of the same loaded dataset skips that product. Copy an array to
+    change it."""
     d = Path(directory)
     edges, num_nodes = _read_graph(d / "graph.txt")
     features = _parse_features(d / "features.txt", num_nodes)
     labels, num_classes = _parse_labels(d / "labels.txt", num_nodes)
     split = _parse_split(d / "split.txt", num_nodes)
+    for a in (features, labels, split):  # a label or split vector views its parsed table
+        while isinstance(a, np.ndarray):
+            a.setflags(write=False)
+            a = a.base
     return Dataset(graph=build_graph(edges, num_nodes), features=features, labels=labels,
                    split=split, num_classes=num_classes)
 
@@ -300,7 +316,8 @@ _MAGIC_SUB = b"SGCNSUBG"
 _MAGIC_COEF = b"SGCNCOEF"
 _MAGIC_CKPT = b"SGCNCKPT"
 
-_DTYPES = {b"i": "<i8", b"f": "<f8"}
+_DTYPES = {b"i": np.dtype("<i8"), b"f": np.dtype("<f8")}
+_SHAPES = [struct.Struct(f"<{ndim}Q") for ndim in range(3)]  # an array's shape, by rank
 
 
 def graph_hash(g: Graph) -> int:
@@ -332,28 +349,6 @@ def _write_array(f, arr: np.ndarray) -> None:
     f.write(data.tobytes())
 
 
-def _read_exact(f, n: int, path) -> bytes:
-    data = f.read(n)
-    if len(data) != n:
-        raise DataFormatError(path, None, "truncated binary file")
-    return data
-
-
-def _read_array(f, path) -> np.ndarray:
-    code = _read_exact(f, 1, path)
-    if code not in _DTYPES:
-        raise DataFormatError(path, None, f"unknown array tag {code!r}")
-    (ndim,) = struct.unpack("<B", _read_exact(f, 1, path))
-    if ndim > 2:
-        raise DataFormatError(path, None, f"array rank {ndim}; containers hold only vectors and matrices")
-    shape = struct.unpack(f"<{ndim}Q", _read_exact(f, 8 * ndim, path))
-    count = math.prod(shape)
-    if 8 * count > os.fstat(f.fileno()).st_size - f.tell():
-        raise DataFormatError(path, None, f"array shape {shape} exceeds the rest of the file")
-    data = np.frombuffer(_read_exact(f, 8 * count, path), dtype=_DTYPES[code])
-    return data.reshape(shape).copy()
-
-
 def _write_header(f, magic: bytes, g_hash: int, meta: dict) -> None:
     blob = json.dumps(meta, sort_keys=True).encode()
     f.write(magic)
@@ -361,24 +356,77 @@ def _write_header(f, magic: bytes, g_hash: int, meta: dict) -> None:
     f.write(blob)
 
 
-def _read_header(f, magic: bytes, path, g: Graph) -> dict:
-    if _read_exact(f, 8, path) != magic:
-        raise DataFormatError(path, None, f"bad magic; expected {magic.decode()} container")
-    version, g_hash, meta_len = struct.unpack("<IQI", _read_exact(f, 16, path))
-    if version != _VERSION:
-        raise DataFormatError(
-            path, None, f"unsupported container version {version} (expected {_VERSION}); regenerate the file"
-        )
-    blob = _read_exact(f, meta_len, path)  # outside the try: its DataFormatError is a ValueError too
-    try:
-        meta = json.loads(blob.decode())
-    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too many digits, too deep
-        raise DataFormatError(path, None, f"malformed container header: {exc}") from None
-    if not isinstance(meta, dict):
-        raise DataFormatError(path, None, "malformed container header: not a JSON object")
-    if g_hash != graph_hash(g):
-        raise CacheMismatchError(f"{path}: cached artifact belongs to a different graph")
-    return meta
+class _Reader:
+    """A container file, parsed front to back: the fixed prefix (magic,
+    version, graph hash, header length) is read and checked first, so a
+    file of another kind is refused before its body is read; the rest
+    is read with one ``read`` and parsed from those bytes: the header
+    (:meth:`header`), the arrays in order (:meth:`array`), then
+    :meth:`end`, which refuses bytes after the last array. Each array is
+    an owned, writable copy of its bytes, so peak memory while loading
+    is about the file size plus its arrays. A file too short for what it
+    declares is a ``truncated binary file``."""
+
+    def __init__(self, path, magic: bytes) -> None:
+        self.path = path
+        with open(path, "rb", buffering=0) as f:  # two reads in all need no buffer
+            prefix = f.read(24)
+            if len(prefix) >= 8 and prefix[:8] != magic:
+                raise self._error(f"bad magic; expected {magic.decode()} container")
+            if len(prefix) < 24:
+                raise self._error("truncated binary file")
+            version, self.g_hash, self.meta_len = struct.unpack_from("<IQI", prefix, 8)
+            if version != _VERSION:
+                raise self._error(f"unsupported container version {version} (expected {_VERSION}); regenerate the file")
+            self.data = f.read()
+        self.pos = 0
+
+    def _error(self, message: str) -> DataFormatError:
+        return DataFormatError(self.path, None, message)
+
+    def _next(self, n: int) -> int:
+        """Move past the next ``n`` bytes; return the offset they start at."""
+        start = self.pos
+        if n > len(self.data) - start:
+            raise self._error("truncated binary file")
+        self.pos = start + n
+        return start
+
+    def header(self, g: Graph) -> dict:
+        """The header's JSON object, once the graph hash is checked."""
+        at = self._next(self.meta_len)  # outside the try: its DataFormatError is a ValueError too
+        try:
+            meta = json.loads(self.data[at : at + self.meta_len].decode())
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too many digits, too deep
+            raise self._error(f"malformed container header: {exc}") from None
+        if not isinstance(meta, dict):
+            raise self._error("malformed container header: not a JSON object")
+        if self.g_hash != graph_hash(g):
+            raise CacheMismatchError(f"{self.path}: cached artifact belongs to a different graph")
+        return meta
+
+    def array(self) -> np.ndarray:
+        at = self._next(1)
+        code = self.data[at : at + 1]
+        if code not in _DTYPES:
+            raise self._error(f"unknown array tag {code!r}")
+        ndim = self.data[self._next(1)]
+        if ndim > 2:
+            raise self._error(f"array rank {ndim}; containers hold only vectors and matrices")
+        shape = _SHAPES[ndim].unpack_from(self.data, self._next(8 * ndim))
+        count = math.prod(shape)
+        if 8 * count > len(self.data) - self.pos:
+            raise self._error(f"array shape {shape} exceeds the rest of the file")
+        at = self._next(8 * count)
+        try:
+            return np.ndarray(shape, _DTYPES[code], self.data, at).copy()
+        except ValueError:  # an empty shape with a dimension past numpy's limits
+            raise self._error(f"array shape {shape} exceeds numpy's limits") from None
+
+    def end(self) -> None:
+        left = len(self.data) - self.pos
+        if left:
+            raise self._error(f"{left} trailing bytes after the last array")
 
 
 _META_KINDS = {int: "non-negative integer", float: "number", str: "string", dict: "JSON object"}
@@ -416,25 +464,26 @@ def save_subgraphs(path, g: Graph, cfg: SamplerConfig, subgraphs: list[Subgraph]
 def load_subgraphs(path, g: Graph) -> tuple[SamplerConfig, list[Subgraph]]:
     """The sampler config and the subgraphs of a cache, each induced
     anew on ``g`` from its stored node IDs."""
-    with open(path, "rb") as f:
-        meta = _read_header(f, _MAGIC_SUB, path, g)
-        sampler = _meta_field(meta, "sampler", dict, path)
-        try:
-            cfg = SamplerConfig(**sampler)
-        except (TypeError, ValueError) as exc:
-            raise DataFormatError(path, None, f"container header key 'sampler' is invalid: {exc}") from None
-        subs = []
-        for i in range(_meta_field(meta, "count", int, path)):
-            nodes = _read_array(f, path)
-            if nodes.ndim != 1 or nodes.dtype.kind != "i":
-                raise DataFormatError(
-                    path, None, f"subgraph {i}: nodes must be an integer vector, found {nodes.dtype} {nodes.shape}"
-                )
-            if nodes.size and (nodes[0] < 0 or nodes[-1] >= g.num_nodes or np.any(nodes[1:] <= nodes[:-1])):
-                raise DataFormatError(
-                    path, None, f"subgraph {i}: nodes must be strictly increasing in [0, {g.num_nodes})"
-                )
-            subs.append(induced_subgraph(g, nodes))
+    f = _Reader(path, _MAGIC_SUB)
+    meta = f.header(g)
+    sampler = _meta_field(meta, "sampler", dict, path)
+    try:
+        cfg = SamplerConfig(**sampler)
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(path, None, f"container header key 'sampler' is invalid: {exc}") from None
+    subs = []
+    for i in range(_meta_field(meta, "count", int, path)):
+        nodes = f.array()
+        if nodes.ndim != 1 or nodes.dtype.kind != "i":
+            raise DataFormatError(
+                path, None, f"subgraph {i}: nodes must be an integer vector, found {nodes.dtype} {nodes.shape}"
+            )
+        if nodes.size and (nodes[0] < 0 or nodes[-1] >= g.num_nodes or np.any(nodes[1:] <= nodes[:-1])):
+            raise DataFormatError(
+                path, None, f"subgraph {i}: nodes must be strictly increasing in [0, {g.num_nodes})"
+            )
+        subs.append(induced_subgraph(g, nodes))
+    f.end()
     return cfg, subs
 
 
@@ -448,9 +497,10 @@ def save_coeffs(path, g: Graph, coeffs: NormCoeffs, cfg: SamplerConfig | None = 
 
 
 def load_coeffs(path, g: Graph) -> NormCoeffs:
-    with open(path, "rb") as f:
-        meta = _read_header(f, _MAGIC_COEF, path, g)
-        lam, alpha, node_counts, edge_counts = (_read_array(f, path) for _ in range(4))
+    f = _Reader(path, _MAGIC_COEF)
+    meta = f.header(g)
+    lam, alpha, node_counts, edge_counts = (f.array() for _ in range(4))
+    f.end()
     for name, a, n, what in (
         ("lam", lam, g.num_nodes, "nodes"),
         ("alpha", alpha, g.num_arcs, "arcs"),
@@ -485,14 +535,19 @@ def save_checkpoint(path, g: Graph, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path, g: Graph) -> Checkpoint:
-    with open(path, "rb") as f:
-        meta = _read_header(f, _MAGIC_CKPT, path, g)
-        layers = _meta_field(meta, "layers", int, path)
-        groups = [[_read_array(f, path) for _ in range(layers)] for _ in range(4)]
+    f = _Reader(path, _MAGIC_CKPT)
+    meta = f.header(g)
+    layers = _meta_field(meta, "layers", int, path)
+    groups = [[f.array() for _ in range(layers)] for _ in range(4)]
+    f.end()
     head = _meta_field(meta, "head", str, path)
     if head not in HEADS:
         raise DataFormatError(path, None, f"unknown head {head!r:.40}; expected one of {HEADS}")
     _check_layer_shapes(path, *groups)
+    _check_layer_values(path, *groups)
+    best_val_f1 = _meta_field(meta, "best_val_f1", float, path)
+    if not math.isfinite(best_val_f1):  # -1.0, the no-validation sentinel, is finite
+        raise DataFormatError(path, None, f"container header key 'best_val_f1' must be finite, found {best_val_f1!r}")
     return Checkpoint(
         head=head,
         weights=groups[0],
@@ -502,7 +557,7 @@ def load_checkpoint(path, g: Graph) -> Checkpoint:
         epochs_done=_meta_field(meta, "epochs_done", int, path),
         iteration=_meta_field(meta, "iteration", int, path),
         best_weights=groups[3],
-        best_val_f1=_meta_field(meta, "best_val_f1", float, path),
+        best_val_f1=best_val_f1,
     )
 
 
@@ -523,6 +578,18 @@ def _check_layer_shapes(path, weights, adam_m, adam_v, best_weights) -> None:
         if l and weights[l - 1].shape[1] != w.shape[0]:
             prev = weights[l - 1].shape
             raise DataFormatError(path, None, f"layer {l}: weights {w.shape} do not chain with layer {l - 1}'s {prev}")
+
+
+def _check_layer_values(path, weights, adam_m, adam_v, best_weights) -> None:
+    """DataFormatError naming the group and the layer of the first
+    non-finite entry, or of the first negative ``adam_v`` entry, in the
+    order of the arguments."""
+    for name, group in (("weights", weights), ("adam_m", adam_m), ("adam_v", adam_v), ("best_weights", best_weights)):
+        for l, a in enumerate(group):
+            if not np.isfinite(a).all():
+                raise DataFormatError(path, None, f"layer {l}: {name} has a non-finite entry")
+            if name == "adam_v" and (a < 0.0).any():
+                raise DataFormatError(path, None, f"layer {l}: adam_v has a negative entry")
 
 
 # ----------------------------------------------------------------------

@@ -32,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from .graph import Graph, Subgraph, _freeze, frozen_graph, index_dtype, memoized, reverse_arcs
+from .graph import Graph, Subgraph, _freeze, _frozen, frozen_graph, index_dtype, memoized, reverse_arcs
 from .normalization import NormCoeffs, estimate_coeffs
 from .samplers import SamplerConfig, SubgraphProducer, _check_seed, make_rng
 
@@ -227,6 +227,7 @@ def _forward(
     dropout: float = 0.0,
     rng: np.random.Generator | None = None,
     keep_cache: bool = False,
+    aggregate: np.ndarray | None = None,
 ):
     """Shared propagation loop; returns (scores, caches).
 
@@ -243,6 +244,10 @@ def _forward(
     input and intermediate product are released as soon as they are
     used, so an inference pass holds about two activation matrices at
     its peak. The scores do not depend on ``keep_cache``.
+
+    ``aggregate``, when given, is layer 0's ``A @ features``, already
+    computed; it is used in place of the product when layer 0 does not
+    narrow and there is no dropout.
     """
     x = features.astype(np.float64, copy=False)
     caches = []
@@ -261,7 +266,12 @@ def _forward(
             mask = None
             xd = x
         flipped = _narrows(w)
-        left = xd if flipped else adjacency @ xd
+        if flipped:
+            left = xd
+        elif l == 0 and mask is None and aggregate is not None:
+            left = aggregate
+        else:
+            left = adjacency @ xd
         del x, xd  # ``left`` holds what the product needs
         x = adjacency @ (left @ w) if flipped else left @ w
         if l < last:
@@ -287,10 +297,42 @@ def forward_subgraph(
     return _forward(batch.adjacency, batch.features, model, dropout=dropout, rng=rng, keep_cache=True)
 
 
+def _layer0_aggregate(g: Graph, features: np.ndarray) -> np.ndarray | None:
+    """The full-graph aggregate ``graph_adjacency(g) @ features``, kept on
+    the graph next to the features it was computed from, or None when
+    ``g`` or ``features`` has a writable array (``graph.frozen_graph``,
+    ``graph._frozen``).
+
+    The stored array is read-only and belongs to one features object: a
+    call with another one computes and keeps its own aggregate in its
+    place. The checks run on every call, so an array made writable
+    after the first call never meets a stale aggregate.
+    """
+    if not (frozen_graph(g) and _frozen(features)):
+        return None
+    memo = g.__dict__.get("_layer0_aggregate")
+    if memo is None or memo[0] is not features:
+        aggregate = graph_adjacency(g) @ features.astype(np.float64, copy=False)
+        _freeze(aggregate)
+        memo = g.__dict__["_layer0_aggregate"] = (features, aggregate)  # the dataclass is frozen; its __dict__ is not
+    return memo[1]
+
+
 def forward_full(model: Model, g: Graph, features: np.ndarray) -> np.ndarray:
     """Full-graph inference scores (alpha == 1, no dropout), through the
-    graph's shared :func:`graph_adjacency`."""
-    return _forward(graph_adjacency(g), features, model)[0]
+    graph's shared :func:`graph_adjacency`.
+
+    When layer 0 does not narrow (:func:`_narrows`), so that its first
+    product is ``A @ features``, and both ``g`` and ``features`` are
+    read-only, as ``data_io.load_dataset`` returns them, that product is
+    computed once and kept on the graph (:func:`_layer0_aggregate`):
+    every later full-graph forward of the same dataset, each validation
+    of a ``train`` run included, reuses it, and gives the same bits. In
+    every other case the product is computed on each call.
+    """
+    unflipped = model.weights and not _narrows(model.weights[0])
+    aggregate = _layer0_aggregate(g, features) if unflipped else None
+    return _forward(graph_adjacency(g), features, model, aggregate=aggregate)[0]
 
 
 def _head_loss_and_grad(scores, labels, weights, head):

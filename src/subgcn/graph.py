@@ -12,9 +12,12 @@ across threads. Values derived from a graph's arrays rely on this rule
 full-graph adjacency (``engine.graph_adjacency``), reverse-arc table
 (:func:`reverse_arcs`, which gives each training batch its transpose) and
 edge-incidence matrix (used by ``variance.edge_aggregates``) are each
-computed once and kept on the instance. A graph with a writable array,
-or a read-only view of a writable one, recomputes them on every call, so
-an array changed in place never meets a stale value.
+computed once and kept on the instance. So is the full-graph layer-0
+aggregate ``A @ features`` of ``engine.forward_full``, kept next to the
+features object it was computed from, and only for read-only features.
+A graph with a writable array, or a read-only view of a writable one,
+recomputes them on every call, so an array changed in place never meets
+a stale value.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .engine import Model, graph_adjacency
-from .graph import Graph, _freeze, index_dtype, memoized, sorted_unique
+from .graph import Graph, _freeze, index_dtype, memoized
 from .samplers import budget_probabilities
 
 __all__ = [
@@ -206,12 +206,20 @@ def _rate_classes(p: np.ndarray) -> list[_RateClass]:
     """The edges with 0 < p < 1 grouped by the power of two above p,
     highest rate first. Edge IDs are int32 below 2^31 edges."""
     edges = np.flatnonzero((p > 0.0) & (p < 1.0)).astype(index_dtype(p.shape[0]))
+    if not edges.size:
+        return []
     mantissa, exponent = np.frexp(p[edges])  # p = mantissa * 2^exponent, mantissa in [1/2, 1)
-    classes = []
-    for x in sorted_unique(exponent)[::-1]:
-        member = exponent == x
-        classes.append(_RateClass(edges=edges[member], r=float(np.ldexp(1.0, x)), accept=mantissa[member]))
-    return classes
+    # One stable sort by descending exponent groups every class, highest
+    # rate first, each keeping its edges in ascending order. The
+    # exponents of 0 < p < 1 lie in [-1073, 0], so int16 keys, which
+    # numpy sorts stably by radix, hold them.
+    order = np.argsort(-exponent.astype(np.int16), kind="stable")
+    edges, mantissa, exponent = edges[order], mantissa[order], exponent[order]
+    bounds = [0, *(np.flatnonzero(exponent[1:] != exponent[:-1]) + 1).tolist(), edges.shape[0]]
+    return [
+        _RateClass(edges=edges[lo:hi], r=float(np.ldexp(1.0, exponent[lo])), accept=mantissa[lo:hi])
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
 
 
 def _draw_size(left: float) -> int:

@@ -282,6 +282,23 @@ class TestExitCodes:
         assert main(["eval", "--data", str(dataset_dir), "--checkpoint", str(ckpt)]) == 2
         assert "data error" in capsys.readouterr().err
 
+    def test_non_finite_checkpoint_is_2(self, dataset_dir, tmp_path, capsys):
+        from subgcn import load_dataset
+        from subgcn.data_io import load_checkpoint, save_checkpoint
+
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(dataset_dir), "--sampler", "edge", "--m", "30",
+                     "--layers", "2", "--hidden", "4", "--epochs", "1", "--num-norm-subgraphs", "2",
+                     "--out", str(out)]) == 0
+        g = load_dataset(dataset_dir).graph
+        ckpt = load_checkpoint(out / "best.ckpt", g)
+        ckpt.weights[0][1, 2] = np.nan
+        save_checkpoint(out / "best.ckpt", g, ckpt)
+        capsys.readouterr()
+        assert main(["eval", "--data", str(dataset_dir), "--checkpoint", str(out / "best.ckpt")]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "layer 0: weights has a non-finite entry" in err
+
     @pytest.mark.parametrize(
         "refit, named",
         [

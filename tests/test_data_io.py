@@ -31,7 +31,7 @@ from subgcn import (
     train,
 )
 from subgcn import data_io
-from subgcn.engine import Checkpoint
+from subgcn.engine import Checkpoint, evaluate, forward_full, init_model
 from subgcn.data_io import (
     CacheMismatchError,
     DataFormatError,
@@ -46,7 +46,7 @@ from subgcn.data_io import (
 )
 from subgcn.samplers import SubgraphProducer
 
-from conftest import circulant, er_graph
+from conftest import circulant, er_graph, writable_copy
 
 
 def minimal_dataset() -> Dataset:
@@ -354,6 +354,44 @@ def per_element_text(ds: Dataset) -> dict[str, bytes]:
     files["labels.txt"] = lines
     files["split.txt"] = [str(int(s)) for s in ds.split]
     return {name: ("\n".join(rows) + "\n").encode() for name, rows in sorted(files.items())}
+
+
+class TestLoadedDatasetIsReadOnly:
+    """``load_dataset`` returns read-only arrays, and a full-graph
+    evaluation of them gives the bits of one on writable copies."""
+
+    @pytest.fixture
+    def loaded(self, tmp_path):
+        spec = SbmSpec(blocks=3, block_size=12, p_intra=0.4, p_inter=0.05, noise=0.7, seed=8)
+        save_dataset(generate_sbm(spec), tmp_path / "d")
+        return load_dataset(tmp_path / "d")
+
+    @pytest.mark.parametrize("name", ["features", "labels", "split"])
+    def test_in_place_write_raises(self, loaded, name):
+        a = getattr(loaded, name)
+        before = a.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[1]
+        with pytest.raises(ValueError, match="read-only"):
+            a += 1
+        assert np.array_equal(a, before)
+
+    def test_multi_label_rows_are_read_only(self, tmp_path):
+        ds = minimal_dataset()
+        save_dataset(dataclasses.replace(ds, labels=np.array([[0, 1], [1, 1]])), tmp_path / "d")
+        with pytest.raises(ValueError, match="read-only"):
+            load_dataset(tmp_path / "d").labels[0, 0] = 1
+
+    @pytest.mark.parametrize("hidden", [(16,), (2, 8)], ids=["widening", "narrowing"])
+    def test_evaluate_equals_writable_copies(self, loaded, hidden):
+        ds = loaded
+        model = init_model((3, *hidden, 3), "softmax", np.random.default_rng(8))
+        copies = [writable_copy(ds.graph), *(a.copy() for a in (ds.features, ds.labels, ds.split))]
+        for which in (0, 1, 2):
+            for _ in range(2):  # the second evaluation reads what the first kept
+                assert evaluate(model, ds.graph, ds.features, ds.labels, ds.split, which).hex() == \
+                    evaluate(model, *copies, which).hex()
+        assert forward_full(model, ds.graph, ds.features).tobytes() == forward_full(model, *copies[:2]).tobytes()
 
 
 class TestTextWriterBytes:
@@ -775,6 +813,17 @@ class TestContainerValidation:
         with pytest.raises(DataFormatError, match="exceeds"):
             load_checkpoint(path, g)
 
+    @pytest.mark.parametrize("shape", [(0, 2**62), (2**64 - 1, 0)])
+    def test_empty_array_past_numpy_limits_rejected(self, containers, shape, tmp_path):
+        g, files = containers
+        data = files["coeffs"]
+        at = 24 + len(header_blob(data))  # tag, ndim and shape of the first array
+        path = tmp_path / "coeffs"
+        path.write_bytes(data[:at] + b"f\x02" + struct.pack("<2Q", *shape))
+        with pytest.raises(DataFormatError) as exc_info:
+            load_coeffs(path, g)
+        assert str(exc_info.value) == f"{path}: array shape {shape} exceeds numpy's limits"
+
     def test_array_rank_above_two_rejected(self, containers, tmp_path):
         g, files = containers
         data = files["coeffs"]
@@ -783,6 +832,47 @@ class TestContainerValidation:
         path.write_bytes(data[:at] + b"f" + bytes([65]) + bytes(8 * 65))  # 65 zero dims: no elements
         with pytest.raises(DataFormatError, match="rank"):
             load_coeffs(path, g)
+
+    @pytest.mark.parametrize("kind", LOADERS)
+    def test_trailing_bytes_rejected(self, containers, kind, tmp_path):
+        g, files = containers
+        path = tmp_path / kind
+        path.write_bytes(files[kind] + bytes(7))
+        with pytest.raises(DataFormatError) as exc_info:
+            LOADERS[kind](path, g)
+        assert str(exc_info.value) == f"{path}: 7 trailing bytes after the last array"
+
+    @pytest.mark.parametrize("kind", LOADERS)
+    @pytest.mark.parametrize("at, field, match", [(0, b"NOTMAGIC", "bad magic"), (8, (3).to_bytes(4, "little"), "version 3 ")],
+                             ids=["magic", "version"])
+    def test_foreign_prefix_rejected_before_the_body_is_read(self, containers, kind, at, field, match, tmp_path,
+                                                             monkeypatch):
+        g, files = containers
+        data = bytearray(files[kind] + bytes(1 << 20))  # a body far longer than the 24-byte prefix
+        data[at : at + len(field)] = field
+        path = tmp_path / kind
+        path.write_bytes(bytes(data))
+        got = []
+
+        class CountingFile:
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def read(self, *size):
+                chunk = self.f.read(*size)
+                got.append(len(chunk))
+                return chunk
+
+        monkeypatch.setattr(data_io, "open", lambda *a, **k: CountingFile(open(*a, **k)), raising=False)
+        with pytest.raises(DataFormatError, match=match):
+            LOADERS[kind](path, g)
+        assert sum(got) <= 24
 
 
 # Each case replaces the stored node vector of the induced subgraph of
@@ -913,6 +1003,38 @@ class TestCacheValidation:
         path.write_bytes(bytes(data))
         with pytest.raises(DataFormatError, match="layer 0"):
             load_checkpoint(path, g)
+
+    @pytest.mark.parametrize("group, layer, value, match", [
+        ("weights", 0, np.nan, "layer 0: weights has a non-finite entry"),
+        ("weights", 1, np.inf, "layer 1: weights has a non-finite entry"),
+        ("adam_m", 1, -np.inf, "layer 1: adam_m has a non-finite entry"),
+        ("adam_v", 0, np.nan, "layer 0: adam_v has a non-finite entry"),
+        ("adam_v", 1, -1e-300, "layer 1: adam_v has a negative entry"),
+        ("best_weights", 1, np.nan, "layer 1: best_weights has a non-finite entry"),
+    ])
+    def test_non_finite_checkpoint_value_rejected(self, square_chord, group, layer, value, match, tmp_path):
+        ckpt = checkpoint_of([np.ones((3, 4)), np.ones((4, 2))])
+        getattr(ckpt, group)[layer][2, 1] = value
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, square_chord, ckpt)
+        with pytest.raises(DataFormatError) as exc_info:
+            load_checkpoint(path, square_chord)
+        assert str(exc_info.value) == f"{path}: {match}"
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_best_val_f1_rejected(self, square_chord, value, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, square_chord, dataclasses.replace(checkpoint_of([np.ones((3, 4))]), best_val_f1=value))
+        with pytest.raises(DataFormatError, match="'best_val_f1' must be finite"):
+            load_checkpoint(path, square_chord)
+
+    def test_no_validation_sentinel_loads(self, square_chord, tmp_path):
+        ckpt = dataclasses.replace(checkpoint_of([np.ones((3, 4)), -np.ones((4, 2))]), best_val_f1=-1.0)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, square_chord, ckpt)
+        loaded = load_checkpoint(path, square_chord)
+        assert loaded.best_val_f1 == -1.0
+        assert [w.tolist() for w in loaded.weights] == [w.tolist() for w in ckpt.weights]
 
 
 JSON_KEYS = st.sampled_from(

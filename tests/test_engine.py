@@ -816,6 +816,93 @@ class TestGraphAdjacencyMemo:
         assert forward_full(model, writable_copy(g), feats).tobytes() == first.tobytes()
 
 
+class TestLayer0AggregateMemo:
+    """``forward_full`` keeps layer 0's ``A @ features`` on a frozen graph,
+    next to the read-only features it came from, and computes it anew
+    in every other case."""
+
+    @staticmethod
+    def frozen_inputs():
+        g = random_pairs_graph(50, 150, seed=22)
+        feats = np.random.default_rng(22).standard_normal((g.num_nodes, 6))
+        feats.setflags(write=False)
+        return g, feats
+
+    @staticmethod
+    def fresh(model, g, feats):
+        """``forward_full`` on writable copies, which nothing is kept for."""
+        return forward_full(model, writable_copy(g), feats.copy())
+
+    @staticmethod
+    def poison(g, feats):
+        """Store a zero aggregate for ``feats``: a forward that reads it
+        gives zero scores."""
+        zeros = np.zeros((g.num_nodes, feats.shape[1]))
+        zeros.setflags(write=False)
+        g.__dict__["_layer0_aggregate"] = (feats, zeros)
+
+    def test_second_forward_reuses_the_stored_aggregate(self):
+        g, feats = self.frozen_inputs()
+        model = init_model((6, 8, 3), "softmax", make_rng(22, 0))
+        first = forward_full(model, g, feats)
+        owner, aggregate = g.__dict__["_layer0_aggregate"]
+        assert owner is feats and not aggregate.flags.writeable
+        assert aggregate.tobytes() == (graph_adjacency(g) @ feats).tobytes()
+        second = forward_full(model, g, feats)
+        assert g.__dict__["_layer0_aggregate"][1] is aggregate
+        assert second.tobytes() == first.tobytes() == self.fresh(model, g, feats).tobytes()
+
+    def test_the_stored_aggregate_is_what_layer_0_reads(self):
+        g, feats = self.frozen_inputs()
+        model = init_model((6, 8, 3), "softmax", make_rng(22, 0))
+        self.poison(g, feats)
+        assert not forward_full(model, g, feats).any()
+
+    def test_writable_features_are_recomputed(self):
+        g, feats = self.frozen_inputs()
+        model = init_model((6, 8, 3), "softmax", make_rng(22, 0))
+        writable = feats.copy()
+        self.poison(g, writable)
+        got = forward_full(model, g, writable)
+        assert got.tobytes() == self.fresh(model, g, feats).tobytes()
+        writable[0] += 1.0  # no stale aggregate after an in-place change
+        assert forward_full(model, g, writable).tobytes() == self.fresh(model, g, writable).tobytes()
+
+    def test_features_made_writable_after_the_first_call_are_recomputed(self):
+        g, feats = self.frozen_inputs()
+        model = init_model((6, 8, 3), "softmax", make_rng(22, 0))
+        forward_full(model, g, feats)
+        feats.setflags(write=True)
+        feats[3] -= 2.0
+        assert forward_full(model, g, feats).tobytes() == self.fresh(model, g, feats).tobytes()
+
+    def test_another_features_object_gets_its_own_aggregate(self):
+        g, feats = self.frozen_inputs()
+        model = init_model((6, 8, 3), "softmax", make_rng(22, 0))
+        self.poison(g, feats)
+        other = feats.copy()
+        other.setflags(write=False)
+        assert forward_full(model, g, other).tobytes() == self.fresh(model, g, feats).tobytes()
+        assert g.__dict__["_layer0_aggregate"][0] is other
+
+    def test_writable_copy_of_the_graph_is_recomputed(self):
+        g, feats = self.frozen_inputs()
+        model = init_model((6, 8, 3), "softmax", make_rng(22, 0))
+        want = forward_full(model, g, feats)
+        self.poison(g, feats)
+        copy = writable_copy(g)
+        copy.__dict__["_layer0_aggregate"] = g.__dict__["_layer0_aggregate"]
+        assert forward_full(model, copy, feats).tobytes() == want.tobytes()
+
+    def test_narrowing_layer_0_does_not_use_the_memo(self):
+        g, feats = self.frozen_inputs()
+        model = init_model((6, 4, 3), "softmax", make_rng(22, 0))
+        forward_full(model, g, feats)
+        assert "_layer0_aggregate" not in g.__dict__
+        self.poison(g, feats)
+        assert forward_full(model, g, feats).tobytes() == self.fresh(model, g, feats).tobytes()
+
+
 def loops_and_isolated_graph():
     """30 nodes: random pairs among the first 25, a self-loop on every
     third of them, and nodes 25-29 isolated."""

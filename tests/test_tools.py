@@ -19,6 +19,7 @@ GROUPS = [
     "train.skips",
     "containers.bytes",
     "forward",
+    "forward.reused",
     "grads",
     "grads.widening",
     "edge_aggregates.f_16",

@@ -654,6 +654,25 @@ class TestSparseDraw:
         r_of = {int(e): c.r for c in classes for e in c.edges}
         assert (r_of[2], r_of[3], r_of[4]) == (1.0, 0.5, 2.0**-9)
 
+    @pytest.mark.parametrize("make", [
+        lambda rng: rng.random(5000) ** 4,
+        lambda rng: np.resize(TestSparseDraw.P, 300),
+        lambda rng: np.concatenate([np.zeros(3), np.ones(2)]),
+        lambda rng: np.array([5e-324, 2.0**-70, 0.75, 5e-324]),
+    ], ids=["spread", "cycled", "no-class", "tiny"])
+    def test_rate_classes_equal_one_compare_per_class(self, make):
+        p = make(np.random.default_rng(5))
+        edges = np.flatnonzero((p > 0.0) & (p < 1.0)).astype(np.int32)
+        mantissa, exponent = np.frexp(p[edges])
+        want = [(edges[exponent == x], float(np.ldexp(1.0, x)), mantissa[exponent == x])
+                for x in np.unique(exponent)[::-1]]
+        got = _rate_classes(p)
+        assert len(got) == len(want)
+        for c, (e, r, accept) in zip(got, want):
+            assert c.r == r
+            assert c.edges.dtype == e.dtype and c.edges.tobytes() == e.tobytes()
+            assert c.accept.tobytes() == accept.tobytes()
+
     def test_inclusion_frequencies_match_probabilities(self):
         trials = 40_000
         kept = kept_matrix(self.P, trials, make_rng(21, 0))

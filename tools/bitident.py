@@ -39,6 +39,11 @@ imports ``subgcn`` from ``<checkout>/src`` and prints one line
   ``save_coeffs`` files and of the ``final.ckpt`` and ``best.ckpt``
   that the ``cli.train`` runs write;
 - ``forward``: ``forward_full`` scores;
+- ``forward.reused``: two ``forward_full`` calls on the dataset as
+  ``load_dataset`` returns it, for a model whose first layer widens, so
+  the second call may reuse the first one's layer-0 aggregate, then
+  ``evaluate`` on every split that has nodes with that model's
+  checkpoint after ``save_checkpoint`` and ``load_checkpoint``;
 - ``grads``: the loss and weight gradients of ``loss_and_grad`` on one
   edge-sampler batch with exact coefficients and dropout, for a model
   whose hidden and last layers both narrow;
@@ -221,6 +226,32 @@ def _cli_train(data_dir: Path, work: Path, runs=("edge", "rw"), norm=("--num-nor
     return d.hexdigest()
 
 
+def _forward_reused(data_dir: Path, seed: int) -> str:
+    """Digest of two ``forward_full`` calls on a freshly loaded dataset
+    and of ``evaluate`` with a save/load round trip of that model."""
+    from subgcn import data_io, engine, samplers
+
+    ds = data_io.load_dataset(data_dir)
+    g, feats = ds.graph, ds.features
+    dims = (feats.shape[1], 2 * feats.shape[1], ds.num_classes)  # layer 0 widens
+    model = engine.init_model(dims, "softmax", samplers.make_rng(seed, 1))
+    d = Digest()
+    for _ in range(2):
+        d.add(engine.forward_full(model, g, feats))
+    zeros = [np.zeros_like(w) for w in model.weights]
+    ckpt = engine.Checkpoint(head=model.head, weights=model.weights, adam_m=zeros, adam_v=zeros, adam_t=0,
+                             epochs_done=0, iteration=0, best_weights=model.weights, best_val_f1=-1.0)
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "model.ckpt"
+        data_io.save_checkpoint(path, g, ckpt)
+        loaded = data_io.load_checkpoint(path, g)
+    model = engine.Model(weights=loaded.weights, head=loaded.head)
+    for which in (engine.TRAIN, engine.VAL, engine.TEST):
+        if np.any(ds.split == which):
+            d.add(engine.evaluate(model, g, feats, ds.labels, ds.split, which).hex())
+    return d.hexdigest()
+
+
 def digests(subgcn, data_dir: Path, seed: int = 3) -> tuple[dict[str, str], list[float]]:
     """Group name -> digest, and the raw Monte-Carlo estimates."""
     from subgcn import data_io, engine, normalization, samplers, variance
@@ -263,6 +294,7 @@ def digests(subgcn, data_dir: Path, seed: int = 3) -> tuple[dict[str, str], list
     d = Digest()
     d.add(engine.forward_full(model, g, feats))
     out["forward"] = d.hexdigest()
+    out["forward.reused"] = _forward_reused(data_dir, seed)
 
     with subgcn.SubgraphProducer(g, configs[1]) as producer:
         sub = producer.take()
