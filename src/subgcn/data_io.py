@@ -20,12 +20,11 @@ returns read-only arrays.
 Subgraph caches, coefficient caches and model checkpoints use a binary
 container (magic bytes, version, little-endian 64-bit payloads) bound
 to their graph by a BLAKE2b (8-byte digest) hash over the node and arc
-counts and the CSR arrays. The hash is computed once per frozen
-``Graph``, on its first container read or write, and recomputed on
-each call for a graph with writable arrays. The container is at
-version 4: a cached subgraph is stored as its sorted node IDs and
-induced again on load. Loaders refuse any other version, and files of
-an older version must be regenerated. All writers are
+counts and the CSR arrays. The hash is computed once per ``Graph``,
+on its first container read or write, and kept on it. The container
+is at version 4: a cached subgraph is stored as its sorted node IDs
+and induced again on load. Loaders refuse any other version, and
+files of an older version must be regenerated. All writers are
 byte-deterministic; loaders reject malformed input with the offending
 file and line, and refuse node vectors that are not sorted unique node
 IDs of the graph, coefficients that ``NormCoeffs`` rejects, arrays
@@ -49,7 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from .engine import HEADS, Checkpoint
-from .graph import Graph, Subgraph, build_graph, induced_subgraph, memoized
+from .graph import Graph, Subgraph, build_graph, induced_subgraph, memoized, read_only
 from .normalization import NormCoeffs
 from .samplers import SamplerConfig, make_rng
 
@@ -264,7 +263,7 @@ def load_dataset(directory) -> Dataset:
     last, once the other files' rows confirm its node count.
 
     ``features``, ``labels`` and ``split`` are read-only, as the graph's
-    arrays are (``build_graph``): an in-place write raises, so values
+    arrays are (``graph.read_only``): an in-place write raises, so values
     derived from them can be kept. The full-graph forward keeps its
     layer-0 aggregate ``A @ features`` on the graph
     (``engine.forward_full``), so every later validation or evaluation
@@ -275,12 +274,8 @@ def load_dataset(directory) -> Dataset:
     features = _parse_features(d / "features.txt", num_nodes)
     labels, num_classes = _parse_labels(d / "labels.txt", num_nodes)
     split = _parse_split(d / "split.txt", num_nodes)
-    for a in (features, labels, split):  # a label or split vector views its parsed table
-        while isinstance(a, np.ndarray):
-            a.setflags(write=False)
-            a = a.base
-    return Dataset(graph=build_graph(edges, num_nodes), features=features, labels=labels,
-                   split=split, num_classes=num_classes)
+    return Dataset(graph=build_graph(edges, num_nodes), features=read_only(features), labels=read_only(labels),
+                   split=read_only(split), num_classes=num_classes)
 
 
 def save_dataset(ds: Dataset, directory) -> None:
@@ -325,19 +320,17 @@ def graph_hash(g: Graph) -> int:
     arrays, read as a little-endian unsigned 64-bit int; binds caches to
     their graph.
 
-    Computed once per frozen graph, on its first call, and kept on the
-    instance (``graph.memoized``). A graph with an array that is
-    writable or a view of a writable array, which ``build_graph`` never
-    makes, is hashed on every call, so an array changed in place never
-    meets a stale hash."""
+    Computed once per graph, on its first call, and kept on the
+    instance (``graph.memoized``); a graph's arrays cannot change, so
+    the stored hash cannot go stale."""
+    return memoized(g, "_graph_hash", _digest)
 
-    def digest() -> int:
-        h = hashlib.blake2b(struct.pack("<2Q", g.num_nodes, g.num_arcs), digest_size=8)
-        for arr, code in ((g.row_offsets, "<i8"), (g.col_indices, "<i8"), (g.norm_values, "<f8"), (g.degrees, "<i8")):
-            h.update(np.ascontiguousarray(arr, dtype=code))
-        return int.from_bytes(h.digest(), "little")
 
-    return memoized(g, "_graph_hash", digest)
+def _digest(g: Graph) -> int:
+    h = hashlib.blake2b(struct.pack("<2Q", g.num_nodes, g.num_arcs), digest_size=8)
+    for arr, code in ((g.row_offsets, "<i8"), (g.col_indices, "<i8"), (g.norm_values, "<f8"), (g.degrees, "<i8")):
+        h.update(np.ascontiguousarray(arr, dtype=code))
+    return int.from_bytes(h.digest(), "little")
 
 
 def _write_array(f, arr: np.ndarray) -> None:

@@ -32,9 +32,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from .graph import Graph, Subgraph, _freeze, _frozen, frozen_graph, index_dtype, memoized, reverse_arcs
+from .graph import Graph, Subgraph, _freeze, _frozen, index_dtype, memoized, reverse_arcs
 from .normalization import NormCoeffs, estimate_coeffs
-from .samplers import SamplerConfig, SubgraphProducer, _check_seed, make_rng
+from .samplers import SamplerConfig, SubgraphProducer, _check_count, _check_seed, make_rng
 
 __all__ = [
     "Model",
@@ -137,25 +137,24 @@ class Batch:
 def graph_adjacency(g: Graph) -> sp.csr_matrix:
     """Full-graph row-normalized adjacency as a scipy CSR matrix.
 
-    Built once per frozen graph and shared by every later call
+    Built once per graph and shared by every later call
     (``graph.memoized``): each full forward and each variance
     propagation multiplies by the same matrix. Its data is
     ``g.norm_values`` itself and its index arrays are int32 copies
     (int64 only past 2^31 arcs), all read-only, so the shared matrix
-    cannot be changed in place. A graph with writable arrays gets a new
-    matrix on each call.
+    cannot be changed in place.
     """
+    return memoized(g, "_adjacency", _build_adjacency)
 
-    def build() -> sp.csr_matrix:
-        idx = index_dtype(max(g.num_arcs, g.num_nodes))
-        adjacency = sp.csr_matrix(
-            (g.norm_values, g.col_indices.astype(idx), g.row_offsets.astype(idx)),
-            shape=(g.num_nodes, g.num_nodes),
-        )
-        _freeze(adjacency.data, adjacency.indices, adjacency.indptr)
-        return adjacency
 
-    return memoized(g, "_adjacency", build)
+def _build_adjacency(g: Graph) -> sp.csr_matrix:
+    idx = index_dtype(max(g.num_arcs, g.num_nodes))
+    adjacency = sp.csr_matrix(
+        (g.norm_values, g.col_indices.astype(idx), g.row_offsets.astype(idx)),
+        shape=(g.num_nodes, g.num_nodes),
+    )
+    _freeze(adjacency.data, adjacency.indices, adjacency.indptr)
+    return adjacency
 
 
 def _arc_values(g: Graph, coeffs: NormCoeffs) -> tuple[np.ndarray, np.ndarray]:
@@ -165,19 +164,18 @@ def _arc_values(g: Graph, coeffs: NormCoeffs) -> tuple[np.ndarray, np.ndarray]:
     and gathering later gives the bits of gathering first and dividing
     later.
 
-    The tables are read-only and built once per frozen graph and
-    coefficients, kept on the (read-only) coefficients next to the graph
-    they were built for, so another graph, or one with a writable array,
-    gets tables of its own.
+    The tables are read-only and kept on the (read-only) coefficients
+    for one graph at a time (``graph.memoized``): a training run builds
+    them once, and they are freed with the coefficients, not kept as
+    long as the graph.
     """
-    memo = coeffs.__dict__.get("_arc_values")
-    if memo is not None and memo[0] is g:
-        return memo[1]
+    return memoized(coeffs, "_arc_values", _build_arc_values, g)
+
+
+def _build_arc_values(coeffs: NormCoeffs, g: Graph) -> tuple[np.ndarray, np.ndarray]:
     vals = g.norm_values / coeffs.alpha
     tables = vals, vals[reverse_arcs(g)]
     _freeze(*tables)
-    if frozen_graph(g):
-        coeffs.__dict__["_arc_values"] = (g, tables)  # the dataclass is frozen; its __dict__ is not
     return tables
 
 
@@ -298,24 +296,21 @@ def forward_subgraph(
 
 
 def _layer0_aggregate(g: Graph, features: np.ndarray) -> np.ndarray | None:
-    """The full-graph aggregate ``graph_adjacency(g) @ features``, kept on
-    the graph next to the features it was computed from, or None when
-    ``g`` or ``features`` has a writable array (``graph.frozen_graph``,
-    ``graph._frozen``).
-
-    The stored array is read-only and belongs to one features object: a
-    call with another one computes and keeps its own aggregate in its
-    place. The checks run on every call, so an array made writable
-    after the first call never meets a stale aggregate.
-    """
-    if not (frozen_graph(g) and _frozen(features)):
+    """The full-graph aggregate ``graph_adjacency(g) @ features``, kept
+    read-only on the graph for one features object at a time
+    (``graph.memoized``), or None when ``features`` has a writable array
+    (``graph._frozen``). Features come from any caller, so that check
+    runs on every call: an array made writable later never meets a
+    stale aggregate."""
+    if not _frozen(features):
         return None
-    memo = g.__dict__.get("_layer0_aggregate")
-    if memo is None or memo[0] is not features:
-        aggregate = graph_adjacency(g) @ features.astype(np.float64, copy=False)
-        _freeze(aggregate)
-        memo = g.__dict__["_layer0_aggregate"] = (features, aggregate)  # the dataclass is frozen; its __dict__ is not
-    return memo[1]
+    return memoized(g, "_layer0_aggregate", _build_layer0_aggregate, features)
+
+
+def _build_layer0_aggregate(g: Graph, features: np.ndarray) -> np.ndarray:
+    aggregate = graph_adjacency(g) @ features.astype(np.float64, copy=False)
+    _freeze(aggregate)
+    return aggregate
 
 
 def forward_full(model: Model, g: Graph, features: np.ndarray) -> np.ndarray:
@@ -323,12 +318,12 @@ def forward_full(model: Model, g: Graph, features: np.ndarray) -> np.ndarray:
     graph's shared :func:`graph_adjacency`.
 
     When layer 0 does not narrow (:func:`_narrows`), so that its first
-    product is ``A @ features``, and both ``g`` and ``features`` are
-    read-only, as ``data_io.load_dataset`` returns them, that product is
-    computed once and kept on the graph (:func:`_layer0_aggregate`):
-    every later full-graph forward of the same dataset, each validation
-    of a ``train`` run included, reuses it, and gives the same bits. In
-    every other case the product is computed on each call.
+    product is ``A @ features``, and ``features`` is read-only, as
+    ``data_io.load_dataset`` returns it, that product is computed once
+    and kept on the graph (:func:`_layer0_aggregate`): every later
+    full-graph forward of the same dataset, each validation of a
+    ``train`` run included, reuses it, and gives the same bits. In every
+    other case the product is computed on each call.
     """
     unflipped = model.weights and not _narrows(model.weights[0])
     aggregate = _layer0_aggregate(g, features) if unflipped else None
@@ -454,7 +449,7 @@ def f1_micro(scores: np.ndarray, labels: np.ndarray) -> float:
         raise ValueError("empty evaluation set")
     if labels.ndim == 1:
         pred = scores.argmax(axis=1)
-        return float(np.mean(pred == labels))
+        return float(np.count_nonzero(pred == labels) / labels.shape[0])
     pred = scores > 0.0
     truth = labels.astype(bool)
     tp = int((pred & truth).sum())
@@ -480,16 +475,18 @@ class TrainConfig:
     num_norm_subgraphs: int | None = None
 
     def __post_init__(self) -> None:
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
+        for d in self.hidden_dims:
+            _check_count("hidden_dims entry", d)
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and positive, found {self.lr!r:.40}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
-        if self.epochs < 1 or self.batches_per_epoch < 1 or self.eval_every < 1:
-            raise ValueError("epochs, batches_per_epoch and eval_every must be positive")
+        for name in ("epochs", "batches_per_epoch", "eval_every"):
+            _check_count(name, getattr(self, name))
         if self.workers < 0:
             raise ValueError("workers must be non-negative")
-        if self.num_norm_subgraphs is not None and self.num_norm_subgraphs < 1:
-            raise ValueError("num_norm_subgraphs must be positive")
+        if self.num_norm_subgraphs is not None:
+            _check_count("num_norm_subgraphs", self.num_norm_subgraphs)
         _check_seed(self.seed)
 
 

@@ -6,18 +6,12 @@ with u != v contributes the two arcs (u, v) and (v, u); a self-loop
 adjacency (each row divided by the node degree), so the value matrix is
 row-stochastic on non-isolated nodes but not symmetric.
 
-All arrays are frozen after construction; a Graph may be shared freely
-across threads. Values derived from a graph's arrays rely on this rule
-(:func:`memoized`): on a frozen graph, its hash (``data_io.graph_hash``),
-full-graph adjacency (``engine.graph_adjacency``), reverse-arc table
-(:func:`reverse_arcs`, which gives each training batch its transpose) and
-edge-incidence matrix (used by ``variance.edge_aggregates``) are each
-computed once and kept on the instance. So is the full-graph layer-0
-aggregate ``A @ features`` of ``engine.forward_full``, kept next to the
-features object it was computed from, and only for read-only features.
-A graph with a writable array, or a read-only view of a writable one,
-recomputes them on every call, so an array changed in place never meets
-a stale value.
+A ``Graph`` cannot change: its arrays are read-only from construction
+on (:func:`read_only`), so it may be shared freely across threads, and
+each value derived from it is computed once and kept on it
+(:func:`memoized`): its hash, full-graph adjacency, reverse-arc table
+and edge-incidence matrix, and the layer-0 aggregate ``A @ features``
+of one read-only features array at a time (``engine.forward_full``).
 """
 
 from __future__ import annotations
@@ -76,6 +70,10 @@ class Graph:
     edge_endpoints: np.ndarray
     arc_to_edge: np.ndarray
 
+    def __post_init__(self) -> None:
+        for name in _GRAPH_ARRAYS:
+            object.__setattr__(self, name, read_only(getattr(self, name)))  # the dataclass is frozen
+
     @property
     def num_arcs(self) -> int:
         return int(self.col_indices.shape[0])
@@ -128,27 +126,38 @@ def _frozen(arr) -> bool:
 _GRAPH_ARRAYS = ("row_offsets", "col_indices", "norm_values", "degrees", "edge_endpoints", "arc_to_edge")
 
 
-def frozen_graph(g: Graph) -> bool:
-    """Whether every array field of ``g`` is read-only down to the array
-    that owns its data, as ``build_graph`` leaves them."""
-    return all(_frozen(getattr(g, name)) for name in _GRAPH_ARRAYS)
-
-
-def memoized(g: Graph, key: str, build: Callable[[], T]) -> T:
-    """``build()``, computed once per frozen graph and kept on it.
-
-    On a frozen graph (:func:`frozen_graph`) the first call stores the
-    value in the instance ``__dict__`` under ``key`` (not a field, so
-    ``dataclasses.replace`` starts without it) and later calls return
-    that object. Otherwise each call builds anew.
-    Two threads racing on the first call may each build; both values
-    are identical, and the last one stored stays.
+def read_only(a) -> np.ndarray:
+    """``a`` as an array no one can write through: frozen in place if it
+    owns its data, else copied first unless it is frozen down to its
+    owner (:func:`_frozen`), so no later write by the caller reaches it.
+    The result is a read-only view, which numpy refuses to make writable.
     """
-    if not frozen_graph(g):
-        return build()
-    if key not in g.__dict__:
-        g.__dict__[key] = build()  # the dataclass is frozen; its __dict__ is not
-    return g.__dict__[key]
+    a = np.asarray(a)
+    if not _frozen(a):
+        if a.base is not None:
+            a = a.copy()
+        a.setflags(write=False)
+    return a.view()
+
+
+def memoized(owner, key: str, build: Callable[..., T], source: object = None) -> T:
+    """``build(owner)``, or ``build(owner, source)``, computed once per
+    ``owner`` and ``source`` and kept in ``owner.__dict__`` under ``key``
+    (not a field, so ``dataclasses.replace`` starts without it).
+
+    ``owner`` cannot change: a ``Graph``, or a ``NormCoeffs``. ``source``
+    is the one other object the value derives from, compared with
+    ``is``: a call with another one builds and keeps a value in its
+    place. It must not change in place either. Pass a module function
+    as ``build``; a closure made per call costs more than the lookup.
+    Two threads racing on a first call may each build; both values are
+    identical, and the last one stored stays.
+    """
+    memo = owner.__dict__.get(key)
+    if memo is None or memo[0] is not source:
+        value = build(owner) if source is None else build(owner, source)
+        memo = owner.__dict__[key] = (source, value)  # the dataclass is frozen; its __dict__ is not
+    return memo[1]
 
 
 def index_dtype(size: int) -> type[np.integer]:
@@ -160,20 +169,20 @@ def index_dtype(size: int) -> type[np.integer]:
 def reverse_arcs(g: Graph) -> np.ndarray:
     """Index of the reverse arc (v, u) of every arc (u, v); a self-loop
     arc is its own reverse. Read-only, in ``index_dtype``, and computed
-    once per frozen graph (:func:`memoized`).
+    once per graph (:func:`memoized`).
 
     Arcs are stored row-major, so a stable sort by column lists them
     column-major: its k-th arc (v, u) is the reverse of arc k, whose key
     (u, v) has the same rank among the row-major keys. The permutation
     is an involution, so that sort is the table itself.
     """
+    return memoized(g, "_reverse_arcs", _build_reverse_arcs)
 
-    def build() -> np.ndarray:
-        rev = np.argsort(g.col_indices, kind="stable").astype(index_dtype(g.num_arcs))
-        _freeze(rev)
-        return rev
 
-    return memoized(g, "_reverse_arcs", build)
+def _build_reverse_arcs(g: Graph) -> np.ndarray:
+    rev = np.argsort(g.col_indices, kind="stable").astype(index_dtype(g.num_arcs))
+    _freeze(rev)
+    return rev
 
 
 def sorted_unique(a: np.ndarray) -> np.ndarray:
@@ -260,7 +269,6 @@ def build_graph(
     np.cumsum(degrees, out=row_offsets[1:])
     norm_values = 1.0 / degrees[rows].astype(np.float64) if rows.size else np.zeros(0)
 
-    _freeze(row_offsets, cols, norm_values, degrees, edge_endpoints, arc_eid)
     return Graph(
         num_nodes=num_nodes,
         num_edges=num_edges,

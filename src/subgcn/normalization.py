@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, Subgraph, _frozen, arc_source_nodes
-from .samplers import SamplerConfig, SubgraphProducer, draw_plan
+from .graph import Graph, Subgraph, arc_source_nodes, read_only
+from .samplers import SamplerConfig, SubgraphProducer, _check_count, draw_plan
 
 __all__ = [
     "NormCoeffs",
@@ -70,9 +70,8 @@ class NormCoeffs:
     source : str
         "exact" or "empirical".
 
-    The four arrays are read-only from construction on: an array that
-    owns its data is frozen in place, and any other (a view, say) is
-    replaced by a frozen copy, so writing to ``coeffs.alpha`` raises
+    The four arrays are read-only from construction on, as a ``Graph``'s
+    are (``graph.read_only``), so writing to ``coeffs.alpha`` raises
     ValueError and the checks below hold for the object's lifetime.
 
     Raises
@@ -92,12 +91,7 @@ class NormCoeffs:
 
     def __post_init__(self) -> None:
         for name in ("alpha", "lam", "node_counts", "edge_counts"):
-            a = np.asarray(getattr(self, name))
-            if not _frozen(a):
-                if a.base is not None:
-                    a = a.copy()
-                a.setflags(write=False)
-                object.__setattr__(self, name, a)  # the dataclass is frozen
+            object.__setattr__(self, name, read_only(getattr(self, name)))  # the dataclass is frozen
         if self.source not in ("exact", "empirical"):
             raise ValueError(f"source {self.source!r:.40} is not 'exact' or 'empirical'")
         bad_alpha = ~(np.isfinite(self.alpha) & (self.alpha > 0.0))
@@ -244,8 +238,8 @@ def estimate_coeffs(
     Draw i uses RNG stream (cfg.seed, i); ``workers`` > 0 parallelizes
     production without changing the result.
     """
-    if num_subgraphs is not None and num_subgraphs < 1:
-        raise ValueError("num_subgraphs must be positive")
+    if num_subgraphs is not None:
+        _check_count("num_subgraphs", num_subgraphs)
     if num_subgraphs is None and cfg.kind in EXACT_KINDS:
         return _exact_coeffs(g, cfg), []
     node_counts = np.zeros(g.num_nodes, dtype=np.int64)

@@ -69,6 +69,12 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_count(name: str, value) -> None:
+    """ValueError naming ``name`` unless ``value`` is an integer >= 1."""
+    if not (_is_int(value) and value >= 1):
+        raise ValueError(f"{name} must be a positive integer, found {value!r:.40}")
+
+
 def _check_seed(seed) -> None:
     """ValueError naming ``seed`` unless it is a non-negative integer."""
     if not (_is_int(seed) and seed >= 0):

@@ -74,26 +74,26 @@ def _edge_incidence(g: Graph) -> sp.csr_matrix:
 
     Every row holds two entries (a self-loop both in one column, which
     the product adds), so ``indptr`` is 0, 2, 4, ... and rows s..t-1 are
-    the entries 2s..2t-1. Built once per frozen graph
+    the entries 2s..2t-1. Built once per graph
     (``graph.memoized``), on the first call: two float64 values, two
     int32 columns and one int32 row pointer per edge, 28 bytes, all
     read-only.
     """
+    return memoized(g, "_incidence", _build_edge_incidence)
 
-    def build() -> sp.csr_matrix:
-        num_edges = g.num_edges
-        idx = index_dtype(max(2 * num_edges, g.num_nodes))
-        data = np.empty(2 * num_edges)
-        # Coefficient on the u-side term is the adjacency entry of row v.
-        np.divide(1.0, g.degrees[g.edge_endpoints[:, 1]], out=data[0::2])
-        np.divide(1.0, g.degrees[g.edge_endpoints[:, 0]], out=data[1::2])
-        columns = np.ascontiguousarray(g.edge_endpoints, dtype=idx).reshape(-1)
-        indptr = np.arange(0, 2 * num_edges + 1, 2, dtype=idx)
-        incidence = sp.csr_matrix((data, columns, indptr), shape=(num_edges, g.num_nodes))
-        _freeze(incidence.data, incidence.indices, incidence.indptr)
-        return incidence
 
-    return memoized(g, "_incidence", build)
+def _build_edge_incidence(g: Graph) -> sp.csr_matrix:
+    num_edges = g.num_edges
+    idx = index_dtype(max(2 * num_edges, g.num_nodes))
+    data = np.empty(2 * num_edges)
+    # Coefficient on the u-side term is the adjacency entry of row v.
+    np.divide(1.0, g.degrees[g.edge_endpoints[:, 1]], out=data[0::2])
+    np.divide(1.0, g.degrees[g.edge_endpoints[:, 0]], out=data[1::2])
+    columns = np.ascontiguousarray(g.edge_endpoints, dtype=idx).reshape(-1)
+    indptr = np.arange(0, 2 * num_edges + 1, 2, dtype=idx)
+    incidence = sp.csr_matrix((data, columns, indptr), shape=(num_edges, g.num_nodes))
+    _freeze(incidence.data, incidence.indices, incidence.indptr)
+    return incidence
 
 
 def _chunk_edges(dim: int) -> int:

@@ -107,11 +107,48 @@ def random_pairs_graph(num_nodes: int, num_pairs: int, seed: int):
     return build_graph(pairs[pairs[:, 0] != pairs[:, 1]], num_nodes)
 
 
-def writable_copy(g):
-    """``g`` with writable copies of all its arrays: a graph on which no
-    derived value is memoized."""
+def fresh_copy(g):
+    """A new ``Graph`` of copies of ``g``'s arrays: no value derived from
+    ``g`` is memoized on it, so it is the unmemoized reference."""
     arrays = {f.name: getattr(g, f.name).copy() for f in fields(g) if isinstance(getattr(g, f.name), np.ndarray)}
     return replace(g, **arrays)
+
+
+CALLER_KINDS = ("owned", "view", "read-only view")
+
+
+def caller_array(a: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """``(arg, kept)``: a copy of ``a`` as a caller may pass it, and the
+    array the caller keeps and may write to later. ``owned``: the
+    argument itself. ``view`` and ``read-only view``: a slice of a
+    writable base, which is what the caller keeps."""
+    if kind == "owned":
+        arg = a.copy()
+        return arg, arg
+    kept = np.empty((2, *a.shape), a.dtype)
+    kept[0] = a
+    arg = kept[0]
+    if kind == "read-only view":
+        arg.setflags(write=False)
+    return arg, kept
+
+
+def assert_read_only(a: np.ndarray) -> None:
+    """An in-place write to ``a`` raises, and so does making it writable."""
+    with pytest.raises(ValueError, match="read-only"):
+        a[...] = 0
+    with pytest.raises(ValueError, match="WRITEABLE"):
+        a.setflags(write=True)
+
+
+def change_kept(kept: np.ndarray, kind: str) -> None:
+    """Write to the array a caller kept (:func:`caller_array`). The
+    owned array was passed itself, so the write must raise."""
+    if kind == "owned":
+        with pytest.raises(ValueError, match="read-only"):
+            kept += 1
+    else:
+        kept += 1
 
 
 @pytest.fixture

@@ -191,20 +191,28 @@ class TestExitCodes:
         assert "unrecognized arguments: --mean-loss" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("argv, flag", [
-        pytest.param(["variance-check", "--m", "5", "--layers", "0"], "--layers", id="variance-check layers 0"),
-        pytest.param(["variance-check", "--m", "5", "--layers", "-4"], "--layers", id="variance-check layers -4"),
-        pytest.param(["variance-check", "--m", "5", "--hidden", "0"], "--hidden", id="variance-check hidden 0"),
-        pytest.param(["variance-check", "--m", "5", "--trials", "1"], "--trials", id="variance-check trials 1"),
-        pytest.param(["train", "--sampler", "edge", "--m", "30", "--layers", "0"], "--layers", id="train layers 0"),
-        pytest.param(["train", "--sampler", "edge", "--m", "30", "--hidden", "0"], "--hidden", id="train hidden 0"),
-        pytest.param(["--threads", "-3", "sample", "--sampler", "edge", "--m", "2", "--count", "1"], "--threads",
-                     id="threads -3"),
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["variance-check", "--m", "5", "--layers", "0"], "argument --layers: must be at least",
+                     id="variance-check layers 0"),
+        pytest.param(["variance-check", "--m", "5", "--layers", "-4"], "argument --layers: must be at least",
+                     id="variance-check layers -4"),
+        pytest.param(["variance-check", "--m", "5", "--hidden", "0"], "argument --hidden: must be at least",
+                     id="variance-check hidden 0"),
+        pytest.param(["variance-check", "--m", "5", "--trials", "1"], "argument --trials: must be at least",
+                     id="variance-check trials 1"),
+        pytest.param(["train", "--sampler", "edge", "--m", "30", "--layers", "0"], "argument --layers: must be at least",
+                     id="train layers 0"),
+        pytest.param(["train", "--sampler", "edge", "--m", "30", "--hidden", "0"], "argument --hidden: must be at least",
+                     id="train hidden 0"),
+        pytest.param(["--threads", "-3", "sample", "--sampler", "edge", "--m", "2", "--count", "1"],
+                     "argument --threads: must be at least", id="threads -3"),
+        pytest.param(["train", "--sampler", "edge", "--m", "30", "--lr", "nan"], "lr must be finite and positive",
+                     id="train lr nan"),
     ])
-    def test_out_of_range_count_is_1(self, dataset_dir, tmp_path, capsys, argv, flag):
+    def test_out_of_range_count_is_1(self, dataset_dir, tmp_path, capsys, argv, message):
         out = ["--out", str(tmp_path / "x")] if "variance-check" not in argv else []
         assert main([*argv, "--data", str(dataset_dir), *out]) == 1
-        assert f"argument {flag}: must be at least" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_negative_seed_is_1(self, dataset_dir, tmp_path, capsys):
@@ -343,6 +351,7 @@ class TestExitCodes:
         ds.features[:] = 1e308  # finite, so it loads, but the loss overflows
         d = tmp_path / "huge_data"
         save_dataset(ds, d)
-        assert main(["train", "--data", str(d), "--sampler", "full", "--epochs", "1",
-                     "--layers", "1", "--num-norm-subgraphs", "2",
-                     "--out", str(tmp_path / "run")]) == 3
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert main(["train", "--data", str(d), "--sampler", "full", "--epochs", "1",
+                         "--layers", "1", "--num-norm-subgraphs", "2",
+                         "--out", str(tmp_path / "run")]) == 3

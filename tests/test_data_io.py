@@ -46,7 +46,7 @@ from subgcn.data_io import (
 )
 from subgcn.samplers import SubgraphProducer
 
-from conftest import circulant, er_graph, writable_copy
+from conftest import assert_read_only, circulant, er_graph, fresh_copy, graph_inputs
 
 
 def minimal_dataset() -> Dataset:
@@ -376,6 +376,26 @@ class TestLoadedDatasetIsReadOnly:
             a += 1
         assert np.array_equal(a, before)
 
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(inputs=graph_inputs(max_nodes=12), multi=st.booleans(), seed=st.integers(0, 2**16))
+    def test_every_array_is_read_only(self, inputs, multi, seed):
+        rng = np.random.default_rng(seed)
+        pairs, n = inputs
+        g = build_graph(pairs[pairs[:, 0] != pairs[:, 1]], n)  # the text format holds no loops
+        split = rng.integers(0, 3, n)
+        split[0] = 0
+        labels = rng.integers(0, 2, (n, 3) if multi else n)
+        ds = Dataset(graph=g, features=rng.standard_normal((n, 2)), labels=labels, split=split, num_classes=3)
+        with tempfile.TemporaryDirectory() as d:
+            save_dataset(ds, d)
+            loaded = load_dataset(d)
+        for a in (loaded.features, loaded.labels, loaded.split):
+            assert_read_only(a)
+        for f in dataclasses.fields(loaded.graph):
+            if isinstance(getattr(loaded.graph, f.name), np.ndarray):
+                assert_read_only(getattr(loaded.graph, f.name))
+        assert np.array_equal(loaded.labels, labels) and np.array_equal(loaded.split, split)
+
     def test_multi_label_rows_are_read_only(self, tmp_path):
         ds = minimal_dataset()
         save_dataset(dataclasses.replace(ds, labels=np.array([[0, 1], [1, 1]])), tmp_path / "d")
@@ -386,7 +406,7 @@ class TestLoadedDatasetIsReadOnly:
     def test_evaluate_equals_writable_copies(self, loaded, hidden):
         ds = loaded
         model = init_model((3, *hidden, 3), "softmax", np.random.default_rng(8))
-        copies = [writable_copy(ds.graph), *(a.copy() for a in (ds.features, ds.labels, ds.split))]
+        copies = [fresh_copy(ds.graph), *(a.copy() for a in (ds.features, ds.labels, ds.split))]
         for which in (0, 1, 2):
             for _ in range(2):  # the second evaluation reads what the first kept
                 assert evaluate(model, ds.graph, ds.features, ds.labels, ds.split, which).hex() == \
@@ -647,7 +667,8 @@ def blake2b_calls(monkeypatch):
 
 
 class TestGraphHashMemo:
-    """A frozen graph is hashed once; a writable or replaced one is not trusted to a stored value."""
+    """A graph is hashed once; a replaced one starts without the stored
+    hash, and no write reaches the arrays it was computed from."""
 
     def test_container_io_hashes_each_graph_once(self, tmp_path, monkeypatch, blake2b_calls):
         ds = generate_sbm(SbmSpec(blocks=2, block_size=10, p_intra=0.5, p_inter=0.1, noise=0.5, seed=1))
@@ -682,27 +703,31 @@ class TestGraphHashMemo:
         assert len(blake2b_calls) == 1
         assert graph_hash(g) == graph_hash(other)
 
-    def test_writable_array_changed_in_place_changes_the_hash(self, square_chord, blake2b_calls):
-        g = dataclasses.replace(square_chord, norm_values=square_chord.norm_values.copy())
+    def test_owned_array_is_frozen_so_the_hash_cannot_go_stale(self, square_chord, blake2b_calls):
+        values = square_chord.norm_values.copy()
+        g = dataclasses.replace(square_chord, norm_values=values)
         before = graph_hash(g)
-        g.norm_values[3] = np.nextafter(g.norm_values[3], np.inf)
-        assert graph_hash(g) != before
-        assert len(blake2b_calls) == 2
+        with pytest.raises(ValueError, match="read-only"):
+            values[3] = np.nextafter(values[3], np.inf)
+        assert graph_hash(g) == before
+        assert len(blake2b_calls) == 1
 
-    def test_read_only_view_of_a_writable_array_is_hashed_on_every_call(self, square_chord):
+    def test_read_only_view_of_a_writable_array_is_copied(self, square_chord):
         values = square_chord.norm_values.copy()
         view = values.view()
         view.setflags(write=False)
         g = dataclasses.replace(square_chord, norm_values=view)
         before = graph_hash(g)
         values[3] = np.nextafter(values[3], np.inf)
-        assert graph_hash(g) != before
+        assert not np.shares_memory(g.norm_values, values)
+        assert graph_hash(g) == before == graph_hash(square_chord)
+        assert graph_hash(dataclasses.replace(g)) == before  # the arrays themselves are unchanged
 
-    def test_array_unfrozen_after_hashing_is_hashed_again(self, square_chord):
+    def test_array_cannot_be_made_writable_after_hashing(self, square_chord):
         before = graph_hash(square_chord)
-        square_chord.norm_values.setflags(write=True)
-        square_chord.norm_values[3] = np.nextafter(square_chord.norm_values[3], np.inf)
-        assert graph_hash(square_chord) != before
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            square_chord.norm_values.setflags(write=True)
+        assert graph_hash(square_chord) == before
 
     def test_replace_does_not_carry_the_stored_hash(self, square_chord):
         before = graph_hash(square_chord)

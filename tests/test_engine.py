@@ -1,6 +1,7 @@
 """GCN engine: forwards, exact gradients, Adam, F1, training loop."""
 
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -30,7 +31,7 @@ from subgcn.graph import arc_source_nodes
 from subgcn.normalization import estimate_coeffs
 from subgcn.samplers import budget_probabilities, edge_weights
 
-from conftest import analytic_coeffs_edge, er_graph, random_graph, random_pairs_graph, writable_copy
+from conftest import analytic_coeffs_edge, er_graph, fresh_copy, random_graph, random_pairs_graph
 
 
 def full_coeffs(g):
@@ -373,6 +374,12 @@ class TestF1Micro:
         labels = rng.integers(0, 4, 50)
         acc = float(np.mean(scores.argmax(axis=1) == labels))
         assert f1_micro(scores, labels) == acc
+        predict_0 = np.tile([[1.0, 0.0]], (80, 1))
+        for n in range(1, 81):  # the same bits as the mean for every hit count
+            for hits in range(n + 1):
+                labels = np.r_[np.zeros(hits, dtype=np.int64), np.ones(n - hits, dtype=np.int64)]
+                got = f1_micro(predict_0[:n], labels)
+                assert type(got) is float and got == float(np.mean(labels == 0))
 
 
 def small_dataset(seed=0, n=30):
@@ -585,7 +592,11 @@ class TestTrainLoop:
             assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("field, value", [("workers", -1), ("num_norm_subgraphs", 0), ("seed", -1),
-                                              ("seed", 1.5), ("seed", True)])
+                                              ("seed", 1.5), ("seed", True),
+                                              ("hidden_dims", (0,)), ("hidden_dims", (-1,)), ("hidden_dims", (4, 2.5)),
+                                              ("lr", math.nan), ("lr", math.inf), ("lr", 0.0),
+                                              ("epochs", 2.5), ("epochs", 0), ("batches_per_epoch", 0),
+                                              ("eval_every", True), ("num_norm_subgraphs", 2.5)])
     def test_config_rejects_out_of_range_counts(self, field, value):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
@@ -772,8 +783,7 @@ class TestEstimatorConsistency:
 
 
 class TestGraphAdjacencyMemo:
-    """One shared, read-only full-graph adjacency per frozen graph; a
-    fresh one per call on a graph with writable arrays."""
+    """One shared, read-only full-graph adjacency per graph."""
 
     def test_frozen_graph_shares_one_matrix(self, square_chord):
         first = graph_adjacency(square_chord)
@@ -783,13 +793,14 @@ class TestGraphAdjacencyMemo:
         assert first.indices.tolist() == square_chord.col_indices.tolist()
         assert first.indptr.tolist() == square_chord.row_offsets.tolist()
 
-    def test_writable_graph_builds_a_matrix_per_call(self, square_chord):
-        g = writable_copy(square_chord)
+    def test_graph_of_writable_arrays_shares_one_matrix(self, square_chord):
+        values = square_chord.norm_values.copy()
+        g = dataclasses.replace(square_chord, norm_values=values)
         first = graph_adjacency(g)
-        assert graph_adjacency(g) is not first
-        g.norm_values[0] = 0.25
-        assert graph_adjacency(g).data[0] == 0.25  # no stale matrix
-        assert "_adjacency" not in g.__dict__
+        assert graph_adjacency(g) is first
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0.25  # frozen when the graph was built, so the matrix cannot go stale
+        assert first.data[0] == square_chord.norm_values[0]
 
     def test_replace_starts_without_the_matrix(self, square_chord):
         first = graph_adjacency(square_chord)
@@ -813,11 +824,11 @@ class TestGraphAdjacencyMemo:
         model = init_model((6, 8, 3, 3), "softmax", make_rng(21, 0))
         first, second = forward_full(model, g, feats), forward_full(model, g, feats)
         assert second.tobytes() == first.tobytes()
-        assert forward_full(model, writable_copy(g), feats).tobytes() == first.tobytes()
+        assert forward_full(model, fresh_copy(g), feats).tobytes() == first.tobytes()
 
 
 class TestLayer0AggregateMemo:
-    """``forward_full`` keeps layer 0's ``A @ features`` on a frozen graph,
+    """``forward_full`` keeps layer 0's ``A @ features`` on the graph,
     next to the read-only features it came from, and computes it anew
     in every other case."""
 
@@ -830,8 +841,9 @@ class TestLayer0AggregateMemo:
 
     @staticmethod
     def fresh(model, g, feats):
-        """``forward_full`` on writable copies, which nothing is kept for."""
-        return forward_full(model, writable_copy(g), feats.copy())
+        """``forward_full`` on copies, which nothing is kept for: a new
+        graph and writable features."""
+        return forward_full(model, fresh_copy(g), feats.copy())
 
     @staticmethod
     def poison(g, feats):
@@ -890,9 +902,7 @@ class TestLayer0AggregateMemo:
         model = init_model((6, 8, 3), "softmax", make_rng(22, 0))
         want = forward_full(model, g, feats)
         self.poison(g, feats)
-        copy = writable_copy(g)
-        copy.__dict__["_layer0_aggregate"] = g.__dict__["_layer0_aggregate"]
-        assert forward_full(model, copy, feats).tobytes() == want.tobytes()
+        assert forward_full(model, fresh_copy(g), feats).tobytes() == want.tobytes()
 
     def test_narrowing_layer_0_does_not_use_the_memo(self):
         g, feats = self.frozen_inputs()

@@ -1,21 +1,31 @@
 """Graph core: CSR construction, normalization, induction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subgcn import build_graph, induced_subgraph
-from subgcn.graph import arc_source_nodes, reverse_arcs
+from subgcn.data_io import graph_hash
+from subgcn.engine import graph_adjacency
+from subgcn.graph import Graph, arc_source_nodes, reverse_arcs
 
 from conftest import (
+    CALLER_KINDS,
+    assert_read_only,
     brute_force_induce,
+    caller_array,
+    change_kept,
+    fresh_copy,
     graph_inputs,
     random_graph,
     small_graphs,
     subgraph_arcs_original,
-    writable_copy,
 )
+
+GRAPH_ARRAYS = [f.name for f in dataclasses.fields(Graph) if f.type == "np.ndarray"]
 
 
 def dense_norm(g) -> np.ndarray:
@@ -105,6 +115,30 @@ class TestBuildGraph:
     def test_arrays_frozen(self, triangle):
         with pytest.raises(ValueError):
             triangle.norm_values[0] = 9.0
+
+
+class TestReadOnlyByType:
+    """A ``Graph`` cannot change, however its arrays were passed in."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(g=small_graphs(), field=st.sampled_from(GRAPH_ARRAYS), kind=st.sampled_from(("built", *CALLER_KINDS)))
+    def test_arrays_are_read_only_and_caller_writes_never_reach_derived_values(self, g, field, kind):
+        def derived(graph):
+            return graph_hash(graph), graph_adjacency(graph).toarray().tobytes(), reverse_arcs(graph).tobytes()
+
+        want = derived(fresh_copy(g))
+        if kind == "built":
+            h = g
+        else:
+            arg, kept = caller_array(getattr(g, field), kind)
+            h = dataclasses.replace(g, **{field: arg})
+        first = derived(h)
+        for name in GRAPH_ARRAYS:
+            assert_read_only(getattr(h, name))
+        if kind != "built":
+            change_kept(kept, kind)
+        assert derived(h) == first == want
+        assert derived(dataclasses.replace(h)) == want  # no memo: derived from the arrays as they are now
 
 
 def adjacency_oracle(pairs, num_nodes: int) -> dict[int, set[int]]:
@@ -399,8 +433,7 @@ class TestReverseArcs:
         assert reverse_arcs(square_chord) is first
 
     def test_writable_copy_rebuilds_the_table(self, square_chord):
-        g = writable_copy(square_chord)
+        g = fresh_copy(square_chord)  # a new graph of writable copies, frozen as it is built
         first = reverse_arcs(g)
-        assert reverse_arcs(g) is not first
+        assert reverse_arcs(g) is first and first is not reverse_arcs(square_chord)
         assert first.tolist() == reverse_arcs(square_chord).tolist()
-        assert "_reverse_arcs" not in g.__dict__

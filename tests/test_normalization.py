@@ -19,7 +19,19 @@ from subgcn.engine import _arc_values, build_batch
 from subgcn.graph import arc_source_nodes, induced_subgraph
 from subgcn.samplers import budget_probabilities, draw_plan, edge_weights, node_weights
 
-from conftest import analytic_coeffs_edge, random_graph, random_pairs_graph, small_graphs, writable_copy
+from conftest import (
+    CALLER_KINDS,
+    analytic_coeffs_edge,
+    assert_read_only,
+    caller_array,
+    change_kept,
+    fresh_copy,
+    random_graph,
+    random_pairs_graph,
+    small_graphs,
+)
+
+COEFF_ARRAYS = ("alpha", "lam", "node_counts", "edge_counts")
 
 
 def star_graph(leaves: int):
@@ -116,6 +128,11 @@ class TestEstimateCoeffs:
         avg = np.mean([s.num_nodes for s in subs[:10]])
         assert len(subs) == max(10, int(np.ceil(50.0 * 10 / avg)))
         assert coeffs.num_subgraphs == len(subs)
+
+    @pytest.mark.parametrize("count", [0, -1, 2.5, True])
+    def test_draw_count_must_be_a_positive_integer(self, triangle, count):
+        with pytest.raises(ValueError, match="num_subgraphs"):
+            estimate_coeffs(triangle, SamplerConfig(kind="edge", m=1, seed=0), num_subgraphs=count)
 
     def test_deterministic_across_workers(self):
         rng = np.random.default_rng(13)
@@ -446,9 +463,28 @@ class TestNormCoeffsFrozen:
     def test_owned_array_is_frozen_in_place(self, triangle):
         alpha = np.full(triangle.num_arcs, 0.5)
         coeffs = coeffs_of(triangle, alpha, np.ones(3))
-        assert coeffs.alpha is alpha and not alpha.flags.writeable
+        assert coeffs.alpha.base is alpha and not alpha.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             coeffs.alpha[1] = 0.0  # would bypass the check that alpha > 0
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            coeffs.alpha.setflags(write=True)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(g=small_graphs(), field=st.sampled_from(COEFF_ARRAYS), kind=st.sampled_from(CALLER_KINDS),
+           seed=st.integers(0, 2**16))
+    def test_arrays_are_read_only_and_caller_writes_never_reach_them(self, g, field, kind, seed):
+        rng = np.random.default_rng(seed)
+        want = dict(alpha=rng.uniform(0.25, 1.0, g.num_arcs), lam=rng.uniform(0.0, 1.0, g.num_nodes),
+                    node_counts=rng.integers(0, 9, g.num_nodes), edge_counts=rng.integers(0, 9, g.num_edges))
+        arg, kept = caller_array(want[field], kind)
+        coeffs = NormCoeffs(**{**want, field: arg}, num_subgraphs=0, source="exact")
+        vals = _arc_values(g, coeffs)[0].tobytes()
+        for name in COEFF_ARRAYS:
+            assert_read_only(getattr(coeffs, name))
+        change_kept(kept, kind)
+        for name in COEFF_ARRAYS:
+            assert getattr(coeffs, name).tobytes() == want[name].tobytes()
+        assert _arc_values(g, coeffs)[0].tobytes() == vals == (g.norm_values / want["alpha"]).tobytes()
 
     def test_view_of_a_writable_array_is_copied(self, triangle):
         base = np.full(2 * triangle.num_arcs, 0.5)
@@ -466,7 +502,7 @@ class TestNormCoeffsFrozen:
 
 
 class TestArcValueTables:
-    """The per-arc value tables are built once per frozen graph and
+    """The per-arc value tables are built once per graph and
     coefficients, and never reused for another graph."""
 
     def test_one_pair_of_tables_per_frozen_graph(self, square_chord):
@@ -491,12 +527,12 @@ class TestArcValueTables:
 
     def test_writable_graph_gets_fresh_tables(self, square_chord):
         coeffs = estimate_coeffs(square_chord, SamplerConfig(kind="edge", m=2, seed=0))[0]
-        g = writable_copy(square_chord)
-        first = _arc_values(g, coeffs)[0]
-        assert _arc_values(g, coeffs)[0] is not first
-        g.norm_values[0] = 0.125
-        assert batch_of(g, [0, 1], coeffs).adjacency.data[0] == 0.125 / coeffs.alpha[0]  # no stale table
-        assert _arc_values(square_chord, coeffs)[0][0] == square_chord.norm_values[0] / coeffs.alpha[0]
+        first = _arc_values(square_chord, coeffs)[0]
+        g = fresh_copy(square_chord)  # a new graph of writable copies, frozen as it is built
+        fresh = _arc_values(g, coeffs)[0]
+        assert fresh is not first and fresh.tobytes() == first.tobytes()
+        assert _arc_values(g, coeffs)[0] is fresh
+        assert _arc_values(square_chord, coeffs)[0] is not first  # one graph at a time: built again
 
 
 class TestUnbiasedness:

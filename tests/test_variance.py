@@ -35,7 +35,7 @@ from subgcn.variance import (
     budget_probabilities,
 )
 
-from conftest import random_graph, random_pairs_graph, writable_copy
+from conftest import fresh_copy, random_graph, random_pairs_graph
 
 
 def synthetic_aggregates(layer_sums: np.ndarray) -> EdgeAggregates:
@@ -248,21 +248,24 @@ class TestEdgeIncidenceProduct:
 
 
 class TestEdgeIncidenceMemo:
-    """One shared, read-only incidence per frozen graph, built by the
-    first variance call; a fresh one per call on a writable graph."""
+    """One shared, read-only incidence per graph, built by the first
+    variance call."""
 
     def test_frozen_graph_shares_one_incidence(self, square_chord):
         assert "_incidence" not in square_chord.__dict__
         edge_aggregates(square_chord, np.ones((4, 2)), init_model((2, 2), "softmax", make_rng(0, 0)))
-        first = square_chord.__dict__["_incidence"]
+        first = square_chord.__dict__["_incidence"][1]
         assert variance._edge_incidence(square_chord) is first
         assert variance._edge_incidence(square_chord) is first
 
-    def test_writable_graph_builds_an_incidence_per_call(self, square_chord):
-        g = writable_copy(square_chord)
+    def test_graph_of_writable_arrays_shares_one_incidence(self, square_chord):
+        degrees = square_chord.degrees.copy()
+        g = dataclasses.replace(square_chord, degrees=degrees)
         first = variance._edge_incidence(g)
-        assert variance._edge_incidence(g) is not first
-        assert "_incidence" not in g.__dict__
+        assert variance._edge_incidence(g) is first
+        with pytest.raises(ValueError, match="read-only"):
+            degrees[0] = 7  # frozen when the graph was built, so the incidence cannot go stale
+        assert first.data.tobytes() == variance._edge_incidence(square_chord).data.tobytes()
 
     def test_replace_starts_without_the_incidence(self, square_chord):
         first = variance._edge_incidence(square_chord)
@@ -283,7 +286,7 @@ class TestEdgeIncidenceMemo:
         feats = np.random.default_rng(14).standard_normal((g.num_nodes, 5))
         model = init_model((5, 4, 4, 4), "softmax", make_rng(14, 0))
         first, second = edge_aggregates(g, feats, model), edge_aggregates(g, feats, model)
-        fresh = edge_aggregates(writable_copy(g), feats, model)
+        fresh = edge_aggregates(fresh_copy(g), feats, model)
         for agg in (second, fresh):
             assert agg.layer_sum.tobytes() == first.layer_sum.tobytes()
             assert agg.norms.tobytes() == first.norms.tobytes()
