@@ -73,7 +73,6 @@ def _at_least(low: int):
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="subgcn", description=__doc__)
-    parser.add_argument("--threads", type=_at_least(0), default=0, help="sampler worker threads (0: serial)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic SBM dataset")
@@ -163,8 +162,8 @@ def _cmd_sample(args) -> int:
     cfg = _sampler_cfg(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with samplers.SubgraphProducer(ds.graph, cfg, workers=args.threads) as producer:
-        subs = [producer.take() for _ in range(args.count)]
+    producer = samplers.SubgraphProducer(ds.graph, cfg)
+    subs = [producer.take() for _ in range(args.count)]
     path = out / "subgraphs.bin"
     data_io.save_subgraphs(path, ds.graph, cfg, subs)
     sizes = [s.num_nodes for s in subs]
@@ -175,9 +174,7 @@ def _cmd_sample(args) -> int:
 def _cmd_estimate(args) -> int:
     ds = data_io.load_dataset(args.data)
     cfg = _sampler_cfg(args)
-    coeffs, _ = estimate_coeffs(
-        ds.graph, cfg, num_subgraphs=args.num_subgraphs, workers=args.threads
-    )
+    coeffs, _ = estimate_coeffs(ds.graph, cfg, num_subgraphs=args.num_subgraphs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "coeffs.bin"
@@ -200,7 +197,6 @@ def _cmd_train(args) -> int:
         batches_per_epoch=args.batches_per_epoch,
         eval_every=args.eval_every,
         seed=args.seed,
-        workers=args.threads,
         num_norm_subgraphs=args.num_norm_subgraphs,
     )
     result = engine.train(

@@ -471,7 +471,6 @@ class TrainConfig:
     batches_per_epoch: int = 1
     eval_every: int = 1
     seed: int = 0
-    workers: int = 0
     num_norm_subgraphs: int | None = None
 
     def __post_init__(self) -> None:
@@ -483,8 +482,6 @@ class TrainConfig:
             raise ValueError("dropout must lie in [0, 1)")
         for name in ("epochs", "batches_per_epoch", "eval_every"):
             _check_count(name, getattr(self, name))
-        if self.workers < 0:
-            raise ValueError("workers must be non-negative")
         if self.num_norm_subgraphs is not None:
             _check_count("num_norm_subgraphs", self.num_norm_subgraphs)
         _check_seed(self.seed)
@@ -549,10 +546,10 @@ def train(
     draws are reused as the first minibatches. Every other minibatch
     comes from a ``SubgraphProducer``, taken by the step that trains on
     it. Every subgraph is released once trained on, so after
-    pre-processing no more than the empirical draws not yet trained on,
-    the current step's subgraph and a pooled producer's look-ahead are
-    held. Stream element i always feeds iteration i + 1, so a resumed
-    or pooled run sees the same subgraphs as a serial one.
+    pre-processing no more than the empirical draws not yet trained on
+    and the current step's subgraph are held. Stream element i always
+    feeds iteration i + 1, so a resumed run sees the same subgraphs as
+    an uninterrupted one.
     Each iteration builds a batch from the next subgraph, runs the
     normalized forward pass, backpropagates, and applies Adam. Only
     sampled training nodes with lambda > 0 contribute to the loss; a
@@ -592,12 +589,7 @@ def train(
         if found != wanted:
             raise ValueError(f"checkpoint layer shapes {found} do not match the requested {wanted}")
 
-    coeffs, cached = estimate_coeffs(
-        g,
-        sampler_cfg,
-        num_subgraphs=train_cfg.num_norm_subgraphs,
-        workers=train_cfg.workers,
-    )
+    coeffs, cached = estimate_coeffs(g, sampler_cfg, num_subgraphs=train_cfg.num_norm_subgraphs)
 
     if resume is None:
         model = init_model(dims, head, make_rng(train_cfg.seed, 0))
@@ -632,45 +624,41 @@ def train(
     steps = (last_epoch - start_epoch) * per_epoch
     pending = deque(cached[iteration : iteration + steps])
     del cached
-    with SubgraphProducer(g, sampler_cfg, workers=train_cfg.workers, start=start) as producer:
-        for epoch in range(start_epoch + 1, last_epoch + 1):
-            epoch_losses = []
-            for _ in range(per_epoch):
-                sub = pending.popleft() if pending else producer.take()
-                iteration += 1
-                batch = build_batch(g, sub, features, labels, split, coeffs)
-                if not _contributing(batch).any():
-                    skipped += 1
-                    continue
-                rng = (
-                    make_rng(train_cfg.seed, 2, iteration) if train_cfg.dropout > 0.0 else None
+    producer = SubgraphProducer(g, sampler_cfg, start=start)
+    for epoch in range(start_epoch + 1, last_epoch + 1):
+        epoch_losses = []
+        for _ in range(per_epoch):
+            sub = pending.popleft() if pending else producer.take()
+            iteration += 1
+            batch = build_batch(g, sub, features, labels, split, coeffs)
+            if not _contributing(batch).any():
+                skipped += 1
+                continue
+            rng = make_rng(train_cfg.seed, 2, iteration) if train_cfg.dropout > 0.0 else None
+            scores, caches = forward_subgraph(model, batch, dropout=train_cfg.dropout, rng=rng)
+            loss, grads = loss_and_grad(model, batch, scores, caches)
+            if not math.isfinite(loss):
+                raise NumericError(
+                    f"non-finite loss {loss} at iteration {iteration} "
+                    f"(epoch {epoch}); check learning rate and normalization"
                 )
-                scores, caches = forward_subgraph(
-                    model, batch, dropout=train_cfg.dropout, rng=rng
-                )
-                loss, grads = loss_and_grad(model, batch, scores, caches)
-                if not math.isfinite(loss):
+            for l, grad in enumerate(grads):
+                if not np.isfinite(grad).all():
                     raise NumericError(
-                        f"non-finite loss {loss} at iteration {iteration} "
+                        f"non-finite gradient in layer {l} at iteration {iteration} "
                         f"(epoch {epoch}); check learning rate and normalization"
                     )
-                for l, grad in enumerate(grads):
-                    if not np.isfinite(grad).all():
-                        raise NumericError(
-                            f"non-finite gradient in layer {l} at iteration {iteration} "
-                            f"(epoch {epoch}); check learning rate and normalization"
-                        )
-                adam_step(model, grads, state, train_cfg.lr)
-                epoch_losses.append(loss)
+            adam_step(model, grads, state, train_cfg.lr)
+            epoch_losses.append(loss)
 
-            if (epoch % train_cfg.eval_every == 0 or epoch == last_epoch) and val_idx.size:
-                scores = forward_full(model, g, features)
-                val_f1 = f1_micro(scores[val_idx], labels[val_idx])
-                mean = float(np.mean(epoch_losses)) if epoch_losses else float("nan")
-                log.append(f"iter {iteration} loss {_fmt(mean)} val_f1 {_fmt(val_f1)}")
-                if val_f1 > best_val:
-                    best_val = val_f1
-                    best_weights = [w.copy() for w in model.weights]
+        if (epoch % train_cfg.eval_every == 0 or epoch == last_epoch) and val_idx.size:
+            scores = forward_full(model, g, features)
+            val_f1 = f1_micro(scores[val_idx], labels[val_idx])
+            mean = float(np.mean(epoch_losses)) if epoch_losses else float("nan")
+            log.append(f"iter {iteration} loss {_fmt(mean)} val_f1 {_fmt(val_f1)}")
+            if val_f1 > best_val:
+                best_val = val_f1
+                best_weights = [w.copy() for w in model.weights]
 
     if best_val < 0.0:  # no validation set: fall back to the final weights
         best_weights = [w.copy() for w in model.weights]

@@ -217,7 +217,6 @@ def estimate_coeffs(
     g: Graph,
     cfg: SamplerConfig,
     num_subgraphs: int | None = None,
-    workers: int = 0,
 ) -> tuple[NormCoeffs, list[Subgraph]]:
     """Normalization coefficients of ``cfg``'s sampler on ``g``, and the
     subgraphs drawn to get them.
@@ -235,8 +234,7 @@ def estimate_coeffs(
     adaptive rule N = ceil(50 |V| / mean |V_s|), the mean taken over
     ten pilot draws (which count toward N).
 
-    Draw i uses RNG stream (cfg.seed, i); ``workers`` > 0 parallelizes
-    production without changing the result.
+    Draw i uses RNG stream (cfg.seed, i), drawn in the calling thread.
     """
     if num_subgraphs is not None:
         _check_count("num_subgraphs", num_subgraphs)
@@ -251,15 +249,15 @@ def estimate_coeffs(
     canonical = arc_source_nodes(g) <= g.col_indices
     pilot = 10
     target = pilot if num_subgraphs is None else num_subgraphs
-    with SubgraphProducer(g, cfg, workers=workers) as producer:
-        while len(subgraphs) < target:
-            sub = producer.take()
-            subgraphs.append(sub)
-            node_counts[sub.nodes] += 1
-            arcs = sub.arc_origin
-            edge_counts[g.arc_to_edge[arcs[canonical[arcs]]]] += 1
-            if num_subgraphs is None and len(subgraphs) == pilot:
-                avg = max(1.0, float(np.mean([s.num_nodes for s in subgraphs])))
-                target = max(pilot, math.ceil(50.0 * g.num_nodes / avg))
+    producer = SubgraphProducer(g, cfg)
+    while len(subgraphs) < target:
+        sub = producer.take()
+        subgraphs.append(sub)
+        node_counts[sub.nodes] += 1
+        arcs = sub.arc_origin
+        edge_counts[g.arc_to_edge[arcs[canonical[arcs]]]] += 1
+        if num_subgraphs is None and len(subgraphs) == pilot:
+            avg = max(1.0, float(np.mean([s.num_nodes for s in subgraphs])))
+            target = max(pilot, math.ceil(50.0 * g.num_nodes / avg))
 
     return _coeffs_from_counts(g, node_counts, edge_counts, len(subgraphs)), subgraphs

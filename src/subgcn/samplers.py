@@ -21,15 +21,13 @@ A producer computes each kind's distribution once per (graph, config),
 as its ``draw_plan``; the exact normalization coefficients read the same.
 
 Every draw is a pure function of (graph, config, stream index): stream
-i uses a counter-based Philox generator keyed by (seed, i), so parallel
-producers yield bit-identical streams regardless of scheduling.
+i uses a counter-based Philox generator keyed by (seed, i), so a stream
+resumed at element i repeats the uninterrupted one from there on.
 """
 
 from __future__ import annotations
 
 import logging
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -327,52 +325,20 @@ def sample(
 
 
 class SubgraphProducer:
-    """Deterministic stream of subgraphs, optionally drawn ahead by a
-    thread pool.
+    """Deterministic stream of subgraphs, drawn in the calling thread.
 
-    Stream element i is always the draw with RNG stream (cfg.seed, i),
-    so serial and pooled modes yield identical sequences; ``take``
-    returns elements in stream order, starting at ``start``. With
-    ``workers`` == 0 draws happen in the calling thread. Otherwise
-    ``workers`` threads draw up to 2 * ``workers`` elements ahead of
-    the last one taken, and an exception raised by a draw is re-raised
-    by the ``take`` that reaches that element. The pool starts no
-    thread before the first ``take``.
+    Stream element i is always the draw with RNG stream (cfg.seed, i);
+    ``take`` returns elements in stream order, starting at ``start``.
     """
 
-    def __init__(self, graph: Graph, cfg: SamplerConfig, workers: int = 0, start: int = 0):
+    def __init__(self, graph: Graph, cfg: SamplerConfig, start: int = 0):
         self._graph = graph
         self._cfg = cfg
         self._plan = draw_plan(graph, cfg)
         self._next = start
-        self._ahead = 2 * workers
-        self._pool = (
-            ThreadPoolExecutor(workers, thread_name_prefix="sampler") if workers > 0 else None
-        )
-        self._pending: deque[Future[Subgraph]] = deque()
-
-    def _subgraph_at(self, index: int) -> Subgraph:
-        """Draw stream element ``index`` directly."""
-        rng = make_rng(self._cfg.seed, index)
-        return sample(self._graph, self._cfg, rng, self._plan)
 
     def take(self) -> Subgraph:
         """Next subgraph in stream order."""
-        if self._pool is None:
-            sub = self._subgraph_at(self._next)
-            self._next += 1
-            return sub
-        while len(self._pending) < self._ahead:
-            self._pending.append(self._pool.submit(self._subgraph_at, self._next))
-            self._next += 1
-        return self._pending.popleft().result()
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(cancel_futures=True)
-
-    def __enter__(self) -> "SubgraphProducer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        sub = sample(self._graph, self._cfg, make_rng(self._cfg.seed, self._next), self._plan)
+        self._next += 1
+        return sub

@@ -104,19 +104,11 @@ class TestSampleCommand:
               "--count", "11", "--seed", "2", "--out", str(out)])
         ds = load_dataset(dataset_dir)
         cfg = SamplerConfig(kind="node", n=8, seed=2)
-        with SubgraphProducer(ds.graph, cfg) as producer:
-            subs = [producer.take() for _ in range(11)]
+        producer = SubgraphProducer(ds.graph, cfg)
+        subs = [producer.take() for _ in range(11)]
         ref = tmp_path / "ref.bin"
         save_subgraphs(ref, ds.graph, cfg, subs)
         assert ref.read_bytes() == (out / "subgraphs.bin").read_bytes()
-
-    def test_threads_do_not_change_bytes(self, dataset_dir, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        argv = ["sample", "--data", str(dataset_dir), "--sampler", "mrw",
-                "--n", "12", "--r", "3", "--count", "40", "--seed", "9"]
-        assert main(argv + ["--out", str(a)]) == 0
-        assert main(["--threads", "4"] + argv + ["--out", str(b)]) == 0
-        assert (a / "subgraphs.bin").read_bytes() == (b / "subgraphs.bin").read_bytes()
 
 
 class TestEstimateAndEval:
@@ -204,8 +196,8 @@ class TestExitCodes:
                      id="train layers 0"),
         pytest.param(["train", "--sampler", "edge", "--m", "30", "--hidden", "0"], "argument --hidden: must be at least",
                      id="train hidden 0"),
-        pytest.param(["--threads", "-3", "sample", "--sampler", "edge", "--m", "2", "--count", "1"],
-                     "argument --threads: must be at least", id="threads -3"),
+        pytest.param(["sample", "--sampler", "edge", "--m", "2", "--count", "0"], "argument --count: must be at least",
+                     id="sample count 0"),
         pytest.param(["train", "--sampler", "edge", "--m", "30", "--lr", "nan"], "lr must be finite and positive",
                      id="train lr nan"),
     ])

@@ -1,19 +1,14 @@
 """Samplers: distributions, draw frequencies, validity, determinism."""
 
-import threading
-
 import numpy as np
 import pytest
 
 from subgcn import (
     SamplerConfig,
-    SbmSpec,
     SubgraphProducer,
-    TrainConfig,
     build_graph,
     draw_plan,
     edge_weights,
-    generate_sbm,
     make_rng,
     node_weights,
     sample,
@@ -23,7 +18,6 @@ from subgcn import (
     sample_node,
     sample_rw,
     samplers,
-    train,
 )
 from subgcn.samplers import budget_probabilities
 
@@ -372,65 +366,15 @@ class TestSamplerContracts:
 
 
 class TestSubgraphProducer:
-    def test_pool_matches_serial_sequence(self):
-        rng = np.random.default_rng(31)
-        g = random_graph(rng, max_nodes=120)
-        cfg = SamplerConfig(kind="rw", r=3, h=2, seed=42)
-        with SubgraphProducer(g, cfg, workers=0) as serial:
-            want = [serial.take() for _ in range(30)]
-        with SubgraphProducer(g, cfg, workers=4) as pooled:
-            got = [pooled.take() for _ in range(30)]
-        for a, b in zip(want, got):
-            assert np.array_equal(a.nodes, b.nodes)
-            assert np.array_equal(a.arc_origin, b.arc_origin)
-
     def test_start_offset_continues_stream(self):
         g = build_graph([(0, 1), (1, 2), (0, 2)], 3)
         cfg = SamplerConfig(kind="node", n=2, seed=9)
-        with SubgraphProducer(g, cfg) as p:
-            all_subs = [p.take() for _ in range(10)]
-        with SubgraphProducer(g, cfg, start=5) as p:
-            tail = [p.take() for _ in range(5)]
+        p = SubgraphProducer(g, cfg)
+        all_subs = [p.take() for _ in range(10)]
+        p = SubgraphProducer(g, cfg, start=5)
+        tail = [p.take() for _ in range(5)]
         for a, b in zip(all_subs[5:], tail):
             assert np.array_equal(a.nodes, b.nodes)
-
-    def test_pooled_draw_error_raised_by_its_take(self, monkeypatch):
-        g = build_graph([(0, 1), (1, 2), (0, 2)], 3)
-        cfg = SamplerConfig(kind="node", n=2, seed=9)
-        with SubgraphProducer(g, cfg) as serial:
-            want = [serial.take() for _ in range(3)]
-        real_make_rng = samplers.make_rng
-
-        def failing_make_rng(seed, *stream):
-            if stream == (3,):
-                raise RuntimeError("draw 3 failed")
-            return real_make_rng(seed, *stream)
-
-        monkeypatch.setattr(samplers, "make_rng", failing_make_rng)
-        with SubgraphProducer(g, cfg, workers=2) as pooled:
-            got = [pooled.take() for _ in range(3)]
-            with pytest.raises(RuntimeError, match="draw 3 failed"):
-                pooled.take()
-        for a, b in zip(want, got):
-            assert np.array_equal(a.nodes, b.nodes)
-
-    def test_pool_threads_end_with_producer(self):
-        g = build_graph([(0, 1), (1, 2), (0, 2)], 3)
-        before = threading.active_count()
-        with SubgraphProducer(g, SamplerConfig(kind="node", n=2), workers=2) as pooled:
-            for _ in range(5):
-                pooled.take()
-        assert threading.active_count() == before
-
-    def test_pool_threads_end_with_training(self):
-        ds = generate_sbm(SbmSpec(blocks=2, block_size=10, p_intra=0.4, p_inter=0.05, seed=1))
-        cfg = SamplerConfig(kind="edge", m=8, seed=2)
-        # 6 steps on 3 cached draws: the last 3 come from the pool.
-        tcfg = TrainConfig(hidden_dims=(4,), epochs=3, batches_per_epoch=2, workers=2,
-                           num_norm_subgraphs=3)
-        before = threading.active_count()
-        train(ds.graph, ds.features, ds.labels, ds.split, cfg, tcfg, num_classes=2)
-        assert threading.active_count() == before
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -469,7 +413,7 @@ class TestSubgraphProducer:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(samplers, "budget_probabilities", counted)
-        with SubgraphProducer(g, SamplerConfig(kind="edge_independent", m=4, seed=1)) as producer:
-            for _ in range(20):
-                producer.take()
+        producer = SubgraphProducer(g, SamplerConfig(kind="edge_independent", m=4, seed=1))
+        for _ in range(20):
+            producer.take()
         assert len(calls) == 1

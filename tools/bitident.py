@@ -17,8 +17,8 @@ imports ``subgcn`` from ``<checkout>/src`` and prints one line
   once in an unsorted order. The loader only ever passes canonical
   sorted edges, so ``data_io.load_dataset`` does not reach these
   inputs;
-- ``samplers.serial`` / ``samplers.workers2``: draws of all six sampler
-  kinds, serially and from a 2-worker producer;
+- ``samplers.serial``: draws of all six sampler kinds from a
+  ``SubgraphProducer``;
 - ``coeffs``: every field of the empirical ``NormCoeffs``;
 - ``exact``: every field of the exact ``NormCoeffs`` of the ``node``,
   ``edge``, ``edge_independent`` and ``full`` samplers, and
@@ -167,12 +167,12 @@ def _graph_build(subgcn) -> str:
     return d.hexdigest()
 
 
-def _draws(subgcn, g, seed: int, workers: int) -> str:
+def _draws(subgcn, g, seed: int) -> str:
     d = Digest()
     for cfg in _sampler_configs(subgcn, g, seed):
-        with subgcn.SubgraphProducer(g, cfg, workers=workers) as producer:
-            for _ in range(DRAWS):
-                d.add(producer.take())
+        producer = subgcn.SubgraphProducer(g, cfg)
+        for _ in range(DRAWS):
+            d.add(producer.take())
     return d.hexdigest()
 
 
@@ -183,8 +183,8 @@ def _caches(subgcn, g, seed: int, coeffs, work: Path) -> tuple[str, Digest]:
     d, files = Digest(), Digest()
     path = work / "subgraphs.bin"
     for cfg in _sampler_configs(subgcn, g, seed):
-        with subgcn.SubgraphProducer(g, cfg) as producer:
-            data_io.save_subgraphs(path, g, cfg, [producer.take() for _ in range(DRAWS)])
+        producer = subgcn.SubgraphProducer(g, cfg)
+        data_io.save_subgraphs(path, g, cfg, [producer.take() for _ in range(DRAWS)])
         files.add(path.read_bytes())
         d.add(data_io.load_subgraphs(path, g))
     path = work / "coeffs.bin"
@@ -265,8 +265,7 @@ def digests(subgcn, data_dir: Path, seed: int = 3) -> tuple[dict[str, str], list
     out = {
         "data_io.load_dataset": d.hexdigest(),
         "graph.build": _graph_build(subgcn),
-        "samplers.serial": _draws(subgcn, g, seed, workers=0),
-        "samplers.workers2": _draws(subgcn, g, seed, workers=2),
+        "samplers.serial": _draws(subgcn, g, seed),
     }
 
     configs = _sampler_configs(subgcn, g, seed)
@@ -296,8 +295,7 @@ def digests(subgcn, data_dir: Path, seed: int = 3) -> tuple[dict[str, str], list
     out["forward"] = d.hexdigest()
     out["forward.reused"] = _forward_reused(data_dir, seed)
 
-    with subgcn.SubgraphProducer(g, configs[1]) as producer:
-        sub = producer.take()
+    sub = subgcn.SubgraphProducer(g, configs[1]).take()
     batch = engine.build_batch(g, sub, feats, ds.labels, ds.split, normalization.estimate_coeffs(g, configs[1])[0])
     for group, hidden in (("grads", (32, 8)), ("grads.widening", WIDENING_DIMS)):
         model = engine.init_model((feats.shape[1], *hidden, ds.num_classes), "softmax", samplers.make_rng(seed, 0))
